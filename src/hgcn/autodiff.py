@@ -58,10 +58,6 @@ class Tape:
                 node._backward(node.grad)
 
 
-def backward(tape: Tape, loss: "Node") -> None:
-    tape.backward(loss)
-
-
 class Node:
     """A matrix in the computation graph.
 
@@ -323,10 +319,3 @@ class Adam:
             p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         zero_grads(self.params)
 
-
-def adam_step(params, lr, state=None, **kw):
-    """One-shot Adam step; returns the optimizer so state can be carried."""
-    if state is None:
-        state = Adam(params, lr, **kw)
-    state.step()
-    return state

@@ -14,8 +14,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import run as runmod
 from .analysis import render_heatmap
 from .data import (
@@ -93,16 +91,30 @@ def _require(cfg: RunConfig, attr: str, what: str) -> str:
     return path
 
 
+# ModelConfig fields that fix the network's shape and function
+ARCHITECTURE = ("num_layers", "hidden", "input_dim", "activation", "detach_edges")
+
+
 def _load_model(cfg: RunConfig):
+    """(params, vocab, provider) from `out_dir/model.ckpt`, checked against cfg."""
     ckpt = Path(cfg.out_dir) / "model.ckpt"
-    params, model_cfg, vocab, label_names = load_checkpoint(ckpt)
+    params, model_cfg, vocab, label_names, lookup = load_checkpoint(ckpt)
     if label_names and label_names != cfg.label_names:
         raise ConfigError(
             f"checkpoint label set {label_names} differs from config {cfg.label_names}")
+    run_model_cfg = cfg.model_config()
+    for name in ARCHITECTURE:
+        if getattr(model_cfg, name) != getattr(run_model_cfg, name):
+            raise ConfigError(
+                f"checkpoint {name} {getattr(model_cfg, name)!r} differs from "
+                f"config {getattr(run_model_cfg, name)!r}")
     if vocab is None:
         raise CheckpointError(f"{ckpt}: checkpoint has no vocabulary")
-    provider = runmod.make_provider(cfg, vocab, np.random.default_rng(cfg.seed))
-    return params, model_cfg, vocab, provider
+    if cfg.encoder != "lookup":
+        return params, vocab, runmod.make_provider(cfg, vocab, rng=None)
+    if lookup is None:
+        raise CheckpointError(f"{ckpt}: checkpoint has no embedding table")
+    return params, vocab, lookup
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -116,14 +128,14 @@ def cmd_train(cfg: RunConfig) -> int:
             logfile.write(line + "\n")
         params, provider, vocab, _ = runmod.train(train_samples, cfg, dev, log=emit)
     save_checkpoint(params, cfg.model_config(), out / "model.ckpt",
-                    vocab=vocab, label_names=cfg.label_names)
+                    vocab=vocab, label_names=cfg.label_names, provider=provider)
     log.info("checkpoint written to %s", out / "model.ckpt")
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     samples = load_dataset(_require(cfg, "test_path", "eval"), cfg.label_names)
-    params, _, vocab, provider = _load_model(cfg)
+    params, vocab, provider = _load_model(cfg)
     report = runmod.evaluate_model(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,7 +147,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_explain(cfg: RunConfig) -> int:
     samples = load_dataset(_require(cfg, "test_path", "explain"), cfg.label_names)
-    params, _, vocab, provider = _load_model(cfg)
+    params, vocab, provider = _load_model(cfg)
     attributions, corpus_mse = runmod.explain_samples(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir) / "attributions"
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +162,7 @@ def cmd_explain(cfg: RunConfig) -> int:
 
 def cmd_correlate(cfg: RunConfig) -> int:
     samples = load_dataset(_require(cfg, "test_path", "correlate"), cfg.label_names)
-    params, _, vocab, provider = _load_model(cfg)
+    params, vocab, provider = _load_model(cfg)
     pearson, cosine = runmod.correlate(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

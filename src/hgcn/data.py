@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .encoder import Vocabulary
+from .encoder import TrainableLookup, Vocabulary
 from .model import ModelConfig, ModelParams
 
 CHECKPOINT_FORMAT = "hgcn-checkpoint"
 EMBEDDING_FORMAT = "hgcn-embeddings"
 CONTAINER_VERSION = 1
+EMBEDDING_TABLE = "embedding_table"
 
 
 class DatasetError(ValueError):
@@ -148,17 +148,30 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
 # --- checkpoints --------------------------------------------------------
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
-                    vocab: Vocabulary | None = None, label_names=None) -> None:
+                    vocab: Vocabulary | None = None, label_names=None,
+                    provider=None) -> None:
+    """Write the weights and, for a `TrainableLookup` provider, its table.
+
+    Other providers (precomputed vectors) are rebuilt from their own
+    files, so nothing of them is stored.
+    """
     meta = {"config": cfg.to_dict()}
+    tensors = params.named_tensors()
     if vocab is not None:
         meta["vocab"] = vocab.to_dict()
     if label_names is not None:
         meta["label_names"] = list(label_names)
-    save_tensors(path, params.named_tensors(), meta, CHECKPOINT_FORMAT)
+    if isinstance(provider, TrainableLookup):
+        meta["embedding_frozen"] = provider.frozen
+        tensors[EMBEDDING_TABLE] = provider.table.value
+    save_tensors(path, tensors, meta, CHECKPOINT_FORMAT)
 
 
 def load_checkpoint(path):
-    """Returns (params, cfg, vocab_or_None, label_names_or_None)."""
+    """Returns (params, cfg, vocab_or_None, label_names_or_None, lookup_or_None).
+
+    The lookup is the stored `TrainableLookup` table with its freeze flag.
+    """
     meta, tensors = load_tensors(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a model checkpoint")
@@ -167,7 +180,11 @@ def load_checkpoint(path):
     cfg = ModelConfig.from_dict(meta["config"])
     params = ModelParams.from_named_tensors(tensors, cfg)
     vocab = Vocabulary.from_dict(meta["vocab"]) if "vocab" in meta else None
-    return params, cfg, vocab, meta.get("label_names")
+    lookup = None
+    if EMBEDDING_TABLE in tensors:
+        lookup = TrainableLookup.from_table(tensors[EMBEDDING_TABLE],
+                                            freeze=bool(meta.get("embedding_frozen")))
+    return params, cfg, vocab, meta.get("label_names"), lookup
 
 
 def save_embeddings(path, vectors: dict[str, np.ndarray]) -> None:

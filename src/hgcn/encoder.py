@@ -72,10 +72,19 @@ class TrainableLookup:
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator, freeze=False):
         scale = 1.0 / np.sqrt(dim)
-        table = rng.uniform(-scale, scale, size=(vocab_size, dim))
+        self._set_table(rng.uniform(-scale, scale, size=(vocab_size, dim)), freeze)
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, freeze=False) -> "TrainableLookup":
+        """A lookup over an existing table, e.g. one restored from a checkpoint."""
+        lookup = cls.__new__(cls)
+        lookup._set_table(table, freeze)
+        return lookup
+
+    def _set_table(self, table: np.ndarray, freeze: bool) -> None:
         self.table = parameter(table) if not freeze else constant(table)
         self.frozen = freeze
-        self.dim = dim
+        self.dim = table.shape[1]
 
     def embed(self, ids, sample_id=None) -> Node:
         return gather_rows(self.table, ids)

@@ -1,131 +1,91 @@
-"""Per-sample heterogeneous graph construction.
+"""Graph operations on one sample's heterogeneous graph.
 
-Token nodes form an undirected chain with self-loops, label nodes start
-as an identity block, and the token-label block starts at zero and is
-re-estimated from node features each layer via cosine similarity mapped
-affinely into [0, 1].
+The m token nodes form an undirected chain with self-loops, the n label
+nodes are joined only to themselves, and the m x n token-label block E
+is re-estimated from node features each layer via cosine similarity
+mapped affinely into [0, 1]. The adjacency is therefore always
+
+    A = [[C, E], [E^T, I_n]],   C = chain with self-loops,
+
+so its normalized form is applied straight from E, without forming an
+(m+n)^2 matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Node, ShapeError, _result
 
 
-@dataclass
-class AdjacencyBlocks:
-    """The three relation blocks of one sample graph."""
+def _normalized_mix(x: np.ndarray, e: np.ndarray, s_t: np.ndarray,
+                    s_l: np.ndarray) -> np.ndarray:
+    """S (A + I) S x, with S = diag(s_t, s_l) and A built from e as above.
 
-    a_token: np.ndarray      # m x m chain
-    a_label: np.ndarray      # n x n identity
-    a_token_label: np.ndarray  # m x n, entries in [0, 1]
-
-    @property
-    def m(self) -> int:
-        return self.a_token.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a_label.shape[0]
-
-
-def build_chain_adjacency(m: int) -> np.ndarray:
-    """Symmetric bandwidth-1 chain with self-loops: A[i][i]=A[i][i+1]=A[i+1][i]=1."""
-    if m < 1:
-        raise ValueError(f"need at least one token node, got m={m}")
-    a = np.eye(m)
-    idx = np.arange(m - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
-    return a
-
-
-def build_label_adjacency(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need at least one label node, got n={n}")
-    return np.eye(n)
-
-
-def initial_blocks(m: int, n: int) -> AdjacencyBlocks:
-    return AdjacencyBlocks(
-        a_token=build_chain_adjacency(m),
-        a_label=build_label_adjacency(n),
-        a_token_label=np.zeros((m, n)),
-    )
-
-
-def assemble_block(blocks: AdjacencyBlocks) -> np.ndarray:
-    """[[A_token, A_tl], [A_tl^T, A_label]] as one (m+n)^2 matrix."""
-    at, al, atl = blocks.a_token, blocks.a_label, blocks.a_token_label
-    if at.shape[0] != at.shape[1] or al.shape[0] != al.shape[1]:
-        raise ShapeError("token/label blocks must be square")
-    if atl.shape != (at.shape[0], al.shape[0]):
-        raise ShapeError(
-            f"token-label block {atl.shape} incompatible with {at.shape} and {al.shape}")
-    return np.block([[at, atl], [atl.T, al]])
-
-
-def normalize_adjacency(a: np.ndarray) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
-
-    Row sums are >= 1 after the +I augmentation, so the inverse square
-    root is always defined.
+    (C + I) is two shifted adds on top of 2x; the cross terms are
+    E @ x_label and E^T @ x_token.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
-    a_tilde = a + np.eye(a.shape[0])
-    d = a_tilde.sum(axis=1)
-    if np.any(d <= 0):
+    m = e.shape[0]
+    u_t = s_t[:, None] * x[:m]
+    u_l = s_l[:, None] * x[m:]
+    out = np.empty(x.shape)
+    y_t = out[:m]
+    np.matmul(e, u_l, out=y_t)
+    y_t += 2.0 * u_t
+    y_t[1:] += u_t[:-1]
+    y_t[:-1] += u_t[1:]
+    y_t *= s_t[:, None]
+    y_l = out[m:]
+    np.matmul(e.T, u_t, out=y_l)
+    y_l += 2.0 * u_l
+    y_l *= s_l[:, None]
+    return out
+
+
+def propagate(h: Node, edges: Node) -> Node:
+    """D^{-1/2} (A + I) D^{-1/2} h for the sample graph with token-label block `edges`.
+
+    `h` stacks m token rows over n label rows. With the chain's own
+    self-loop and the +I augmentation, token i has degree
+    2 + (chain neighbours of i) + sum_j E_ij and label j has degree
+    2 + sum_i E_ij, so degrees stay positive for any E >= 0.
+
+    The normalized matrix N is symmetric, so dh = N g. E enters both
+    A (directly) and the degrees; the backward keeps only the inverse
+    root degrees and recomputes the scaled features from h and the output.
+    """
+    e = edges.value
+    m, n = e.shape
+    if m < 1 or n < 1:
+        raise ValueError(f"need at least one token and one label node, got m={m}, n={n}")
+    if h.value.shape[0] != m + n:
+        raise ShapeError(f"propagate: h has {h.value.shape[0]} rows, "
+                         f"expected m + n = {m} + {n} from edges {e.shape}")
+    d_t = 4.0 + e.sum(axis=1)   # two chain neighbours, one fewer at each end
+    d_t[0] -= 1.0
+    d_t[-1] -= 1.0
+    d_l = 2.0 + e.sum(axis=0)
+    if d_t.min() <= 0 or d_l.min() <= 0:
         raise ValueError("adjacency row degree must be positive after self-loops")
-    s = 1.0 / np.sqrt(d)
-    return a_tilde * np.outer(s, s)
-
-
-def assemble_block_node(a_token: np.ndarray, a_label: np.ndarray, a_tl: Node) -> Node:
-    """Differentiable block assembly; the two homogeneous blocks are constants.
-
-    The token-label block appears twice (upper-right and transposed
-    lower-left), so its gradient collects both placements.
-    """
-    m, n = a_token.shape[0], a_label.shape[0]
-    if a_tl.value.shape != (m, n):
-        raise ShapeError(f"token-label block {a_tl.value.shape}, expected {(m, n)}")
-    full = np.block([[a_token, a_tl.value], [a_tl.value.T, a_label]])
+    s_t = 1.0 / np.sqrt(d_t)
+    s_l = 1.0 / np.sqrt(d_l)
+    out = _normalized_mix(h.value, e, s_t, s_l)
 
     def push(g):
-        if a_tl.requires_grad:
-            a_tl.grad = a_tl.grad + g[:m, m:] + g[m:, :m].T
+        dh = _normalized_mix(g, e, s_t, s_l)
+        if h.requires_grad:
+            h.grad = h.grad + dh
+        if edges.requires_grad:
+            x = h.value
+            # direct: out_t += s_t (E u_l), out_l += s_l (E^T u_t)
+            ge = (s_t[:, None] * g[:m]) @ (s_l[:, None] * x[m:]).T
+            ge += (s_t[:, None] * x[:m]) @ (s_l[:, None] * g[m:]).T
+            # degrees: dL/dd_p = -s_p^2 / 2 * sum_k (g out + h dh)_pk
+            r = -0.5 * np.concatenate([s_t, s_l]) ** 2 * np.sum(g * out + x * dh, axis=1)
+            ge += r[:m, None] + r[None, m:]
+            edges.grad = edges.grad + ge
 
-    return _result(full, "assemble_block", (a_tl,), push)
-
-
-def normalize_adjacency_node(a: Node) -> Node:
-    """Differentiable symmetric normalization (same math as normalize_adjacency)."""
-    if a.value.shape[0] != a.value.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.value.shape}")
-    a_tilde = a.value + np.eye(a.value.shape[0])
-    d = a_tilde.sum(axis=1)
-    if np.any(d <= 0):
-        raise ValueError("adjacency row degree must be positive after self-loops")
-    s = 1.0 / np.sqrt(d)
-    out = a_tilde * np.outer(s, s)
-
-    def push(g):
-        if not a.requires_grad:
-            return
-        # n_ij = ã_ij s_i s_j with s_i = d_i^{-1/2}, d_i = Σ_q ã_iq.
-        # Degree terms contribute a per-row constant.
-        direct = g * np.outer(s, s)
-        row_mix = np.sum(g * a_tilde * s[None, :], axis=1)   # Σ_j g_pj ã_pj s_j
-        col_mix = np.sum(g * a_tilde * s[:, None], axis=0)   # Σ_i g_ip ã_ip s_i
-        u = -0.5 * s ** 3 * (row_mix + col_mix)
-        a.grad = a.grad + direct + u[:, None]
-
-    return _result(out, "normalize_adjacency", (a,), push)
+    return _result(out, "propagate", (h, edges), push)
 
 
 def reconstruct_token_label(x_token: Node, x_label: Node) -> Node:

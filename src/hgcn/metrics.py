@@ -7,11 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def score_labels(a_tl_last: np.ndarray) -> np.ndarray:
-    """Per-label score: sum of edge weights over all token nodes (column sums)."""
-    return np.asarray(a_tl_last, dtype=float).sum(axis=0)
-
-
 def decode_topk(probs, k: int) -> set[int]:
     """The min(k, n) highest-probability labels; ties go to the lower index."""
     if k < 1:

@@ -1,7 +1,9 @@
 """The HGCN stack: projections, convolution layers, loss, training step.
 
-Each sample is its own graph. Layer 1 propagates over a block-diagonal
-adjacency (the token-label block starts at zero); later layers and the
+Each sample is its own graph. A layer is one GCN update
+act(D^{-1/2} (A + I) D^{-1/2} H W), applied by `graph.propagate` from
+the token-label block alone. Layer 1 uses a zero token-label block, so
+the token chain and the labels do not mix yet; later layers and the
 final prediction re-estimate that block from the current node features.
 Label scores are column sums of the final token-label block, pushed
 through a softmax and trained against a target distribution with MSE.
@@ -15,13 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Node, Tape, constant, parameter
-from .graph import (
-    assemble_block_node,
-    build_chain_adjacency,
-    build_label_adjacency,
-    normalize_adjacency_node,
-    reconstruct_token_label,
-)
+from .graph import propagate, reconstruct_token_label
 
 
 @dataclass
@@ -150,9 +146,6 @@ def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
     # one-hot label inputs: I_n @ w_label_in is w_label_in itself
     h = ad.concat_rows(h_token, params.w_label_in)
 
-    a_token = build_chain_adjacency(m)
-    a_label = build_label_adjacency(n)
-
     token_feats = [h.value[:m].copy()]
     label_feats = [h.value[m:].copy()]
     layer_edges: list[np.ndarray] = []
@@ -165,9 +158,7 @@ def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
             if cfg.detach_edges:
                 edges = constant(edges.value)
         layer_edges.append(edges.value.copy())
-        full = assemble_block_node(a_token, a_label, edges)
-        norm = normalize_adjacency_node(full)
-        h = ad.activation(ad.matmul(ad.matmul(norm, h), params.w_layer[layer]),
+        h = ad.activation(ad.matmul(propagate(h, edges), params.w_layer[layer]),
                           cfg.activation)
         token_feats.append(h.value[:m].copy())
         label_feats.append(h.value[m:].copy())

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
-    AttributionMatrix,
     build_attribution,
     build_golden,
     attribution_mse,
@@ -15,7 +14,6 @@ from .analysis import (
     pearson_matrix,
 )
 from .autodiff import Adam, Tape
-from .data import Sample
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, tokenize
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, forward, train_step
@@ -93,7 +91,8 @@ def build_vocab(samples) -> Vocabulary:
     return vocab
 
 
-def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generator):
+def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generator | None):
+    """The configured token-feature provider; `rng` draws a new lookup table."""
     if run_cfg.encoder.startswith("file:"):
         return PrecomputedFile.load(run_cfg.encoder[len("file:"):])
     return TrainableLookup(len(vocab), run_cfg.input_dim, rng, freeze=run_cfg.freeze)
@@ -118,25 +117,28 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
     return decode_threshold(probs, run_cfg.threshold)
 
 
-def predict(samples, params, provider, run_cfg, vocab, cfg=None,
-            want_traces=False):
-    """Forward every sample; returns (pred_sets, gold_sets, traces)."""
-    cfg = cfg or run_cfg.model_config()
-    index = {name: i for i, name in enumerate(run_cfg.label_names)}
-    preds, golds, traces = [], [], []
+def _forward_samples(samples, params, provider, run_cfg, vocab):
+    """Yield (sample, ids, trace) per sample, each forward pass on its own tape."""
+    cfg = run_cfg.model_config()
     for s in samples:
         ids = tokenize(s.tokens, vocab, run_cfg.max_len)
         with Tape():
             trace = forward(ids, provider, params, cfg, sample_id=s.id)
+        yield s, ids, trace
+
+
+def predict(samples, params, provider, run_cfg, vocab):
+    """Forward every sample; returns (pred_sets, gold_sets)."""
+    index = {name: i for i, name in enumerate(run_cfg.label_names)}
+    preds, golds = [], []
+    for s, _, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
         preds.append(decode_probs(trace.probs, run_cfg))
         golds.append({index[name] for name in s.labels})
-        if want_traces:
-            traces.append(trace)
-    return preds, golds, traces
+    return preds, golds
 
 
 def evaluate_model(samples, params, provider, run_cfg, vocab) -> EvalReport:
-    preds, golds, _ = predict(samples, params, provider, run_cfg, vocab)
+    preds, golds = predict(samples, params, provider, run_cfg, vocab)
     return evaluate(preds, golds, len(run_cfg.label_names))
 
 
@@ -185,14 +187,10 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     Golden matrices use annotated keyword intensities at the annotated
     token rows; samples without annotations do not enter the MSE mean.
     """
-    cfg = run_cfg.model_config()
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     attributions = []
     mses = []
-    for s in samples:
-        ids = tokenize(s.tokens, vocab, run_cfg.max_len)
-        with Tape():
-            trace = forward(ids, provider, params, cfg, sample_id=s.id)
+    for s, ids, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
         token_names = ["<s>"] + s.tokens[: run_cfg.max_len - 2] + ["</s>"]
         attr = build_attribution(trace.final_edges, token_names, run_cfg.label_names)
         attributions.append((s, attr))
@@ -206,11 +204,14 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
 
 
 def correlate(samples, params, provider, run_cfg, vocab):
-    """Pearson over decoded predictions and cosine over mean final label features."""
-    cfg = run_cfg.model_config()
-    preds, _, traces = predict(samples, params, provider, run_cfg, vocab,
-                               cfg=cfg, want_traces=True)
+    """Pearson over decoded predictions and cosine over mean final label features.
+
+    Only each sample's n x h final label features are kept, not its trace.
+    """
+    preds, label_feats = [], []
+    for _, _, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
+        preds.append(decode_probs(trace.probs, run_cfg))
+        label_feats.append(trace.final_label_features)
     pearson = pearson_matrix(preds, len(run_cfg.label_names))
-    mean_label_feats = np.mean([t.final_label_features for t in traces], axis=0)
-    cosine = label_cosine_matrix(mean_label_feats)
+    cosine = label_cosine_matrix(np.mean(label_feats, axis=0))
     return pearson, cosine

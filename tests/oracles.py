@@ -1,6 +1,14 @@
-"""Shared test oracles: central finite differences and brute-force references."""
+"""Shared test oracles: central finite differences and brute-force references.
+
+The dense adjacency code below builds the sample graph as an explicit
+(m+n)^2 matrix; it is the reference for `hgcn.graph.propagate`.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+from hgcn.autodiff import Node, ShapeError, _result
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -43,3 +51,118 @@ def brute_force_threshold(probs, t):
         if p >= t:
             out.add(j)
     return out
+
+
+# --- dense adjacency reference ------------------------------------------
+
+@dataclass
+class AdjacencyBlocks:
+    """The three relation blocks of one sample graph."""
+
+    a_token: np.ndarray      # m x m chain
+    a_label: np.ndarray      # n x n identity
+    a_token_label: np.ndarray  # m x n, entries in [0, 1]
+
+    @property
+    def m(self) -> int:
+        return self.a_token.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.a_label.shape[0]
+
+
+def build_chain_adjacency(m: int) -> np.ndarray:
+    """Symmetric bandwidth-1 chain with self-loops: A[i][i]=A[i][i+1]=A[i+1][i]=1."""
+    if m < 1:
+        raise ValueError(f"need at least one token node, got m={m}")
+    a = np.eye(m)
+    idx = np.arange(m - 1)
+    a[idx, idx + 1] = 1.0
+    a[idx + 1, idx] = 1.0
+    return a
+
+
+def build_label_adjacency(n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError(f"need at least one label node, got n={n}")
+    return np.eye(n)
+
+
+def initial_blocks(m: int, n: int) -> AdjacencyBlocks:
+    return AdjacencyBlocks(
+        a_token=build_chain_adjacency(m),
+        a_label=build_label_adjacency(n),
+        a_token_label=np.zeros((m, n)),
+    )
+
+
+def assemble_block(blocks: AdjacencyBlocks) -> np.ndarray:
+    """[[A_token, A_tl], [A_tl^T, A_label]] as one (m+n)^2 matrix."""
+    at, al, atl = blocks.a_token, blocks.a_label, blocks.a_token_label
+    if at.shape[0] != at.shape[1] or al.shape[0] != al.shape[1]:
+        raise ShapeError("token/label blocks must be square")
+    if atl.shape != (at.shape[0], al.shape[0]):
+        raise ShapeError(
+            f"token-label block {atl.shape} incompatible with {at.shape} and {al.shape}")
+    return np.block([[at, atl], [atl.T, al]])
+
+
+def normalize_adjacency(a: np.ndarray) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
+
+    Row sums are >= 1 after the +I augmentation, so the inverse square
+    root is always defined.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"adjacency must be square, got {a.shape}")
+    a_tilde = a + np.eye(a.shape[0])
+    d = a_tilde.sum(axis=1)
+    if np.any(d <= 0):
+        raise ValueError("adjacency row degree must be positive after self-loops")
+    s = 1.0 / np.sqrt(d)
+    return a_tilde * np.outer(s, s)
+
+
+def assemble_block_node(a_token: np.ndarray, a_label: np.ndarray, a_tl: Node) -> Node:
+    """Differentiable block assembly; the two homogeneous blocks are constants.
+
+    The token-label block appears twice (upper-right and transposed
+    lower-left), so its gradient collects both placements.
+    """
+    m, n = a_token.shape[0], a_label.shape[0]
+    if a_tl.value.shape != (m, n):
+        raise ShapeError(f"token-label block {a_tl.value.shape}, expected {(m, n)}")
+    full = np.block([[a_token, a_tl.value], [a_tl.value.T, a_label]])
+
+    def push(g):
+        if a_tl.requires_grad:
+            a_tl.grad = a_tl.grad + g[:m, m:] + g[m:, :m].T
+
+    return _result(full, "assemble_block", (a_tl,), push)
+
+
+def normalize_adjacency_node(a: Node) -> Node:
+    """Differentiable symmetric normalization (same math as normalize_adjacency)."""
+    if a.value.shape[0] != a.value.shape[1]:
+        raise ShapeError(f"adjacency must be square, got {a.value.shape}")
+    a_tilde = a.value + np.eye(a.value.shape[0])
+    d = a_tilde.sum(axis=1)
+    if np.any(d <= 0):
+        raise ValueError("adjacency row degree must be positive after self-loops")
+    s = 1.0 / np.sqrt(d)
+    out = a_tilde * np.outer(s, s)
+
+    def push(g):
+        if not a.requires_grad:
+            return
+        # n_ij = ã_ij s_i s_j with s_i = d_i^{-1/2}, d_i = Σ_q ã_iq.
+        # Degree terms contribute a per-row constant.
+        direct = g * np.outer(s, s)
+        row_mix = np.sum(g * a_tilde * s[None, :], axis=1)   # Σ_j g_pj ã_pj s_j
+        col_mix = np.sum(g * a_tilde * s[:, None], axis=0)   # Σ_i g_ip ã_ip s_i
+        u = -0.5 * s ** 3 * (row_mix + col_mix)
+        a.grad = a.grad + direct + u[:, None]
+
+    return _result(out, "normalize_adjacency", (a,), push)

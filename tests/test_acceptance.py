@@ -16,12 +16,7 @@ from hgcn import run as runmod
 from hgcn.autodiff import Tape, constant, parameter
 from hgcn.data import load_checkpoint, save_checkpoint
 from hgcn.encoder import TrainableLookup, tokenize
-from hgcn.graph import (
-    build_chain_adjacency,
-    normalize_adjacency,
-    normalize_adjacency_node,
-    reconstruct_token_label,
-)
+from hgcn.graph import propagate, reconstruct_token_label
 from hgcn.metrics import decode_threshold, decode_topk, jaccard, micro_macro_f1
 from hgcn.model import ModelParams, build_target, forward, sample_loss
 from hgcn.run import RunConfig
@@ -30,8 +25,11 @@ from hgcn.synth import generate_synthetic_corpus
 from oracles import (
     brute_force_threshold,
     brute_force_topk,
+    build_chain_adjacency,
     finite_difference_grad,
     max_rel_err,
+    normalize_adjacency,
+    normalize_adjacency_node,
 )
 
 
@@ -98,6 +96,7 @@ def test_criterion_1_gradient_suite(capsys):
             worst_op = max(worst_op, max_rel_err(node.grad, finite_difference_grad(f, args[i])))
 
     target23 = rng.uniform(0, 1, (2, 3))
+    target53 = np.random.default_rng(1).uniform(0, 1, (5, 3))
     for _ in range(20):
         check(lambda a, b: ad.mse_loss(ad.matmul(a, b), target23), (2, 4), (4, 3))
         check(lambda a, b: ad.mse_loss(ad.add(a, b), target23), (2, 3), (2, 3))
@@ -108,6 +107,11 @@ def test_criterion_1_gradient_suite(capsys):
             normalize_adjacency_node(ad.elementwise_mul(a, a)), np.eye(3)), (3, 3))
         check(lambda a, b: ad.mse_loss(reconstruct_token_label(a, b),
                                        target23), (2, 5), (3, 5))
+    # after the loop above, so the other ops keep their random draws;
+    # squared edges: a token-label block is never negative
+    for _ in range(20):
+        check(lambda h, e: ad.mse_loss(propagate(h, ad.elementwise_mul(e, e)),
+                                       target53), (5, 3), (3, 2))
 
     # end-to-end: loss through normalization, convolution and edge
     # reconstruction w.r.t. every parameter matrix
@@ -252,7 +256,7 @@ def test_criterion_7_determinism_persistence(capsys, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(params1, cfg.model_config(), ckpt, vocab=vocab1,
                     label_names=label_names)
-    restored, model_cfg, vocab2, _ = load_checkpoint(ckpt)
+    restored, model_cfg, vocab2, _, _ = load_checkpoint(ckpt)
     ids = tokenize(train[0].tokens, vocab1, cfg.max_len)
     with Tape():
         before = forward(ids, provider1, params1, cfg.model_config())

@@ -150,6 +150,31 @@ def test_mse_shape_error():
         ad.mse_loss(constant([[1.0, 0.0]]), [[0.0], [0.0]])
 
 
+def col_sum_values(a):
+    with Tape():
+        return ad.col_sums(constant(a)).value[0]
+
+
+def test_col_sums_zero_matrix():
+    assert np.array_equal(col_sum_values(np.zeros((4, 3))), np.zeros(3))
+
+
+def test_col_sums_hand_value():
+    scores = col_sum_values([[0.2, 0.8], [0.4, 0.1]])
+    assert np.allclose(scores, [0.6, 0.9], atol=1e-12)
+
+
+def test_col_sums_single_row():
+    assert np.allclose(col_sum_values([[0.3, 0.7]]), [0.3, 0.7])
+
+
+def test_col_sums_matches_double_loop():
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0, 1, (7, 5))
+    expected = [sum(a[i][j] for i in range(7)) for j in range(5)]
+    assert np.allclose(col_sum_values(a), expected, atol=1e-12)
+
+
 def test_backward_sum_gives_ones():
     w = parameter(np.arange(6.0).reshape(2, 3))
     with Tape() as tape:

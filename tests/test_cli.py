@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from hgcn import run as runmod
 from hgcn.analysis import parse_heatmap_csv
 from hgcn.cli import main
 from hgcn.data import load_dataset, save_dataset
+from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
 
 
@@ -89,6 +91,32 @@ def test_correlate_writes_heatmaps(trained):
         assert rows == cols == label_names
         assert (values <= 1.0 + 1e-12).all() and (values >= -1.0 - 1e-12).all()
         assert (out / f"{name}.svg").exists()
+
+
+def test_cli_eval_matches_in_process_evaluation(corpus, tmp_path):
+    # the checkpoint must carry the trained embedding table, not a re-draw
+    root, label_names = corpus
+    config = write_config(tmp_path / "c.json", root, label_names, tmp_path)
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
+    cfg = RunConfig(**json.loads(config.read_text()))
+    params, provider, vocab, _ = runmod.train(load_dataset(cfg.train_path, label_names), cfg)
+    report = runmod.evaluate_model(load_dataset(cfg.test_path, label_names),
+                                   params, provider, cfg, vocab)
+    assert json.loads((tmp_path / "eval.json").read_text()) == report.to_dict()
+
+
+@pytest.mark.parametrize("flags, extra, field", [
+    (["--layers", "1"], {}, "num_layers"),
+    (["--layers", "3"], {}, "num_layers"),
+    ([], {"activation": "relu"}, "activation"),
+])
+def test_architecture_mismatch_is_config_error(trained, tmp_path, capsys,
+                                               flags, extra, field):
+    root, label_names, out, _ = trained
+    config = write_config(tmp_path / "c.json", root, label_names, out, **extra)
+    assert main(["eval", "--config", str(config), *flags]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_decode_override_changes_predictions(trained, tmp_path):

@@ -149,7 +149,7 @@ def test_checkpoint_restores_bitwise_identical_forward(tmp_path):
     vocab = Vocabulary(["a", "b", "c", "d"])
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, cfg, path, vocab=vocab, label_names=["A", "B", "C"])
-    params2, cfg2, vocab2, label_names = load_checkpoint(path)
+    params2, cfg2, vocab2, label_names, _ = load_checkpoint(path)
     assert cfg2 == cfg
     assert vocab2.to_dict() == vocab.to_dict()
     assert label_names == ["A", "B", "C"]
@@ -160,6 +160,25 @@ def test_checkpoint_restores_bitwise_identical_forward(tmp_path):
         after = forward(ids, provider, params2, cfg2)
     assert np.array_equal(before.probs, after.probs)
     assert np.array_equal(before.final_edges, after.final_edges)
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_checkpoint_restores_embedding_table(tmp_path, freeze):
+    cfg, params, _ = make_model()
+    provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(3), freeze=freeze)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, cfg, path, provider=provider)
+    lookup = load_checkpoint(path)[4]
+    assert np.array_equal(lookup.table.value, provider.table.value)
+    assert lookup.frozen is freeze
+    assert lookup.parameters() == ([] if freeze else [lookup.table])
+
+
+def test_checkpoint_without_provider_has_no_lookup(tmp_path):
+    cfg, params, _ = make_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, cfg, path)
+    assert load_checkpoint(path)[4] is None
 
 
 def test_checkpoint_missing_tensor_reported(tmp_path):

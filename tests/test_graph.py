@@ -5,19 +5,20 @@ from hypothesis import strategies as st
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import ShapeError, Tape, constant, parameter
-from hgcn.graph import (
+from hgcn.graph import propagate, reconstruct_token_label
+
+from oracles import (
     AdjacencyBlocks,
     assemble_block,
     assemble_block_node,
     build_chain_adjacency,
     build_label_adjacency,
+    finite_difference_grad,
     initial_blocks,
+    max_rel_err,
     normalize_adjacency,
     normalize_adjacency_node,
-    reconstruct_token_label,
 )
-
-from oracles import finite_difference_grad, max_rel_err
 
 
 def test_chain_single_node():
@@ -213,3 +214,86 @@ def test_reconstruct_gradient_vs_finite_differences():
     fd_l = finite_difference_grad(lambda x: run(xt0, x)[0], xl0)
     assert max_rel_err(gt, fd_t) < 1e-4
     assert max_rel_err(gl, fd_l) < 1e-4
+
+
+def dense_propagate(h, edges):
+    """The same op through the dense (m+n)^2 reference on the tape."""
+    m, n = edges.value.shape
+    full = assemble_block_node(build_chain_adjacency(m), build_label_adjacency(n), edges)
+    return ad.matmul(normalize_adjacency_node(full), h)
+
+
+def edge_block(kind, m, n, rng):
+    if kind == "zeros":
+        return np.zeros((m, n))
+    if kind == "ones":
+        return np.ones((m, n))
+    return rng.uniform(0, 1, (m, n))
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=20),
+       st.sampled_from(["uniform", "zeros", "ones"]), st.integers(min_value=0, max_value=1000))
+@settings(max_examples=100, deadline=None)
+def test_propagate_matches_dense_normalized_product(m, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    e = edge_block(kind, m, n, rng)
+    h = rng.normal(size=(m + n, 3))
+    with Tape():
+        out = propagate(constant(h), constant(e))
+    blocks = AdjacencyBlocks(build_chain_adjacency(m), build_label_adjacency(n), e)
+    dense = normalize_adjacency(assemble_block(blocks)) @ h
+    assert np.max(np.abs(out.value - dense)) < 1e-12
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=20),
+       st.sampled_from(["uniform", "zeros", "ones"]), st.integers(min_value=0, max_value=1000))
+@settings(max_examples=50, deadline=None)
+def test_propagate_gradients_match_dense_tape(m, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    e0 = edge_block(kind, m, n, rng)
+    h0 = rng.normal(size=(m + n, 3))
+    t = rng.normal(size=(m + n, 3))
+
+    def grads(op):
+        h, e = parameter(h0), parameter(e0)
+        with Tape() as tape:
+            tape.backward(ad.mse_loss(op(h, e), t))
+        return h.grad, e.grad
+
+    gh, ge = grads(propagate)
+    dh, de = grads(dense_propagate)
+    assert np.max(np.abs(gh - dh)) < 1e-12
+    assert np.max(np.abs(ge - de)) < 1e-12
+
+
+def test_propagate_gradients_vs_finite_differences():
+    rng = np.random.default_rng(8)
+    for m, n in [(1, 1), (2, 3), (5, 2)]:
+        h0 = rng.normal(size=(m + n, 4))
+        e0 = rng.uniform(0, 1, (m, n))
+        t = rng.normal(size=(m + n, 4))
+
+        def run(h_val, e_val):
+            h, e = parameter(h_val), parameter(e_val)
+            with Tape() as tape:
+                loss = ad.mse_loss(propagate(h, e), t)
+                tape.backward(loss)
+            return float(loss.value[0, 0]), h.grad, e.grad
+
+        _, gh, ge = run(h0, e0)
+        assert max_rel_err(gh, finite_difference_grad(lambda x: run(x, e0)[0], h0)) < 1e-4
+        assert max_rel_err(ge, finite_difference_grad(lambda x: run(h0, x)[0], e0)) < 1e-4
+
+
+def test_propagate_constant_edges_get_no_gradient():
+    h = parameter(np.ones((4, 2)))
+    e = constant(np.full((3, 1), 0.5))
+    with Tape() as tape:
+        tape.backward(ad.total_sum(propagate(h, e)))
+    assert not e.requires_grad and np.array_equal(e.grad, np.zeros((3, 1)))
+    assert np.all(h.grad > 0)
+
+
+def test_propagate_row_count_mismatch():
+    with pytest.raises(ShapeError, match="m \\+ n"):
+        propagate(constant(np.ones((4, 2))), constant(np.zeros((2, 3))))

@@ -9,30 +9,9 @@ from hgcn.metrics import (
     evaluate,
     jaccard,
     micro_macro_f1,
-    score_labels,
 )
 
 from oracles import brute_force_threshold, brute_force_topk
-
-
-def test_score_labels_zero_matrix():
-    assert np.array_equal(score_labels(np.zeros((4, 3))), np.zeros(3))
-
-
-def test_score_labels_hand_value():
-    scores = score_labels([[0.2, 0.8], [0.4, 0.1]])
-    assert np.allclose(scores, [0.6, 0.9], atol=1e-12)
-
-
-def test_score_labels_single_row():
-    assert np.allclose(score_labels([[0.3, 0.7]]), [0.3, 0.7])
-
-
-def test_score_labels_matches_double_loop():
-    rng = np.random.default_rng(0)
-    a = rng.uniform(0, 1, (7, 5))
-    expected = [sum(a[i][j] for i in range(7)) for j in range(5)]
-    assert np.allclose(score_labels(a), expected, atol=1e-12)
 
 
 def test_topk_basic():

@@ -233,3 +233,14 @@ def test_model_config_validation():
         ModelConfig(num_labels=2, hidden=0)
     with pytest.raises(ValueError):
         ModelConfig(num_labels=2, precision="float16")
+
+
+def test_two_layer_sample_loss_tape_size():
+    # per sample: embed, projection, concat; per layer: propagate, matmul,
+    # activation (+ two slices and a reconstruction after layer 1); head:
+    # two slices, reconstruction, col_sums, softmax, mse
+    cfg, params, provider = tiny_setup(num_layers=2)
+    with Tape() as tape:
+        sample_loss([0, 4, 5, 1], build_target([1, 0, 0]), provider, params, cfg)
+    assert len(tape.nodes) == 18
+    assert sum(node.op == "propagate" for node in tape.nodes) == 2
