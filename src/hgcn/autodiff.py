@@ -161,23 +161,24 @@ def scale(a: Node, c: float) -> Node:
     return _result(a.value * c, "scale", (a,), push)
 
 
+# elementwise nonlinearities: kind -> (f(x), f'(x) from x and f(x))
+ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: x > 0.0),
+    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
+}
+
+
 def activation(a: Node, kind: str = "relu") -> Node:
-    """Elementwise nonlinearity. ReLU's subgradient at 0 is taken as 0."""
-    if kind == "relu":
-        out = np.maximum(a.value, 0.0)
-        mask = a.value > 0.0
-
-        def push(g):
-            if a.requires_grad:
-                a.grad = a.grad + g * mask
-    elif kind == "tanh":
-        out = np.tanh(a.value)
-
-        def push(g):
-            if a.requires_grad:
-                a.grad = a.grad + g * (1.0 - out * out)
-    else:
+    """Elementwise nonlinearity from ACTIVATIONS. ReLU's subgradient at 0 is taken as 0."""
+    if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation {kind!r}")
+    f, df = ACTIVATIONS[kind]
+    out = f(a.value)
+
+    def push(g):
+        if a.requires_grad:
+            a.grad = a.grad + g * df(a.value, out)
+
     return _result(out, f"activation[{kind}]", (a,), push)
 
 
@@ -283,13 +284,19 @@ def zero_grads(params) -> None:
         p.zero_grad()
 
 
-def sgd_step(params, lr: float) -> None:
-    """p <- p - lr * grad, then zero grads."""
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    for p in params:
-        p.value = p.value - lr * p.grad
-    zero_grads(params)
+class SGD:
+    """Plain gradient descent: p <- p - lr * grad, then zero grads."""
+
+    def __init__(self, params, lr):
+        if lr < 0:
+            raise ValueError(f"lr must be >= 0, got {lr}")
+        self.params = list(params)
+        self.lr = lr
+
+    def step(self) -> None:
+        for p in self.params:
+            p.value = p.value - self.lr * p.grad
+        zero_grads(self.params)
 
 
 class Adam:

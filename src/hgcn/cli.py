@@ -24,6 +24,7 @@ from .data import (
     save_checkpoint,
     save_dataset,
 )
+from .model import ModelConfig
 from .run import RunConfig
 from .synth import generate_synthetic_corpus
 
@@ -91,10 +92,6 @@ def _require(cfg: RunConfig, attr: str, what: str) -> str:
     return path
 
 
-# ModelConfig fields that fix the network's shape and function
-ARCHITECTURE = ("num_layers", "hidden", "input_dim", "activation", "detach_edges")
-
-
 def _load_model(cfg: RunConfig):
     """(params, vocab, provider) from `out_dir/model.ckpt`, checked against cfg."""
     ckpt = Path(cfg.out_dir) / "model.ckpt"
@@ -103,11 +100,10 @@ def _load_model(cfg: RunConfig):
         raise ConfigError(
             f"checkpoint label set {label_names} differs from config {cfg.label_names}")
     run_model_cfg = cfg.model_config()
-    for name in ARCHITECTURE:
-        if getattr(model_cfg, name) != getattr(run_model_cfg, name):
-            raise ConfigError(
-                f"checkpoint {name} {getattr(model_cfg, name)!r} differs from "
-                f"config {getattr(run_model_cfg, name)!r}")
+    for f in fields(ModelConfig):
+        stored, wanted = getattr(model_cfg, f.name), getattr(run_model_cfg, f.name)
+        if stored != wanted:
+            raise ConfigError(f"checkpoint {f.name} {stored!r} differs from config {wanted!r}")
     if vocab is None:
         raise CheckpointError(f"{ckpt}: checkpoint has no vocabulary")
     if cfg.encoder != "lookup":

@@ -9,7 +9,7 @@ payloads in header order, so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -155,7 +155,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
     Other providers (precomputed vectors) are rebuilt from their own
     files, so nothing of them is stored.
     """
-    meta = {"config": cfg.to_dict()}
+    meta = {"config": asdict(cfg)}
     tensors = params.named_tensors()
     if vocab is not None:
         meta["vocab"] = vocab.to_dict()
@@ -177,7 +177,12 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: not a model checkpoint")
     if "config" not in meta:
         raise CheckpointError(f"{path}: checkpoint header missing config")
-    cfg = ModelConfig.from_dict(meta["config"])
+    stored, expected = set(meta["config"]), {f.name for f in fields(ModelConfig)}
+    if stored != expected:
+        raise CheckpointError(
+            f"{path}: checkpoint config keys do not match the model's: "
+            f"unexpected {sorted(stored - expected)}, missing {sorted(expected - stored)}")
+    cfg = ModelConfig(**meta["config"])
     params = ModelParams.from_named_tensors(tensors, cfg)
     vocab = Vocabulary.from_dict(meta["vocab"]) if "vocab" in meta else None
     lookup = None

@@ -16,57 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Node, Tape, constant, parameter
+from .autodiff import Node, Tape, constant, parameter
 from .graph import propagate, reconstruct_token_label
 
 
 @dataclass
 class ModelConfig:
+    """The architecture a checkpoint needs to rebuild the network, and nothing else."""
+
     num_labels: int
-    num_layers: int = 2
-    hidden: int = 64
-    input_dim: int = 64
-    activation: str = "relu"
-    detach_edges: bool = False
-    optimizer: str = "adam"
-    lr: float = 0.01
-    seed: int = 0
-    precision: str = "float64"
+    num_layers: int
+    hidden: int
+    input_dim: int
+    activation: str
+    detach_edges: bool
 
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.precision not in ("float64", "float32"):
-            raise ValueError(f"unknown precision {self.precision!r}")
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "float64" else np.float32
-
-    def to_dict(self) -> dict:
-        return {
-            "num_labels": self.num_labels,
-            "num_layers": self.num_layers,
-            "hidden": self.hidden,
-            "input_dim": self.input_dim,
-            "activation": self.activation,
-            "detach_edges": self.detach_edges,
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "seed": self.seed,
-            "precision": self.precision,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=(fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
 @dataclass
@@ -78,14 +52,11 @@ class ModelParams:
     w_layer: list[Node]
 
     @classmethod
-    def init(cls, cfg: ModelConfig, rng: np.random.Generator | None = None) -> "ModelParams":
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        dt = cfg.dtype
+    def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "ModelParams":
         return cls(
-            w_token_in=parameter(_glorot(rng, cfg.input_dim, cfg.hidden, dt)),
-            w_label_in=parameter(_glorot(rng, cfg.num_labels, cfg.hidden, dt)),
-            w_layer=[parameter(_glorot(rng, cfg.hidden, cfg.hidden, dt))
+            w_token_in=parameter(_glorot(rng, cfg.input_dim, cfg.hidden)),
+            w_label_in=parameter(_glorot(rng, cfg.num_labels, cfg.hidden)),
+            w_layer=[parameter(_glorot(rng, cfg.hidden, cfg.hidden))
                      for _ in range(cfg.num_layers)],
         )
 
@@ -198,7 +169,7 @@ def sample_loss(ids, target, provider, params, cfg, sample_id=None) -> Node:
 
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
-               optimizer: Adam | None = None) -> float:
+               optimizer: ad.Adam | ad.SGD) -> float:
     """One optimizer step on a batch of (ids, target[, sample_id]) triples.
 
     Loss is the mean per-sample MSE; gradients accumulate across samples
@@ -206,7 +177,6 @@ def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
     """
     if not batch:
         raise ValueError("empty batch")
-    trainable = params.parameters() + provider.parameters()
     total = 0.0
     inv = 1.0 / len(batch)
     for item in batch:
@@ -217,8 +187,5 @@ def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
             scaled = ad.scale(loss, inv)
             tape.backward(scaled)
         total += float(loss.value[0, 0])
-    if optimizer is not None:
-        optimizer.step()
-    else:
-        ad.sgd_step(trainable, cfg.lr)
+    optimizer.step()
     return total * inv

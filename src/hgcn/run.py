@@ -13,14 +13,18 @@ from .analysis import (
     label_cosine_matrix,
     pearson_matrix,
 )
-from .autodiff import Adam, Tape
+from .autodiff import ACTIVATIONS, SGD, Adam, Tape
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, tokenize
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, forward, train_step
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
 
 @dataclass
 class RunConfig:
+    """Every run setting and its default; `model_config()` is the checkpointed part."""
+
     label_names: list[str]
     train_path: str | None = None
     dev_path: str | None = None
@@ -28,12 +32,12 @@ class RunConfig:
     num_layers: int = 2
     hidden: int = 64
     input_dim: int = 64
-    activation: str = "relu"
+    activation: str = "tanh"
     detach_edges: bool = False
     optimizer: str = "adam"
     lr: float = 0.01
     seed: int = 0
-    precision: str = "float64"
+    precision: str = "float64"  # the only valid value; kept so existing configs load
     decode: str = "topk"       # "topk" or "threshold"
     topk: int = 1
     threshold: float = 0.5
@@ -56,6 +60,14 @@ class RunConfig:
             problems.append(f"threshold must be in (0, 1], got {self.threshold}")
         if not (self.encoder == "lookup" or self.encoder.startswith("file:")):
             problems.append(f"encoder must be 'lookup' or 'file:PATH', got {self.encoder!r}")
+        if self.optimizer not in OPTIMIZERS:
+            problems.append(f"optimizer must be one of {sorted(OPTIMIZERS)}, "
+                            f"got {self.optimizer!r}")
+        if self.activation not in ACTIVATIONS:
+            problems.append(f"activation must be one of {sorted(ACTIVATIONS)}, "
+                            f"got {self.activation!r}")
+        if self.precision != "float64":
+            problems.append(f"precision must be float64, got {self.precision!r}")
         if self.num_layers < 1:
             problems.append("num_layers must be >= 1")
         if self.hidden < 1:
@@ -76,10 +88,6 @@ class RunConfig:
             input_dim=self.input_dim,
             activation=self.activation,
             detach_edges=self.detach_edges,
-            optimizer=self.optimizer,
-            lr=self.lr,
-            seed=self.seed,
-            precision=self.precision,
         )
 
 
@@ -159,7 +167,7 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, vocab=None,
     params = ModelParams.init(cfg, rng)
     provider = make_provider(run_cfg, vocab, rng)
     trainable = params.parameters() + provider.parameters()
-    optimizer = Adam(trainable, cfg.lr) if cfg.optimizer == "adam" else None
+    optimizer = OPTIMIZERS[run_cfg.optimizer](trainable, run_cfg.lr)
 
     prepared = prepare(train_samples, run_cfg, vocab)
     lines = []

@@ -3,13 +3,13 @@ import pytest
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import (
+    SGD,
     Adam,
     Node,
     ShapeError,
     Tape,
     constant,
     parameter,
-    sgd_step,
 )
 
 from oracles import finite_difference_grad, max_rel_err
@@ -308,7 +308,7 @@ def test_public_ops_reject_nonfinite_inputs():
 def test_sgd_hand_value():
     p = parameter([[1.0]])
     p.grad = np.array([[2.0]])
-    sgd_step([p], 0.1)
+    SGD([p], 0.1).step()
     assert p.value[0, 0] == pytest.approx(0.8, abs=1e-15)
     assert p.grad[0, 0] == 0.0  # grads zeroed after the step
 
@@ -316,13 +316,13 @@ def test_sgd_hand_value():
 def test_sgd_lr_zero_leaves_params():
     p = parameter([[1.0]])
     p.grad = np.array([[2.0]])
-    sgd_step([p], 0.0)
+    SGD([p], 0.0).step()
     assert p.value[0, 0] == 1.0
 
 
 def test_sgd_rejects_negative_lr():
     with pytest.raises(ValueError):
-        sgd_step([parameter([[1.0]])], -0.1)
+        SGD([parameter([[1.0]])], -0.1)
 
 
 def test_adam_rejects_nonpositive_lr():

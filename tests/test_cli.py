@@ -5,7 +5,7 @@ import pytest
 from hgcn import run as runmod
 from hgcn.analysis import parse_heatmap_csv
 from hgcn.cli import main
-from hgcn.data import load_dataset, save_dataset
+from hgcn.data import load_dataset, load_tensors, save_dataset, save_tensors
 from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
 
@@ -117,6 +117,73 @@ def test_architecture_mismatch_is_config_error(trained, tmp_path, capsys,
     config = write_config(tmp_path / "c.json", root, label_names, out, **extra)
     assert main(["eval", "--config", str(config), *flags]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, named", [
+    # a checkpoint written when the training knobs were stored with the model
+    (lambda c: c.update(optimizer="adam", lr=0.02, seed=0, precision="float64"),
+     "unexpected ['lr', 'optimizer', 'precision', 'seed']"),
+    (lambda c: c.pop("hidden"), "missing ['hidden']"),
+], ids=["extra-keys", "missing-key"])
+def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, capsys,
+                                                         edit, named):
+    root, label_names, out, _ = trained
+    meta, tensors = load_tensors(out / "model.ckpt")
+    fmt = meta.pop("format")
+    edit(meta["config"])
+    save_tensors(tmp_path / "model.ckpt", tensors, meta, fmt)
+    config = write_config(tmp_path / "c.json", root, label_names, tmp_path)
+    assert main(["eval", "--config", str(config)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("optimizer", "adamw"),
+    ("activation", "gelu"),
+    ("precision", "float32"),
+    ("precision", "float16"),
+])
+def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, key, value):
+    root, label_names = corpus
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", root, label_names, out, **{key: value})
+    assert main(["train", "--config", str(config)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "train.log").exists()
+
+
+def test_config_setting_every_key_trains_and_evaluates(corpus, tmp_path):
+    # the flat format the benchmark writes: all 22 RunConfig keys
+    root, label_names = corpus
+    values = {
+        "label_names": label_names,
+        "train_path": str(root / "train.jsonl"),
+        "dev_path": None,
+        "test_path": str(root / "test.jsonl"),
+        "num_layers": 2,
+        "hidden": 8,
+        "input_dim": 8,
+        "activation": "tanh",
+        "detach_edges": False,
+        "optimizer": "adam",
+        "lr": 0.02,
+        "seed": 3,
+        "precision": "float64",
+        "decode": "threshold",
+        "topk": 1,
+        "threshold": 0.15,
+        "encoder": "lookup",
+        "freeze": False,
+        "epochs": 2,
+        "batch_size": 10,
+        "max_len": 32,
+        "out_dir": str(tmp_path),
+    }
+    assert len(values) == 22
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
 
 
 def test_decode_override_changes_predictions(trained, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,8 @@ def test_tensor_container_bad_version(tmp_path):
 # --- checkpoints --------------------------------------------------------
 
 def make_model(seed=0):
-    cfg = ModelConfig(num_labels=3, num_layers=2, hidden=6, input_dim=5, seed=seed)
+    cfg = ModelConfig(num_labels=3, num_layers=2, hidden=6, input_dim=5,
+                      activation="relu", detach_edges=False)
     rng = np.random.default_rng(seed)
     params = ModelParams.init(cfg, rng)
     provider = TrainableLookup(8, cfg.input_dim, rng)
@@ -160,6 +163,15 @@ def test_checkpoint_restores_bitwise_identical_forward(tmp_path):
         after = forward(ids, provider, params2, cfg2)
     assert np.array_equal(before.probs, after.probs)
     assert np.array_equal(before.final_edges, after.final_edges)
+
+
+def test_checkpoint_header_config_is_the_architecture(tmp_path):
+    cfg, params, _ = make_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, cfg, path)
+    meta, _ = load_tensors(path)
+    assert meta["config"] == {"num_labels": 3, "num_layers": 2, "hidden": 6, "input_dim": 5,
+                              "activation": "relu", "detach_edges": False}
 
 
 @pytest.mark.parametrize("freeze", [False, True])
@@ -187,7 +199,7 @@ def test_checkpoint_missing_tensor_reported(tmp_path):
     save_checkpoint(params, cfg, path)
     meta, tensors = load_tensors(path)
     del tensors["w_token_in"]
-    save_tensors(path, tensors, {"config": cfg.to_dict()}, "hgcn-checkpoint")
+    save_tensors(path, tensors, {"config": asdict(cfg)}, "hgcn-checkpoint")
     with pytest.raises(KeyError, match="w_token_in"):
         load_checkpoint(path)
 

@@ -91,7 +91,7 @@ def test_frozen_lookup_has_no_parameters_and_never_moves():
     with Tape() as tape:
         out = lookup.embed([1, 2])
         tape.backward(ad.total_sum(out))
-    ad.sgd_step(lookup.parameters(), 0.1)
+    ad.SGD(lookup.parameters(), 0.1).step()
     assert np.array_equal(lookup.table.value, before)
 
 

@@ -1,8 +1,10 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
 from hgcn import autodiff as ad
-from hgcn.autodiff import Adam, Tape
+from hgcn.autodiff import SGD, Adam, Tape
 from hgcn.encoder import TrainableLookup
 from hgcn.model import (
     ModelConfig,
@@ -17,9 +19,10 @@ from hgcn.model import (
 from oracles import finite_difference_grad, max_rel_err
 
 
-def tiny_setup(num_layers=2, hidden=6, n=3, d=5, vocab=8, seed=0, **kw):
-    cfg = ModelConfig(num_labels=n, num_layers=num_layers, hidden=hidden,
-                      input_dim=d, seed=seed, **kw)
+def tiny_setup(num_layers=2, hidden=6, n=3, d=5, vocab=8, seed=0,
+               activation="relu", detach_edges=False):
+    cfg = ModelConfig(num_labels=n, num_layers=num_layers, hidden=hidden, input_dim=d,
+                      activation=activation, detach_edges=detach_edges)
     rng = np.random.default_rng(seed)
     params = ModelParams.init(cfg, rng)
     provider = TrainableLookup(vocab, d, rng)
@@ -163,12 +166,13 @@ def test_label_permutation_equivariance():
 
 def test_train_step_zero_loss_leaves_params():
     # when prediction already equals target the gradient is zero
-    cfg, params, provider = tiny_setup(n=2, optimizer="sgd", lr=0.5)
+    cfg, params, provider = tiny_setup(n=2)
     with Tape():
         trace = forward([0, 4, 1], provider, params, cfg)
     target = trace.probs.copy()
     before = [p.value.copy() for p in params.parameters()]
-    loss = train_step([([0, 4, 1], target)], params, cfg, provider)
+    optimizer = SGD(params.parameters() + provider.parameters(), 0.5)
+    loss = train_step([([0, 4, 1], target)], params, cfg, provider, optimizer)
     assert loss == pytest.approx(0.0, abs=1e-15)
     for b, p in zip(before, params.parameters()):
         assert np.array_equal(b, p.value)
@@ -177,12 +181,13 @@ def test_train_step_zero_loss_leaves_params():
 def test_train_step_rejects_empty_batch():
     cfg, params, provider = tiny_setup()
     with pytest.raises(ValueError):
-        train_step([], params, cfg, provider)
+        train_step([], params, cfg, provider,
+                   SGD(params.parameters() + provider.parameters(), 0.01))
 
 
 def test_loss_decreases_on_separable_fixture():
     cfg, params, provider = tiny_setup(n=2, d=6, hidden=8, vocab=10,
-                                       activation="tanh", lr=0.05)
+                                       activation="tanh")
     rng = np.random.default_rng(0)
     batch = []
     for i in range(20):
@@ -192,7 +197,7 @@ def test_loss_decreases_on_separable_fixture():
         binary = [0, 0]
         binary[label] = 1
         batch.append((ids, build_target(binary)))
-    optimizer = Adam(params.parameters() + provider.parameters(), cfg.lr)
+    optimizer = Adam(params.parameters() + provider.parameters(), 0.05)
     losses = [train_step(batch, params, cfg, provider, optimizer) for _ in range(50)]
     assert losses[-1] < losses[0]
     assert losses[-1] < 0.05
@@ -201,7 +206,7 @@ def test_loss_decreases_on_separable_fixture():
 def test_training_determinism():
     def run():
         cfg, params, provider = tiny_setup(n=2, seed=11)
-        optimizer = Adam(params.parameters() + provider.parameters(), cfg.lr)
+        optimizer = Adam(params.parameters() + provider.parameters(), 0.01)
         batch = [([0, 4, 1], build_target([1, 0])),
                  ([0, 5, 6, 1], build_target([0, 1]))]
         losses = [train_step(batch, params, cfg, provider, optimizer)
@@ -220,19 +225,26 @@ def test_frozen_provider_bitwise_unchanged_by_training():
     provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(0), freeze=True)
     before = provider.table.value.copy()
     batch = [([0, 4, 1], build_target([1, 0, 0]))]
-    optimizer = Adam(params.parameters() + provider.parameters(), cfg.lr)
+    optimizer = Adam(params.parameters() + provider.parameters(), 0.01)
     for _ in range(10):
         train_step(batch, params, cfg, provider, optimizer)
     assert np.array_equal(provider.table.value, before)
 
 
 def test_model_config_validation():
+    arch = dict(num_labels=2, num_layers=2, hidden=6, input_dim=5,
+                activation="relu", detach_edges=False)
     with pytest.raises(ValueError):
-        ModelConfig(num_labels=2, num_layers=0)
+        ModelConfig(**{**arch, "num_layers": 0})
     with pytest.raises(ValueError):
-        ModelConfig(num_labels=2, hidden=0)
-    with pytest.raises(ValueError):
-        ModelConfig(num_labels=2, precision="float16")
+        ModelConfig(**{**arch, "hidden": 0})
+
+
+def test_model_config_is_the_architecture_without_defaults():
+    assert [f.name for f in fields(ModelConfig)] == [
+        "num_labels", "num_layers", "hidden", "input_dim", "activation", "detach_edges"]
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in fields(ModelConfig))
 
 
 def test_two_layer_sample_loss_tape_size():
