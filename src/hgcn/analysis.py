@@ -42,18 +42,18 @@ def build_attribution(final_edges: np.ndarray, tokens, labels) -> AttributionMat
     return AttributionMatrix(values=values, tokens=list(tokens), labels=list(labels))
 
 
-def build_golden(annotations, m: int, n: int, row_offset: int = 1) -> np.ndarray:
+def build_golden(annotations, m: int, n: int) -> np.ndarray:
     """Arrange keyword-intensity annotations as an m x n matrix.
 
     `annotations` holds (token_index, label_index, intensity) triples
-    indexed over the sample's content tokens; `row_offset` maps them onto
-    token-node rows (the sequence-start marker occupies row 0). Rows for
-    non-keyword tokens stay zero and the matrix is deliberately not
-    normalized. Annotations past the truncation boundary are dropped.
+    indexed over the sample's content tokens; content token i sits on
+    token-node row i + 1 (the sequence-start marker occupies row 0).
+    Rows for non-keyword tokens stay zero and the matrix is deliberately
+    not normalized. Annotations past the truncation boundary are dropped.
     """
     golden = np.zeros((m, n))
     for tok_idx, label_idx, intensity in annotations:
-        row = tok_idx + row_offset
+        row = tok_idx + 1
         if not 0.0 <= intensity <= 1.0:
             raise ValueError(f"intensity {intensity} outside [0, 1]")
         if row < m - 1:  # last row is the sequence-end marker

@@ -4,10 +4,12 @@ Everything is a 2-D float array. A `Node` wraps a value matrix together
 with its gradient and a closure that pushes incoming gradients to its
 parents. Nodes created while a `Tape` is active are recorded in creation
 order, which is a valid topological order, so `Tape.backward` simply
-walks the list in reverse.
+walks the list in reverse. With no active tape nothing is recorded,
+which is how inference runs.
 
 Leaf parameters live outside any tape and accumulate gradients across
-backward calls until an optimizer step zeroes them.
+backward calls until an optimizer step zeroes them. A non-leaf node has
+no gradient until `Tape.backward` gives it one.
 """
 
 from __future__ import annotations
@@ -61,20 +63,19 @@ class Tape:
 class Node:
     """A matrix in the computation graph.
 
-    `op` names the producing operation ("" for leaves) and `parents` holds
-    the producing operation's inputs, so the graph can be inspected.
+    `op` names the producing operation ("" for leaves). Only a leaf starts
+    with a zero gradient; a non-leaf's `grad` is None until `Tape.backward`.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "_backward")
+    __slots__ = ("value", "grad", "op", "requires_grad", "_backward")
 
-    def __init__(self, value, requires_grad=False, op="", parents=(), backward_fn=None):
+    def __init__(self, value, requires_grad=False, op="", backward_fn=None):
         value = np.asarray(value)
         if value.ndim != 2:
             value = np.atleast_2d(value)
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = None if op else np.zeros_like(value)
         self.op = op
-        self.parents = tuple(parents)
         self.requires_grad = bool(requires_grad)
         self._backward = backward_fn
         if op and _current_tape is not None:
@@ -108,7 +109,7 @@ def constant(value, dtype=np.float64) -> Node:
 
 def _result(value, op, parents, backward_fn) -> Node:
     requires = any(p.requires_grad for p in parents)
-    return Node(value, requires_grad=requires, op=op, parents=parents,
+    return Node(value, requires_grad=requires, op=op,
                 backward_fn=backward_fn if requires else None)
 
 
@@ -276,7 +277,7 @@ def gather_rows(table: Node, ids) -> Node:
             np.add.at(acc, ids, g)
             table.grad = table.grad + acc
 
-    return _result(table.value[ids].copy(), "gather_rows", (table,), push)
+    return _result(table.value[ids], "gather_rows", (table,), push)
 
 
 def zero_grads(params) -> None:

@@ -168,14 +168,14 @@ def cmd_correlate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
+def cmd_synth(args) -> int:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_samples, label_names, _ = generate_synthetic_corpus(
-        args.labels, args.vocab_size, args.train_samples, seed=cfg.seed,
+        args.labels, args.vocab_size, args.train_samples, seed=args.seed,
         id_prefix="train_")
     test_samples, _, _ = generate_synthetic_corpus(
-        args.labels, args.vocab_size, args.test_samples, seed=cfg.seed + 1,
+        args.labels, args.vocab_size, args.test_samples, seed=args.seed + 1,
         id_prefix="test_")
     save_dataset(train_samples, out / "train.jsonl")
     save_dataset(test_samples, out / "test.jsonl")
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="heterogeneous graph network for "
                                                  "multi-label text classification")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval", "explain", "correlate", "synth"):
+    for name in ("train", "eval", "explain", "correlate"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int)
@@ -199,11 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--encoder", help="lookup or file:PATH")
         p.add_argument("--freeze", action="store_true")
         p.add_argument("--out", help="output directory")
-        if name == "synth":
-            p.add_argument("--labels", type=int, default=5)
-            p.add_argument("--vocab-size", type=int, default=60)
-            p.add_argument("--train-samples", type=int, default=500)
-            p.add_argument("--test-samples", type=int, default=100)
+    p = sub.add_parser("synth")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--labels", type=int, default=5)
+    p.add_argument("--vocab-size", type=int, default=60)
+    p.add_argument("--train-samples", type=int, default=500)
+    p.add_argument("--test-samples", type=int, default=100)
     return parser
 
 
@@ -212,14 +214,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            # synth does not need a label declaration; fabricate one
-            if args.config:
-                cfg = _load_run_config(args)
-            else:
-                cfg = RunConfig(label_names=[f"L{i + 1}" for i in range(args.labels)],
-                                seed=args.seed or 0,
-                                out_dir=args.out or "out")
-            return cmd_synth(cfg, args)
+            return cmd_synth(args)
         cfg = _load_run_config(args)
         if args.command == "train":
             return cmd_train(cfg)

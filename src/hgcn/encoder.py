@@ -37,9 +37,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._token_to_id)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def to_dict(self) -> dict[str, int]:
         return dict(self._token_to_id)
 

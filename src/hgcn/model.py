@@ -84,29 +84,17 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the decoders and explanation tooling need from one pass."""
+    """What callers read from one pass: decoders, `explain`, `correlate` and the loss."""
 
-    layer_token_features: list[np.ndarray]
-    layer_label_features: list[np.ndarray]
-    layer_edges: list[np.ndarray]      # token-label block fed into each layer
-    final_edges: np.ndarray            # reconstructed after the last layer
     probs: np.ndarray                  # 1 x n
-    final_edges_node: Node | None = None
-    probs_node: Node | None = None
-
-    @property
-    def final_label_features(self) -> np.ndarray:
-        return self.layer_label_features[-1]
-
-
-def init_label_features(n: int) -> np.ndarray:
-    """One-hot label inputs: the identity, later projected to the hidden width."""
-    return np.eye(n)
+    final_edges: np.ndarray            # token-label block reconstructed after the last layer
+    final_features: np.ndarray         # (m + n) x hidden, token rows over label rows
+    probs_node: Node
 
 
 def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
             sample_id=None) -> ForwardTrace:
-    """Run the HGCN on one token-id sequence. Requires an active Tape."""
+    """Run the HGCN on one token-id sequence; records on the active Tape, if any."""
     m = len(ids)
     if m < 1:
         raise ValueError("empty token sequence")
@@ -117,10 +105,6 @@ def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
     # one-hot label inputs: I_n @ w_label_in is w_label_in itself
     h = ad.concat_rows(h_token, params.w_label_in)
 
-    token_feats = [h.value[:m].copy()]
-    label_feats = [h.value[m:].copy()]
-    layer_edges: list[np.ndarray] = []
-
     edges: Node = constant(np.zeros((m, n)))  # first layer: no token-label edges yet
     for layer in range(cfg.num_layers):
         if layer > 0:
@@ -128,26 +112,15 @@ def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
                 ad.slice_rows(h, 0, m), ad.slice_rows(h, m, m + n))
             if cfg.detach_edges:
                 edges = constant(edges.value)
-        layer_edges.append(edges.value.copy())
         h = ad.activation(ad.matmul(propagate(h, edges), params.w_layer[layer]),
                           cfg.activation)
-        token_feats.append(h.value[:m].copy())
-        label_feats.append(h.value[m:].copy())
 
     final_edges = reconstruct_token_label(
         ad.slice_rows(h, 0, m), ad.slice_rows(h, m, m + n))
     scores = ad.col_sums(final_edges)
     probs = ad.softmax_row(scores)
-
-    return ForwardTrace(
-        layer_token_features=token_feats,
-        layer_label_features=label_feats,
-        layer_edges=layer_edges,
-        final_edges=final_edges.value,
-        probs=probs.value,
-        final_edges_node=final_edges,
-        probs_node=probs,
-    )
+    return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
+                        final_features=h.value, probs_node=probs)
 
 
 def build_target(labels) -> np.ndarray:

@@ -13,7 +13,7 @@ from .analysis import (
     label_cosine_matrix,
     pearson_matrix,
 )
-from .autodiff import ACTIVATIONS, SGD, Adam, Tape
+from .autodiff import ACTIVATIONS, SGD, Adam
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, tokenize
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, forward, train_step
@@ -66,6 +66,8 @@ class RunConfig:
         if self.activation not in ACTIVATIONS:
             problems.append(f"activation must be one of {sorted(ACTIVATIONS)}, "
                             f"got {self.activation!r}")
+        if self.lr <= 0:
+            problems.append(f"lr must be > 0, got {self.lr}")
         if self.precision != "float64":
             problems.append(f"precision must be float64, got {self.precision!r}")
         if self.num_layers < 1:
@@ -126,13 +128,11 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
 
 
 def _forward_samples(samples, params, provider, run_cfg, vocab):
-    """Yield (sample, ids, trace) per sample, each forward pass on its own tape."""
+    """Yield (sample, ids, trace) per sample; inference records no tape."""
     cfg = run_cfg.model_config()
     for s in samples:
         ids = tokenize(s.tokens, vocab, run_cfg.max_len)
-        with Tape():
-            trace = forward(ids, provider, params, cfg, sample_id=s.id)
-        yield s, ids, trace
+        yield s, ids, forward(ids, provider, params, cfg, sample_id=s.id)
 
 
 def predict(samples, params, provider, run_cfg, vocab):
@@ -217,9 +217,9 @@ def correlate(samples, params, provider, run_cfg, vocab):
     Only each sample's n x h final label features are kept, not its trace.
     """
     preds, label_feats = [], []
-    for _, _, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
+    for _, ids, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
         preds.append(decode_probs(trace.probs, run_cfg))
-        label_feats.append(trace.final_label_features)
+        label_feats.append(trace.final_features[len(ids):].copy())
     pearson = pearson_matrix(preds, len(run_cfg.label_names))
     cosine = label_cosine_matrix(np.mean(label_feats, axis=0))
     return pearson, cosine

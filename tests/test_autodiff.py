@@ -200,6 +200,18 @@ def test_backward_accumulates_across_calls():
     assert np.allclose(w.grad, 2 * once)
 
 
+def test_non_leaf_grad_is_created_by_backward():
+    w = parameter(np.ones((2, 2)))
+    assert np.array_equal(w.grad, np.zeros((2, 2)))
+    with Tape() as tape:
+        sq = ad.elementwise_mul(w, w)
+        loss = ad.total_sum(sq)
+    assert sq.grad is None and loss.grad is None
+    tape.backward(loss)
+    assert np.array_equal(sq.grad, np.ones((2, 2)))
+    assert np.array_equal(w.grad, np.full((2, 2), 2.0))
+
+
 def test_fanout_accumulation_matches_duplicate_construction():
     # y = sum(w @ w): w feeds the matmul twice; gradient must be the sum of
     # both path contributions, checked against a hand-unrolled duplicate.

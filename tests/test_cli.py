@@ -137,16 +137,20 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
-    ("optimizer", "adamw"),
-    ("activation", "gelu"),
-    ("precision", "float32"),
-    ("precision", "float16"),
+@pytest.mark.parametrize("values, key", [
+    pytest.param({"optimizer": "adamw"}, "optimizer", id="optimizer-adamw"),
+    pytest.param({"activation": "gelu"}, "activation", id="activation-gelu"),
+    pytest.param({"precision": "float32"}, "precision", id="precision-float32"),
+    pytest.param({"precision": "float16"}, "precision", id="precision-float16"),
+    pytest.param({"optimizer": "adam", "lr": 0.0}, "lr", id="adam-lr-zero"),
+    pytest.param({"optimizer": "adam", "lr": -0.01}, "lr", id="adam-lr-negative"),
+    pytest.param({"optimizer": "sgd", "lr": 0.0}, "lr", id="sgd-lr-zero"),
+    pytest.param({"optimizer": "sgd", "lr": -0.5}, "lr", id="sgd-lr-negative"),
 ])
-def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, key, value):
+def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, values, key):
     root, label_names = corpus
     out = tmp_path / "out"
-    config = write_config(tmp_path / "c.json", root, label_names, out, **{key: value})
+    config = write_config(tmp_path / "c.json", root, label_names, out, **values)
     assert main(["train", "--config", str(config)]) == 1
     assert key in capsys.readouterr().err
     assert not (out / "train.log").exists()
@@ -218,6 +222,14 @@ def test_synth_deterministic(tmp_path):
                      "--seed", "7", "--out", str(tmp_path / name)]) == 0
     assert ((tmp_path / "a" / "train.jsonl").read_bytes()
             == (tmp_path / "b" / "train.jsonl").read_bytes())
+
+
+def test_synth_rejects_model_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--hidden", "5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--hidden" in capsys.readouterr().err
+    assert not (tmp_path / "train.jsonl").exists()
 
 
 def test_missing_label_names_is_config_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hgcn.model import (
     ModelParams,
     build_target,
     forward,
-    init_label_features,
     sample_loss,
     train_step,
 )
@@ -29,41 +28,43 @@ def tiny_setup(num_layers=2, hidden=6, n=3, d=5, vocab=8, seed=0,
     return cfg, params, provider
 
 
-def test_init_label_features_identity():
-    feats = init_label_features(3)
-    assert np.array_equal(feats, np.eye(3))
-    # rows pairwise orthogonal
-    assert np.allclose(feats @ feats.T, np.eye(3))
-
-
-def test_label_projection_width():
-    cfg, params, _ = tiny_setup()
-    projected = init_label_features(cfg.num_labels) @ params.w_label_in.value
-    assert projected.shape == (cfg.num_labels, cfg.hidden)
-    assert np.array_equal(projected, params.w_label_in.value)
-
-
 def test_forward_shapes_single_token_single_label():
     cfg, params, provider = tiny_setup(num_layers=1, n=1)
+    assert params.w_label_in.shape == (cfg.num_labels, cfg.hidden)
     with Tape():
         trace = forward([0], provider, params, cfg)
-    assert trace.layer_token_features[0].shape == (1, cfg.hidden)
-    assert trace.layer_label_features[0].shape == (1, cfg.hidden)
+    assert trace.probs.shape == (1, 1)
     assert trace.final_edges.shape == (1, 1)
+    assert trace.final_features.shape == (2, cfg.hidden)
+    assert trace.probs_node.value is trace.probs
 
 
 def test_first_layer_token_features_independent_of_label_params():
     # the token-label block is zero at layer 1, so layer-1 token features
     # cannot depend on the label inputs
-    cfg, params, provider = tiny_setup()
+    cfg, params, provider = tiny_setup(num_layers=1)
+    ids = [0, 2, 3]
     with Tape():
-        before = forward([0, 2, 3], provider, params, cfg)
+        before = forward(ids, provider, params, cfg)
     params.w_label_in.value = params.w_label_in.value + 0.5
     with Tape():
-        after = forward([0, 2, 3], provider, params, cfg)
-    assert np.array_equal(before.layer_token_features[1], after.layer_token_features[1])
-    assert not np.array_equal(before.layer_label_features[1],
-                              after.layer_label_features[1])
+        after = forward(ids, provider, params, cfg)
+    m = len(ids)
+    assert np.array_equal(before.final_features[:m], after.final_features[:m])
+    assert not np.array_equal(before.final_features[m:], after.final_features[m:])
+
+
+def test_forward_without_tape_matches_taped_and_records_nothing():
+    cfg, params, provider = tiny_setup(activation="tanh")
+    ids = [0, 4, 5, 1]
+    with Tape() as tape:
+        taped = forward(ids, provider, params, cfg)
+    recorded = len(tape.nodes)
+    untaped = forward(ids, provider, params, cfg)
+    assert len(tape.nodes) == recorded
+    assert untaped.probs_node.grad is None
+    for field in ("probs", "final_edges", "final_features"):
+        assert np.array_equal(getattr(untaped, field), getattr(taped, field))
 
 
 def test_forward_probabilities_sum_to_one():
@@ -72,15 +73,6 @@ def test_forward_probabilities_sum_to_one():
         trace = forward([0, 4, 5, 1], provider, params, cfg)
     assert abs(trace.probs.sum() - 1.0) < 1e-9
     assert np.all(trace.final_edges >= 0) and np.all(trace.final_edges <= 1)
-
-
-def test_forward_exposes_per_layer_edges():
-    cfg, params, provider = tiny_setup(num_layers=3)
-    with Tape():
-        trace = forward([0, 4, 1], provider, params, cfg)
-    assert len(trace.layer_edges) == 3
-    assert np.array_equal(trace.layer_edges[0], np.zeros((3, cfg.num_labels)))
-    assert not np.array_equal(trace.layer_edges[1], np.zeros((3, cfg.num_labels)))
 
 
 def test_build_target_examples():
