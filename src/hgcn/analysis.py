@@ -144,12 +144,3 @@ def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
     with open(path + ".svg", "w", encoding="utf-8", newline="") as f:
         f.write("\n".join(parts) + "\n")
 
-
-def parse_heatmap_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
-    """Read back a heatmap CSV written by render_heatmap."""
-    with open(str(path), encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    col_names = rows[0][1:]
-    row_names = [r[0] for r in rows[1:]]
-    values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return values, row_names, col_names

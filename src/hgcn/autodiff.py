@@ -7,9 +7,12 @@ order, which is a valid topological order, so `Tape.backward` simply
 walks the list in reverse. With no active tape nothing is recorded,
 which is how inference runs.
 
-Leaf parameters live outside any tape and accumulate gradients across
-backward calls until an optimizer step zeroes them. A non-leaf node has
-no gradient until `Tape.backward` gives it one.
+Every backward adds into a node through `Node.accumulate`. Leaf
+parameters live outside any tape and start with a zero gradient, which
+builds up across backward calls until an optimizer step zeroes it. A
+non-leaf node has no gradient until its first push in `Tape.backward`,
+which stores the pushed array as is; each later push rebinds the sum.
+A node that receives no push is skipped.
 """
 
 from __future__ import annotations
@@ -44,19 +47,19 @@ class Tape:
     def backward(self, loss: "Node") -> None:
         """Seed d(loss)/d(loss) = 1 and push gradients back through the tape.
 
-        Gradients accumulate; calling twice doubles every gradient.
+        Leaf gradients accumulate; calling twice doubles them.
         """
         if loss.value.shape != (1, 1):
             raise ShapeError(f"loss must be scalar (1x1), got {loss.value.shape}")
-        if not any(n is loss for n in self.nodes):
+        if loss not in self.nodes:
             raise ValueError("loss node is not on this tape")
-        # reset intermediate grads so each call contributes exactly one
+        # clear intermediate grads so each call contributes exactly one
         # d(loss)/d(leaf) into the (persistent) leaf gradients
         for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            if node._backward is not None and node.requires_grad:
+            if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
 
 
@@ -64,7 +67,7 @@ class Node:
     """A matrix in the computation graph.
 
     `op` names the producing operation ("" for leaves). Only a leaf starts
-    with a zero gradient; a non-leaf's `grad` is None until `Tape.backward`.
+    with a zero gradient; a non-leaf's `grad` is None until its first push.
     """
 
     __slots__ = ("value", "grad", "op", "requires_grad", "_backward")
@@ -88,6 +91,14 @@ class Node:
     def zero_grad(self):
         self.grad = np.zeros_like(self.value)
 
+    def accumulate(self, g) -> None:
+        """Add `g` to this node's gradient; the first push is stored as is.
+
+        Never in place: `g` may be a read-only view (a broadcast) or the
+        very array stored as another node's gradient.
+        """
+        self.grad = g if self.grad is None else self.grad + g
+
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -108,6 +119,10 @@ def constant(value, dtype=np.float64) -> Node:
 
 
 def _result(value, op, parents, backward_fn) -> Node:
+    """A recorded op output; its backward is kept only if some parent needs a gradient.
+
+    So the push of a one-parent op needs no `requires_grad` check.
+    """
     requires = any(p.requires_grad for p in parents)
     return Node(value, requires_grad=requires, op=op,
                 backward_fn=backward_fn if requires else None)
@@ -119,45 +134,18 @@ def matmul(a: Node, b: Node) -> Node:
 
     def push(g):
         if a.requires_grad:
-            a.grad = a.grad + g @ b.value.T
+            a.accumulate(g @ b.value.T)
         if b.requires_grad:
-            b.grad = b.grad + a.value.T @ g
+            b.accumulate(a.value.T @ g)
 
     return _result(a.value @ b.value, "matmul", (a, b), push)
-
-
-def add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def push(g):
-        if a.requires_grad:
-            a.grad = a.grad + g
-        if b.requires_grad:
-            b.grad = b.grad + g
-
-    return _result(a.value + b.value, "add", (a, b), push)
-
-
-def elementwise_mul(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"elementwise_mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def push(g):
-        if a.requires_grad:
-            a.grad = a.grad + g * b.value
-        if b.requires_grad:
-            b.grad = b.grad + g * a.value
-
-    return _result(a.value * b.value, "elementwise_mul", (a, b), push)
 
 
 def scale(a: Node, c: float) -> Node:
     c = float(c)
 
     def push(g):
-        if a.requires_grad:
-            a.grad = a.grad + g * c
+        a.accumulate(g * c)
 
     return _result(a.value * c, "scale", (a,), push)
 
@@ -177,8 +165,7 @@ def activation(a: Node, kind: str = "relu") -> Node:
     out = f(a.value)
 
     def push(g):
-        if a.requires_grad:
-            a.grad = a.grad + g * df(a.value, out)
+        a.accumulate(g * df(a.value, out))
 
     return _result(out, f"activation[{kind}]", (a,), push)
 
@@ -194,10 +181,9 @@ def softmax_row(a: Node) -> Node:
     out = e / np.sum(e)
 
     def push(g):
-        if a.requires_grad:
-            # J^T g with J = diag(s) - s s^T
-            dot = float(np.sum(g * out))
-            a.grad = a.grad + out * (g - dot)
+        # J^T g with J = diag(s) - s s^T
+        dot = float(np.sum(g * out))
+        a.accumulate(out * (g - dot))
 
     return _result(out, "softmax_row", (a,), push)
 
@@ -211,20 +197,9 @@ def mse_loss(pred: Node, target) -> Node:
     out = np.array([[np.sum(diff * diff) / count]])
 
     def push(g):
-        if pred.requires_grad:
-            pred.grad = pred.grad + g[0, 0] * 2.0 * diff / count
+        pred.accumulate(g[0, 0] * 2.0 * diff / count)
 
     return _result(out, "mse_loss", (pred,), push)
-
-
-def total_sum(a: Node) -> Node:
-    out = np.array([[np.sum(a.value)]])
-
-    def push(g):
-        if a.requires_grad:
-            a.grad = a.grad + np.full_like(a.value, g[0, 0])
-
-    return _result(out, "total_sum", (a,), push)
 
 
 def col_sums(a: Node) -> Node:
@@ -232,8 +207,7 @@ def col_sums(a: Node) -> Node:
     out = np.sum(a.value, axis=0, keepdims=True)
 
     def push(g):
-        if a.requires_grad:
-            a.grad = a.grad + np.broadcast_to(g, a.value.shape)
+        a.accumulate(np.broadcast_to(g, a.value.shape))
 
     return _result(out, "col_sums", (a,), push)
 
@@ -245,24 +219,11 @@ def concat_rows(a: Node, b: Node) -> Node:
 
     def push(g):
         if a.requires_grad:
-            a.grad = a.grad + g[:m]
+            a.accumulate(g[:m])
         if b.requires_grad:
-            b.grad = b.grad + g[m:]
+            b.accumulate(g[m:])
 
     return _result(np.concatenate([a.value, b.value], axis=0), "concat_rows", (a, b), push)
-
-
-def slice_rows(a: Node, start: int, stop: int) -> Node:
-    if not (0 <= start <= stop <= a.value.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.value.shape}")
-
-    def push(g):
-        if a.requires_grad:
-            pad = np.zeros_like(a.value)
-            pad[start:stop] = g
-            a.grad = a.grad + pad
-
-    return _result(a.value[start:stop].copy(), "slice_rows", (a,), push)
 
 
 def gather_rows(table: Node, ids) -> Node:
@@ -272,17 +233,11 @@ def gather_rows(table: Node, ids) -> Node:
         raise ShapeError(f"gather_rows: id out of range for table {table.value.shape}")
 
     def push(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.value)
-            np.add.at(acc, ids, g)
-            table.grad = table.grad + acc
+        acc = np.zeros_like(table.value)
+        np.add.at(acc, ids, g)
+        table.accumulate(acc)
 
     return _result(table.value[ids], "gather_rows", (table,), push)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 class SGD:
@@ -297,7 +252,7 @@ class SGD:
     def step(self) -> None:
         for p in self.params:
             p.value = p.value - self.lr * p.grad
-        zero_grads(self.params)
+            p.zero_grad()
 
 
 class Adam:
@@ -325,5 +280,5 @@ class Adam:
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
             p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        zero_grads(self.params)
+            p.zero_grad()
 

@@ -74,7 +74,7 @@ def propagate(h: Node, edges: Node) -> Node:
     def push(g):
         dh = _normalized_mix(g, e, s_t, s_l)
         if h.requires_grad:
-            h.grad = h.grad + dh
+            h.accumulate(dh)
         if edges.requires_grad:
             x = h.value
             # direct: out_t += s_t (E u_l), out_l += s_l (E^T u_t)
@@ -83,22 +83,20 @@ def propagate(h: Node, edges: Node) -> Node:
             # degrees: dL/dd_p = -s_p^2 / 2 * sum_k (g out + h dh)_pk
             r = -0.5 * np.concatenate([s_t, s_l]) ** 2 * np.sum(g * out + x * dh, axis=1)
             ge += r[:m, None] + r[None, m:]
-            edges.grad = edges.grad + ge
+            edges.accumulate(ge)
 
     return _result(out, "propagate", (h, edges), push)
 
 
-def reconstruct_token_label(x_token: Node, x_label: Node) -> Node:
+def reconstruct_token_label(h: Node, m: int) -> Node:
     """Token-label edge weights (cos + 1) / 2 from current node features.
 
+    `h` stacks m token rows over the label rows, as `propagate` reads it.
     Entry (i, j) maps the cosine of token row i and label row j into
     [0, 1]. Rows with zero norm get weight 0, not 0.5 — a dead feature
     vector should not manufacture edges — and carry no gradient.
     """
-    if x_token.value.shape[1] != x_label.value.shape[1]:
-        raise ShapeError(
-            f"hidden widths differ: {x_token.value.shape} vs {x_label.value.shape}")
-    xt, xl = x_token.value, x_label.value
+    xt, xl = h.value[:m], h.value[m:]
     tn = np.linalg.norm(xt, axis=1)
     ln = np.linalg.norm(xl, axis=1)
     t_ok = tn > 0.0
@@ -111,16 +109,12 @@ def reconstruct_token_label(x_token: Node, x_label: Node) -> Node:
 
     def push(g):
         ge = np.where(live, g, 0.0) * 0.5  # d out / d cos = 1/2
-        if x_token.requires_grad:
-            # d cos_ij / d xt_i = xl_j/(|xt_i||xl_j|) - cos_ij xt_i/|xt_i|^2
-            x_token.grad = x_token.grad + (
-                (ge / ln_safe[None, :]) @ xl / tn_safe[:, None]
-                - np.sum(ge * cos, axis=1, keepdims=True) * xt / (tn_safe ** 2)[:, None]
-            )
-        if x_label.requires_grad:
-            x_label.grad = x_label.grad + (
-                (ge.T / tn_safe[None, :]) @ xt / ln_safe[:, None]
-                - np.sum(ge * cos, axis=0)[:, None] * xl / (ln_safe ** 2)[:, None]
-            )
+        dh = np.empty(h.value.shape)
+        # d cos_ij / d xt_i = xl_j/(|xt_i||xl_j|) - cos_ij xt_i/|xt_i|^2
+        dh[:m] = ((ge / ln_safe[None, :]) @ xl / tn_safe[:, None]
+                  - np.sum(ge * cos, axis=1, keepdims=True) * xt / (tn_safe ** 2)[:, None])
+        dh[m:] = ((ge.T / tn_safe[None, :]) @ xt / ln_safe[:, None]
+                  - np.sum(ge * cos, axis=0)[:, None] * xl / (ln_safe ** 2)[:, None])
+        h.accumulate(dh)
 
-    return _result(out, "reconstruct_token_label", (x_token, x_label), push)
+    return _result(out, "reconstruct_token_label", (h,), push)

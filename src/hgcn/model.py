@@ -108,15 +108,13 @@ def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
     edges: Node = constant(np.zeros((m, n)))  # first layer: no token-label edges yet
     for layer in range(cfg.num_layers):
         if layer > 0:
-            edges = reconstruct_token_label(
-                ad.slice_rows(h, 0, m), ad.slice_rows(h, m, m + n))
+            edges = reconstruct_token_label(h, m)
             if cfg.detach_edges:
                 edges = constant(edges.value)
         h = ad.activation(ad.matmul(propagate(h, edges), params.w_layer[layer]),
                           cfg.activation)
 
-    final_edges = reconstruct_token_label(
-        ad.slice_rows(h, 0, m), ad.slice_rows(h, m, m + n))
+    final_edges = reconstruct_token_label(h, m)
     scores = ad.col_sums(final_edges)
     probs = ad.softmax_row(scores)
     return ForwardTrace(probs=probs.value, final_edges=final_edges.value,

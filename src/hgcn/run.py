@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -49,7 +51,11 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> list[str]:
-        problems = []
+        hints = get_type_hints(RunConfig)
+        problems = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
+                    for f in fields(self) if not _has_type(getattr(self, f.name), hints[f.name])]
+        if problems:  # the range checks below assume the right types
+            return problems
         if not self.label_names:
             problems.append("label_names must be nonempty")
         if self.decode not in ("topk", "threshold"):
@@ -91,6 +97,20 @@ class RunConfig:
             activation=self.activation,
             detach_edges=self.detach_edges,
         )
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation; a bool is not an int, an int is a float."""
+    if isinstance(hint, UnionType):
+        return any(_has_type(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def build_vocab(samples) -> Vocabulary:

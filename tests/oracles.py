@@ -1,9 +1,11 @@
 """Shared test oracles: central finite differences and brute-force references.
 
-The dense adjacency code below builds the sample graph as an explicit
-(m+n)^2 matrix; it is the reference for `hgcn.graph.propagate`.
+The ops below record on the tape like `hgcn.autodiff`'s but serve only
+the tests. The dense adjacency code builds the sample graph as an
+explicit (m+n)^2 matrix; it is the reference for `hgcn.graph.propagate`.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,65 @@ def brute_force_threshold(probs, t):
         if p >= t:
             out.add(j)
     return out
+
+
+# --- test-only ops -----------------------------------------------------
+
+def add(a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
+
+    def push(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(g)
+
+    return _result(a.value + b.value, "add", (a, b), push)
+
+
+def elementwise_mul(a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"elementwise_mul: shapes differ, {a.value.shape} vs {b.value.shape}")
+
+    def push(g):
+        if a.requires_grad:
+            a.accumulate(g * b.value)
+        if b.requires_grad:
+            b.accumulate(g * a.value)
+
+    return _result(a.value * b.value, "elementwise_mul", (a, b), push)
+
+
+def total_sum(a: Node) -> Node:
+    out = np.array([[np.sum(a.value)]])
+
+    def push(g):
+        a.accumulate(np.full_like(a.value, g[0, 0]))
+
+    return _result(out, "total_sum", (a,), push)
+
+
+def slice_rows(a: Node, start: int, stop: int) -> Node:
+    if not (0 <= start <= stop <= a.value.shape[0]):
+        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.value.shape}")
+
+    def push(g):
+        pad = np.zeros_like(a.value)
+        pad[start:stop] = g
+        a.accumulate(pad)
+
+    return _result(a.value[start:stop].copy(), "slice_rows", (a,), push)
+
+
+def parse_heatmap_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
+    """Read back a heatmap CSV written by `hgcn.analysis.render_heatmap`."""
+    with open(str(path), encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    col_names = rows[0][1:]
+    row_names = [r[0] for r in rows[1:]]
+    values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    return values, row_names, col_names
 
 
 # --- dense adjacency reference ------------------------------------------
@@ -137,8 +198,7 @@ def assemble_block_node(a_token: np.ndarray, a_label: np.ndarray, a_tl: Node) ->
     full = np.block([[a_token, a_tl.value], [a_tl.value.T, a_label]])
 
     def push(g):
-        if a_tl.requires_grad:
-            a_tl.grad = a_tl.grad + g[:m, m:] + g[m:, :m].T
+        a_tl.accumulate(g[:m, m:] + g[m:, :m].T)
 
     return _result(full, "assemble_block", (a_tl,), push)
 
@@ -155,14 +215,12 @@ def normalize_adjacency_node(a: Node) -> Node:
     out = a_tilde * np.outer(s, s)
 
     def push(g):
-        if not a.requires_grad:
-            return
         # n_ij = ã_ij s_i s_j with s_i = d_i^{-1/2}, d_i = Σ_q ã_iq.
         # Degree terms contribute a per-row constant.
         direct = g * np.outer(s, s)
         row_mix = np.sum(g * a_tilde * s[None, :], axis=1)   # Σ_j g_pj ã_pj s_j
         col_mix = np.sum(g * a_tilde * s[:, None], axis=0)   # Σ_i g_ip ã_ip s_i
         u = -0.5 * s ** 3 * (row_mix + col_mix)
-        a.grad = a.grad + direct + u[:, None]
+        a.accumulate(direct + u[:, None])
 
     return _result(out, "normalize_adjacency", (a,), push)

@@ -8,10 +8,11 @@ from hgcn.analysis import (
     build_attribution,
     build_golden,
     label_cosine_matrix,
-    parse_heatmap_csv,
     pearson_matrix,
     render_heatmap,
 )
+
+from oracles import parse_heatmap_csv
 
 
 def test_attribution_normalizes_to_one():

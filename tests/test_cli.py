@@ -3,11 +3,12 @@ import json
 import pytest
 
 from hgcn import run as runmod
-from hgcn.analysis import parse_heatmap_csv
 from hgcn.cli import main
 from hgcn.data import load_dataset, load_tensors, save_dataset, save_tensors
 from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
+
+from oracles import parse_heatmap_csv
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +147,17 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
     pytest.param({"optimizer": "adam", "lr": -0.01}, "lr", id="adam-lr-negative"),
     pytest.param({"optimizer": "sgd", "lr": 0.0}, "lr", id="sgd-lr-zero"),
     pytest.param({"optimizer": "sgd", "lr": -0.5}, "lr", id="sgd-lr-negative"),
+    pytest.param({"hidden": "8"}, "hidden", id="hidden-string"),
+    pytest.param({"lr": "0.1"}, "lr", id="lr-string"),
+    pytest.param({"epochs": 1.5}, "epochs", id="epochs-float"),
+    pytest.param({"freeze": "no"}, "freeze", id="freeze-string"),
+    pytest.param({"label_names": "L1"}, "label_names", id="label_names-string"),
 ])
 def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, values, key):
     root, label_names = corpus
     out = tmp_path / "out"
-    config = write_config(tmp_path / "c.json", root, label_names, out, **values)
+    values = {"label_names": label_names, **values}
+    config = write_config(tmp_path / "c.json", root, out_dir=out, **values)
     assert main(["train", "--config", str(config)]) == 1
     assert key in capsys.readouterr().err
     assert not (out / "train.log").exists()
