@@ -105,42 +105,55 @@ def label_cosine_matrix(x_label_last: np.ndarray) -> np.ndarray:
     return np.clip(cos, -1.0, 1.0)
 
 
+_CELL = 24  # heatmap cell size in pixels
+# the text between a rect's y and its value, for each grey level
+_RECT_FILLS = [f'" width="{_CELL}" height="{_CELL}" fill="rgb({v},{v},{v})" data-value="'
+               for v in range(256)]
+
+
+def _csv_field(name) -> str:
+    """`name` as one CSV field, quoted the way `csv.writer` quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([name, ""])
+    return buf.getvalue()[:-2]
+
+
 def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
     """Write `<path>.csv` (exact values) and `<path>.svg` (brightness heatmap).
 
     The SVG embeds each cell's value in a data-value attribute so tests
-    can read it back; fill brightness is linear in the value.
+    can read it back; fill brightness is linear in the value. Each
+    cell's `repr` is formatted once and shared by both files.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape != (len(row_names), len(col_names)):
         raise ValueError(
             f"matrix {matrix.shape} vs {len(row_names)} rows / {len(col_names)} cols")
 
+    # repr of a list of floats is the repr of each float, joined by ", "
+    cells = [repr(row)[1:-1].split(", ") for row in matrix.tolist()]
     path = str(path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(col_names))
-    for name, row in zip(row_names, matrix):
-        writer.writerow([name] + [repr(float(v)) for v in row])
+    lines = [",".join([""] + [_csv_field(c) for c in col_names])]
+    lines += [",".join([_csv_field(name)] + row) for name, row in zip(row_names, cells)]
     with open(path + ".csv", "w", encoding="utf-8", newline="") as f:
-        f.write(buf.getvalue())
+        f.write("\n".join(lines) + "\n")
 
     lo = min(0.0, float(matrix.min()))
-    hi = float(matrix.max())
-    span = hi - lo
-    cell = 24
+    span = float(matrix.max()) - lo
+    # the scalar arithmetic of 255 * (v - lo) / span, rounded half to even
+    levels = (np.rint(255 * (matrix - lo) / span).astype(int).tolist() if span > 0
+              else np.zeros(matrix.shape, dtype=int).tolist())
+    cell = _CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{matrix.shape[1] * cell}" height="{matrix.shape[0] * cell}">'
     ]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            v = float(matrix[i, j])
-            level = int(round(255 * (v - lo) / span)) if span > 0 else 0
-            parts.append(
-                f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
-                f'fill="rgb({level},{level},{level})" data-value="{v!r}"/>')
+    # the text of a rect minus its y, grey level and value, built once per column
+    x_open = [f'<rect x="{j * cell}" y="' for j in range(matrix.shape[1])]
+    for i, (row_levels, row_cells) in enumerate(zip(levels, cells)):
+        y = str(i * cell)
+        parts += [x + y + _RECT_FILLS[level] + text + '"/>'
+                  for x, level, text in zip(x_open, row_levels, row_cells)]
     parts.append("</svg>")
     with open(path + ".svg", "w", encoding="utf-8", newline="") as f:
         f.write("\n".join(parts) + "\n")
-

@@ -1,11 +1,17 @@
 """Minimal dense-matrix reverse-mode autodiff.
 
-Everything is a 2-D float array. A `Node` wraps a value matrix together
-with its gradient and a closure that pushes incoming gradients to its
-parents. Nodes created while a `Tape` is active are recorded in creation
-order, which is a valid topological order, so `Tape.backward` simply
-walks the list in reverse. With no active tape nothing is recorded,
-which is how inference runs.
+Every value is a float array of at least two axes. A 3-D value is a
+batch: its leading axis indexes samples, and each sample is one matrix.
+The ops read a batch the way numpy's matmul does, treating each sample
+alone, and a 2-D weight is shared by every sample. `col_sums` turns each
+sample into one row, so `softmax_row` and `mse_loss` see a B x n matrix
+with one sample per row.
+
+A `Node` wraps a value together with its gradient and a closure that
+pushes incoming gradients to its parents. Nodes created while a `Tape`
+is active are recorded in creation order, which is a valid topological
+order, so `Tape.backward` simply walks the list in reverse. With no
+active tape nothing is recorded, which is how inference runs.
 
 Every backward adds into a node through `Node.accumulate`. Leaf
 parameters live outside any tape and start with a zero gradient, which
@@ -129,14 +135,17 @@ def _result(value, op, parents, backward_fn) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
+    """a @ b for a 2-D `b`; a batched `a` multiplies every sample by the same `b`."""
+    k = b.value.shape[0]
+    if a.value.shape[-1] != k:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
 
     def push(g):
         if a.requires_grad:
             a.accumulate(g @ b.value.T)
         if b.requires_grad:
-            b.accumulate(a.value.T @ g)
+            # one product over the rows of every sample at once
+            b.accumulate(a.value.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
 
     return _result(a.value @ b.value, "matmul", (a, b), push)
 
@@ -171,24 +180,25 @@ def activation(a: Node, kind: str = "relu") -> Node:
 
 
 def softmax_row(a: Node) -> Node:
-    """Stabilized softmax over a single row vector, with exact Jacobian."""
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"softmax_row expects a 1xN row, got {a.value.shape}")
+    """Stabilized softmax of each row of a B x N matrix, with exact Jacobian."""
+    if a.value.ndim != 2:
+        raise ShapeError(f"softmax_row expects a BxN matrix, got {a.value.shape}")
     if a.value.shape[1] == 0:
         raise ShapeError("softmax_row: empty vector")
-    shifted = a.value - np.max(a.value)
+    shifted = a.value - np.max(a.value, axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e)
+    out = e / np.sum(e, axis=1, keepdims=True)
 
     def push(g):
-        # J^T g with J = diag(s) - s s^T
-        dot = float(np.sum(g * out))
+        # per row, J^T g with J = diag(s) - s s^T
+        dot = np.sum(g * out, axis=1, keepdims=True)
         a.accumulate(out * (g - dot))
 
     return _result(out, "softmax_row", (a,), push)
 
 
 def mse_loss(pred: Node, target) -> Node:
+    """Mean squared error over all entries: for B x N rows, the mean of per-row losses."""
     target = np.atleast_2d(np.asarray(target, dtype=pred.value.dtype))
     if pred.value.shape != target.shape:
         raise ShapeError(f"mse_loss: shapes differ, {pred.value.shape} vs {target.shape}")
@@ -203,41 +213,53 @@ def mse_loss(pred: Node, target) -> Node:
 
 
 def col_sums(a: Node) -> Node:
-    """Column sums as a 1xN row vector."""
-    out = np.sum(a.value, axis=0, keepdims=True)
+    """Column sums of each m x N sample as one row: 1 x N, or B x N for a batch."""
+    shape = a.value.shape
+    out = np.sum(a.value, axis=-2).reshape(-1, shape[-1])
 
     def push(g):
-        a.accumulate(np.broadcast_to(g, a.value.shape))
+        a.accumulate(np.broadcast_to(g.reshape(shape[:-2] + (1, shape[-1])), shape))
 
     return _result(out, "col_sums", (a,), push)
 
 
 def concat_rows(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[1]:
+    """The rows of 2-D `b` stacked under `a`, under every sample's rows if `a` is a batch."""
+    if b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[1]:
         raise ShapeError(f"concat_rows: widths differ, {a.value.shape} vs {b.value.shape}")
-    m = a.value.shape[0]
+    lead = a.value.shape[:-2]
+    m = a.value.shape[-2]
 
     def push(g):
         if a.requires_grad:
-            a.accumulate(g[:m])
+            a.accumulate(g[..., :m, :])
         if b.requires_grad:
-            b.accumulate(g[m:])
+            b.accumulate(g[..., m:, :].sum(axis=tuple(range(len(lead)))))
 
-    return _result(np.concatenate([a.value, b.value], axis=0), "concat_rows", (a, b), push)
+    out = np.concatenate([a.value, np.broadcast_to(b.value, lead + b.value.shape)], axis=-2)
+    return _result(out, "concat_rows", (a, b), push)
 
 
-def gather_rows(table: Node, ids) -> Node:
-    """Row lookup; backward scatter-adds into exactly the looked-up rows."""
+def gather_rows(table: Node, ids, valid=None) -> Node:
+    """Row lookup; backward scatter-adds into exactly the looked-up rows.
+
+    `ids` may have any shape. Where the boolean `valid` (same shape) is
+    False, the output row is zero and pushes no gradient into the table.
+    """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
         raise ShapeError(f"gather_rows: id out of range for table {table.value.shape}")
+    out = table.value[ids]
+    if valid is not None:
+        out[~valid] = 0.0
+        ids = ids[valid]
 
     def push(g):
         acc = np.zeros_like(table.value)
-        np.add.at(acc, ids, g)
+        np.add.at(acc, ids, g if valid is None else g[valid])
         table.accumulate(acc)
 
-    return _result(table.value[ids], "gather_rows", (table,), push)
+    return _result(out, "gather_rows", (table,), push)
 
 
 class SGD:

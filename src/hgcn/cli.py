@@ -64,14 +64,16 @@ def _load_run_config(args) -> RunConfig:
         values["out_dir"] = args.out
     if args.decode is not None:
         kind, _, value = args.decode.partition(":")
-        if kind == "topk":
-            values["decode"] = "topk"
-            values["topk"] = int(value)
-        elif kind == "thr":
-            values["decode"] = "threshold"
-            values["threshold"] = float(value)
-        else:
-            raise ConfigError(f"--decode must be topk:K or thr:T, got {args.decode!r}")
+        try:
+            if kind == "topk":
+                values["decode"], values["topk"] = "topk", int(value)
+            elif kind == "thr":
+                values["decode"], values["threshold"] = "threshold", float(value)
+            else:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(
+                f"--decode must be topk:K or thr:T, got {args.decode!r}") from None
 
     if "label_names" not in values:
         raise ConfigError("config must declare label_names")

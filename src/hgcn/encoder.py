@@ -3,6 +3,9 @@
 A pluggable stand-in for a pretrained contextual encoder: either a
 trainable embedding table or frozen per-sample vectors loaded from a
 tensor container file. Sequence boundary markers are real token nodes.
+
+Both embed a batch of id sequences as B x M x dim features, M the
+longest sequence; the rows past each sequence's end are zero.
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
     return [SEQ_START] + ids + [SEQ_END]
 
 
+def pad_ids(batch_ids) -> tuple[np.ndarray, np.ndarray]:
+    """(B x M ids, padded with PAD; B x M mask of the real positions)."""
+    lengths = np.array([len(ids) for ids in batch_ids])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.full(valid.shape, PAD, dtype=np.intp)
+    padded[valid] = np.concatenate(batch_ids)
+    return padded, valid
+
+
 class TrainableLookup:
     """Embedding table of learned parameters, one row per vocabulary id.
 
@@ -83,8 +95,9 @@ class TrainableLookup:
         self.frozen = freeze
         self.dim = table.shape[1]
 
-    def embed(self, ids, sample_id=None) -> Node:
-        return gather_rows(self.table, ids)
+    def embed(self, batch_ids, sample_ids=None) -> Node:
+        ids, valid = pad_ids(batch_ids)
+        return gather_rows(self.table, ids, valid)
 
     def parameters(self) -> list[Node]:
         return [] if self.frozen else [self.table]
@@ -110,14 +123,17 @@ class PrecomputedFile:
             raise ValueError(f"{path}: not an embedding container")
         return cls(tensors)
 
-    def embed(self, ids, sample_id=None) -> Node:
-        if sample_id not in self.vectors:
-            raise KeyError(f"no precomputed embedding for sample {sample_id!r}")
-        vecs = self.vectors[sample_id]
-        if vecs.shape[0] != len(ids):
-            raise ValueError(
-                f"sample {sample_id!r}: {vecs.shape[0]} vectors for {len(ids)} tokens")
-        return constant(vecs)
+    def embed(self, batch_ids, sample_ids=None) -> Node:
+        out = np.zeros((len(batch_ids), max(map(len, batch_ids)), self.dim))
+        for row, ids, sample_id in zip(out, batch_ids, sample_ids or [None] * len(batch_ids)):
+            if sample_id not in self.vectors:
+                raise KeyError(f"no precomputed embedding for sample {sample_id!r}")
+            vecs = self.vectors[sample_id]
+            if vecs.shape[0] != len(ids):
+                raise ValueError(
+                    f"sample {sample_id!r}: {vecs.shape[0]} vectors for {len(ids)} tokens")
+            row[:len(ids)] = vecs
+        return constant(out)
 
     def parameters(self) -> list[Node]:
         return []

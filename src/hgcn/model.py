@@ -7,6 +7,14 @@ the token chain and the labels do not mix yet; later layers and the
 final prediction re-estimate that block from the current node features.
 Label scores are column sums of the final token-label block, pushed
 through a softmax and trained against a target distribution with MSE.
+
+`forward` runs a whole batch of samples at once, padded to its longest
+sample (see `graph`); one sample is a batch of one. Training and
+inference cut each batch into chunks whose padded node features stay
+under CHUNK_BUDGET values, which bounds the memory one tape holds:
+short samples run ten or more to a chunk, long documents two at a time.
+A training step runs one tape per chunk and one optimizer step per
+batch.
 """
 
 from __future__ import annotations
@@ -18,6 +26,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape, constant, parameter
 from .graph import propagate, reconstruct_token_label
+
+# Most entries of a chunk's B x (M + n) x hidden padded node features:
+# ten 11-token samples with 5 labels, or two 128-token documents with 20
+# labels, at hidden 64. Larger chunks gained little speed on long
+# documents and raised peak memory (sweep in CHANGES.md).
+CHUNK_BUDGET = 20480
 
 
 @dataclass
@@ -84,34 +98,39 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """What callers read from one pass: decoders, `explain`, `correlate` and the loss."""
+    """What callers read from one batched pass: decoders, `explain`, `correlate` and the loss."""
 
-    probs: np.ndarray                  # 1 x n
-    final_edges: np.ndarray            # token-label block reconstructed after the last layer
-    final_features: np.ndarray         # (m + n) x hidden, token rows over label rows
+    probs: np.ndarray                  # B x n
+    final_edges: np.ndarray            # B x M x n token-label blocks after the last layer
+    final_features: np.ndarray         # B x (M + n) x hidden, token rows over label rows
     probs_node: Node
 
 
-def forward(ids, provider, params: ModelParams, cfg: ModelConfig,
-            sample_id=None) -> ForwardTrace:
-    """Run the HGCN on one token-id sequence; records on the active Tape, if any."""
-    m = len(ids)
-    if m < 1:
-        raise ValueError("empty token sequence")
-    n = cfg.num_labels
+def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
+            sample_ids=None) -> ForwardTrace:
+    """Run the HGCN on a batch of token-id sequences; records on the active Tape, if any.
 
-    x_token = provider.embed(ids, sample_id=sample_id)
+    Sample b's token rows are the first len(batch_ids[b]) of the M padded
+    ones; its padded rows of `final_edges` and `final_features` are zero.
+    """
+    lengths = np.array([len(ids) for ids in batch_ids])
+    if not lengths.size or lengths.min() < 1:
+        raise ValueError("empty batch or token sequence")
+    m = int(lengths.max())
+
+    x_token = provider.embed(batch_ids, sample_ids=sample_ids)
     h_token = ad.matmul(x_token, params.w_token_in)
     # one-hot label inputs: I_n @ w_label_in is w_label_in itself
     h = ad.concat_rows(h_token, params.w_label_in)
 
-    edges: Node = constant(np.zeros((m, n)))  # first layer: no token-label edges yet
+    # first layer: no token-label edges yet
+    edges: Node = constant(np.zeros((len(lengths), m, cfg.num_labels)))
     for layer in range(cfg.num_layers):
         if layer > 0:
             edges = reconstruct_token_label(h, m)
             if cfg.detach_edges:
                 edges = constant(edges.value)
-        h = ad.activation(ad.matmul(propagate(h, edges), params.w_layer[layer]),
+        h = ad.activation(ad.matmul(propagate(h, edges, lengths), params.w_layer[layer]),
                           cfg.activation)
 
     final_edges = reconstruct_token_label(h, m)
@@ -134,29 +153,46 @@ def build_target(labels) -> np.ndarray:
     return labels / k
 
 
-def sample_loss(ids, target, provider, params, cfg, sample_id=None) -> Node:
-    trace = forward(ids, provider, params, cfg, sample_id=sample_id)
-    return ad.mse_loss(trace.probs_node, target)
+def batch_loss(batch, provider, params, cfg) -> Node:
+    """Mean per-sample MSE over a batch of (ids, target[, sample_id]) triples."""
+    sample_ids = [item[2] if len(item) > 2 else None for item in batch]
+    trace = forward([item[0] for item in batch], provider, params, cfg,
+                    sample_ids=sample_ids)
+    return ad.mse_loss(trace.probs_node, np.concatenate([item[1] for item in batch]))
+
+
+def chunks(lengths, cfg: ModelConfig) -> list[slice]:
+    """Consecutive runs of samples whose padded node features fit CHUNK_BUDGET.
+
+    A sample too large for the budget on its own is a chunk of one.
+    """
+    out = []
+    start, longest = 0, 0
+    for i, m in enumerate(lengths):
+        longest = max(longest, m)
+        if i > start and (i + 1 - start) * (longest + cfg.num_labels) * cfg.hidden > CHUNK_BUDGET:
+            out.append(slice(start, i))
+            start, longest = i, m
+    out.append(slice(start, len(lengths)))
+    return out
 
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
                optimizer: ad.Adam | ad.SGD) -> float:
     """One optimizer step on a batch of (ids, target[, sample_id]) triples.
 
-    Loss is the mean per-sample MSE; gradients accumulate across samples
-    before the single parameter update.
+    Loss is the mean per-sample MSE. Each chunk's loss is scaled by its
+    share of the batch, so gradients accumulate across chunks into the
+    batch mean before the single parameter update.
     """
     if not batch:
         raise ValueError("empty batch")
     total = 0.0
-    inv = 1.0 / len(batch)
-    for item in batch:
-        ids, target = item[0], item[1]
-        sample_id = item[2] if len(item) > 2 else None
+    for part in chunks([len(item[0]) for item in batch], cfg):
+        chunk = batch[part]
         with Tape() as tape:
-            loss = sample_loss(ids, target, provider, params, cfg, sample_id=sample_id)
-            scaled = ad.scale(loss, inv)
-            tape.backward(scaled)
-        total += float(loss.value[0, 0])
+            loss = batch_loss(chunk, provider, params, cfg)
+            tape.backward(ad.scale(loss, len(chunk) / len(batch)))
+        total += float(loss.value[0, 0]) * len(chunk)
     optimizer.step()
-    return total * inv
+    return total / len(batch)

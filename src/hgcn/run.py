@@ -18,7 +18,7 @@ from .analysis import (
 from .autodiff import ACTIVATIONS, SGD, Adam
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, tokenize
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
-from .model import ModelConfig, ModelParams, build_target, forward, train_step
+from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
 
 OPTIMIZERS = {"adam": Adam, "sgd": SGD}
 
@@ -148,19 +148,31 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
 
 
 def _forward_samples(samples, params, provider, run_cfg, vocab):
-    """Yield (sample, ids, trace) per sample; inference records no tape."""
+    """Yield (sample, ids, probs, final edges, final label features) per sample.
+
+    Samples run `batch_size` at a time, in chunks as in training;
+    inference records no tape. `probs` is the sample's row of n
+    probabilities, the edges are its m x n block.
+    """
     cfg = run_cfg.model_config()
-    for s in samples:
-        ids = tokenize(s.tokens, vocab, run_cfg.max_len)
-        yield s, ids, forward(ids, provider, params, cfg, sample_id=s.id)
+    for start in range(0, len(samples), run_cfg.batch_size):
+        batch = samples[start:start + run_cfg.batch_size]
+        batch_ids = [tokenize(s.tokens, vocab, run_cfg.max_len) for s in batch]
+        for part in chunks([len(ids) for ids in batch_ids], cfg):
+            trace = forward(batch_ids[part], provider, params, cfg,
+                            sample_ids=[s.id for s in batch[part]])
+            m = trace.final_edges.shape[1]
+            for b, (s, ids) in enumerate(zip(batch[part], batch_ids[part])):
+                yield (s, ids, trace.probs[b], trace.final_edges[b, :len(ids)],
+                       trace.final_features[b, m:])
 
 
 def predict(samples, params, provider, run_cfg, vocab):
     """Forward every sample; returns (pred_sets, gold_sets)."""
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     preds, golds = [], []
-    for s, _, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
-        preds.append(decode_probs(trace.probs, run_cfg))
+    for s, _, probs, _, _ in _forward_samples(samples, params, provider, run_cfg, vocab):
+        preds.append(decode_probs(probs, run_cfg))
         golds.append({index[name] for name in s.labels})
     return preds, golds
 
@@ -218,9 +230,9 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     attributions = []
     mses = []
-    for s, ids, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
+    for s, ids, _, edges, _ in _forward_samples(samples, params, provider, run_cfg, vocab):
         token_names = ["<s>"] + s.tokens[: run_cfg.max_len - 2] + ["</s>"]
-        attr = build_attribution(trace.final_edges, token_names, run_cfg.label_names)
+        attr = build_attribution(edges, token_names, run_cfg.label_names)
         attributions.append((s, attr))
         if s.annotations:
             golden = build_golden(
@@ -234,12 +246,12 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
 def correlate(samples, params, provider, run_cfg, vocab):
     """Pearson over decoded predictions and cosine over mean final label features.
 
-    Only each sample's n x h final label features are kept, not its trace.
+    Only each sample's n x h final label features are kept, not its chunk's.
     """
     preds, label_feats = [], []
-    for _, ids, trace in _forward_samples(samples, params, provider, run_cfg, vocab):
-        preds.append(decode_probs(trace.probs, run_cfg))
-        label_feats.append(trace.final_features[len(ids):].copy())
+    for _, _, probs, _, labels in _forward_samples(samples, params, provider, run_cfg, vocab):
+        preds.append(decode_probs(probs, run_cfg))
+        label_feats.append(labels.copy())
     pearson = pearson_matrix(preds, len(run_cfg.label_names))
     cosine = label_cosine_matrix(np.mean(label_feats, axis=0))
     return pearson, cosine

@@ -3,6 +3,8 @@
 The ops below record on the tape like `hgcn.autodiff`'s but serve only
 the tests. The dense adjacency code builds the sample graph as an
 explicit (m+n)^2 matrix; it is the reference for `hgcn.graph.propagate`.
+The per-sample model path (one graph, one tape per sample, no padding)
+is the reference for the batched `hgcn.model` path.
 """
 
 import csv
@@ -10,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hgcn.autodiff import Node, ShapeError, _result
+from hgcn import autodiff as ad
+from hgcn.autodiff import Node, ShapeError, Tape, _result, constant, gather_rows
+from hgcn.encoder import PrecomputedFile
+from hgcn.model import ForwardTrace
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -224,3 +229,129 @@ def normalize_adjacency_node(a: Node) -> Node:
         a.accumulate(direct + u[:, None])
 
     return _result(out, "normalize_adjacency", (a,), push)
+
+
+# --- per-sample model path ----------------------------------------------
+
+def _normalized_mix_one(x, e, s_t, s_l):
+    """S (A + I) S x for one sample, with S = diag(s_t, s_l)."""
+    m = e.shape[0]
+    u_t = s_t[:, None] * x[:m]
+    u_l = s_l[:, None] * x[m:]
+    out = np.empty(x.shape)
+    y_t = out[:m]
+    np.matmul(e, u_l, out=y_t)
+    y_t += 2.0 * u_t
+    y_t[1:] += u_t[:-1]
+    y_t[:-1] += u_t[1:]
+    y_t *= s_t[:, None]
+    y_l = out[m:]
+    np.matmul(e.T, u_t, out=y_l)
+    y_l += 2.0 * u_l
+    y_l *= s_l[:, None]
+    return out
+
+
+def propagate_one(h: Node, edges: Node) -> Node:
+    """D^{-1/2} (A + I) D^{-1/2} h for one sample's (m+n) x hidden `h` and m x n `edges`."""
+    e = edges.value
+    m, n = e.shape
+    if m < 1 or n < 1:
+        raise ValueError(f"need at least one token and one label node, got m={m}, n={n}")
+    if h.value.shape[0] != m + n:
+        raise ShapeError(f"propagate: h has {h.value.shape[0]} rows, "
+                         f"expected m + n = {m} + {n} from edges {e.shape}")
+    d_t = 4.0 + e.sum(axis=1)   # two chain neighbours, one fewer at each end
+    d_t[0] -= 1.0
+    d_t[-1] -= 1.0
+    d_l = 2.0 + e.sum(axis=0)
+    if d_t.min() <= 0 or d_l.min() <= 0:
+        raise ValueError("adjacency row degree must be positive after self-loops")
+    s_t = 1.0 / np.sqrt(d_t)
+    s_l = 1.0 / np.sqrt(d_l)
+    out = _normalized_mix_one(h.value, e, s_t, s_l)
+
+    def push(g):
+        dh = _normalized_mix_one(g, e, s_t, s_l)
+        if h.requires_grad:
+            h.accumulate(dh)
+        if edges.requires_grad:
+            x = h.value
+            ge = (s_t[:, None] * g[:m]) @ (s_l[:, None] * x[m:]).T
+            ge += (s_t[:, None] * x[:m]) @ (s_l[:, None] * g[m:]).T
+            r = -0.5 * np.concatenate([s_t, s_l]) ** 2 * np.sum(g * out + x * dh, axis=1)
+            ge += r[:m, None] + r[None, m:]
+            edges.accumulate(ge)
+
+    return _result(out, "propagate", (h, edges), push)
+
+
+def reconstruct_one(h: Node, m: int) -> Node:
+    """(cos + 1) / 2 token-label edges of one sample's stacked rows; zero-norm rows get 0."""
+    xt, xl = h.value[:m], h.value[m:]
+    tn = np.linalg.norm(xt, axis=1)
+    ln = np.linalg.norm(xl, axis=1)
+    t_ok = tn > 0.0
+    l_ok = ln > 0.0
+    tn_safe = np.where(t_ok, tn, 1.0)
+    ln_safe = np.where(l_ok, ln, 1.0)
+    cos = (xt @ xl.T) / np.outer(tn_safe, ln_safe)
+    live = np.outer(t_ok, l_ok)
+    out = np.where(live, (cos + 1.0) / 2.0, 0.0)
+
+    def push(g):
+        ge = np.where(live, g, 0.0) * 0.5
+        dh = np.empty(h.value.shape)
+        dh[:m] = ((ge / ln_safe[None, :]) @ xl / tn_safe[:, None]
+                  - np.sum(ge * cos, axis=1, keepdims=True) * xt / (tn_safe ** 2)[:, None])
+        dh[m:] = ((ge.T / tn_safe[None, :]) @ xt / ln_safe[:, None]
+                  - np.sum(ge * cos, axis=0)[:, None] * xl / (ln_safe ** 2)[:, None])
+        h.accumulate(dh)
+
+    return _result(out, "reconstruct_token_label", (h,), push)
+
+
+def embed_one(provider, ids, sample_id=None) -> Node:
+    """One sample's m x dim token features, unpadded."""
+    if isinstance(provider, PrecomputedFile):
+        return constant(provider.vectors[sample_id])
+    return gather_rows(provider.table, ids)
+
+
+def forward_one(ids, provider, params, cfg, sample_id=None) -> ForwardTrace:
+    """The HGCN on one sample: probs 1 x n, edges m x n, features (m + n) x hidden."""
+    m = len(ids)
+    n = cfg.num_labels
+    h_token = ad.matmul(embed_one(provider, ids, sample_id), params.w_token_in)
+    h = ad.concat_rows(h_token, params.w_label_in)
+    edges = constant(np.zeros((m, n)))
+    for layer in range(cfg.num_layers):
+        if layer > 0:
+            edges = reconstruct_one(h, m)
+            if cfg.detach_edges:
+                edges = constant(edges.value)
+        h = ad.activation(ad.matmul(propagate_one(h, edges), params.w_layer[layer]),
+                          cfg.activation)
+    final_edges = reconstruct_one(h, m)
+    probs = ad.softmax_row(ad.col_sums(final_edges))
+    return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
+                        final_features=h.value, probs_node=probs)
+
+
+def sample_loss_one(ids, target, provider, params, cfg, sample_id=None) -> Node:
+    trace = forward_one(ids, provider, params, cfg, sample_id=sample_id)
+    return ad.mse_loss(trace.probs_node, target)
+
+
+def train_step_one(batch, params, cfg, provider, optimizer) -> float:
+    """One optimizer step, one tape per sample; gradients accumulate over the batch."""
+    total = 0.0
+    inv = 1.0 / len(batch)
+    for item in batch:
+        sample_id = item[2] if len(item) > 2 else None
+        with Tape() as tape:
+            loss = sample_loss_one(item[0], item[1], provider, params, cfg, sample_id)
+            tape.backward(ad.scale(loss, inv))
+        total += float(loss.value[0, 0])
+    optimizer.step()
+    return total * inv

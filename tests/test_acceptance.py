@@ -18,7 +18,7 @@ from hgcn.data import load_checkpoint, save_checkpoint
 from hgcn.encoder import TrainableLookup, tokenize
 from hgcn.graph import propagate, reconstruct_token_label
 from hgcn.metrics import decode_threshold, decode_topk, jaccard, micro_macro_f1
-from hgcn.model import ModelParams, build_target, forward, sample_loss
+from hgcn.model import ModelParams, batch_loss, build_target, forward
 from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
 
@@ -32,6 +32,7 @@ from oracles import (
     max_rel_err,
     normalize_adjacency,
     normalize_adjacency_node,
+    propagate_one,
 )
 
 
@@ -80,10 +81,9 @@ def synth_run(tmp_path_factory):
 def test_criterion_1_gradient_suite(capsys):
     start = time.monotonic()
     rng = np.random.default_rng(0)
-    worst_op = 0.0
+    worst = {"op": 0.0, "batched": 0.0}
 
-    def check(loss_fn, *shapes):
-        nonlocal worst_op
+    def check(loss_fn, *shapes, kind="op"):
         args = [rng.normal(size=s) for s in shapes]
         nodes = [parameter(a) for a in args]
         with Tape() as tape:
@@ -95,7 +95,8 @@ def test_criterion_1_gradient_suite(capsys):
                 with Tape():
                     out = loss_fn(*[parameter(v) for v in vals])
                 return float(out.value[0, 0])
-            worst_op = max(worst_op, max_rel_err(node.grad, finite_difference_grad(f, args[i])))
+            worst[kind] = max(worst[kind],
+                              max_rel_err(node.grad, finite_difference_grad(f, args[i])))
 
     target23 = rng.uniform(0, 1, (2, 3))
     target53 = np.random.default_rng(1).uniform(0, 1, (5, 3))
@@ -111,8 +112,27 @@ def test_criterion_1_gradient_suite(capsys):
     # after the loop above, so the other ops keep their random draws;
     # squared edges: a token-label block is never negative
     for _ in range(20):
-        check(lambda h, e: ad.mse_loss(propagate(h, elementwise_mul(e, e)),
+        check(lambda h, e: ad.mse_loss(propagate_one(h, elementwise_mul(e, e)),
                                        target53), (5, 3), (3, 2))
+    # the batched forms, after the loops above for the same reason: a
+    # ragged batch of lengths 3 and 1 padded to 3 rows; padded feature rows
+    # and edges are zeroed as the model pads them
+    pad = np.ones((2, 5, 1))
+    pad[1, 1:3] = 0.0
+    target2 = rng.uniform(0, 1, (2, 2))
+    target253 = rng.uniform(0, 1, (2, 5, 3))
+    for _ in range(20):
+        check(lambda h, e: ad.mse_loss(propagate(
+            elementwise_mul(h, constant(np.broadcast_to(pad, (2, 5, 3)))),
+            elementwise_mul(e, elementwise_mul(e, constant(pad[:, :3, :1] * np.ones((2, 3, 2))))),
+            [3, 1]), target253), (2, 5, 3), (2, 3, 2), kind="batched")
+        check(lambda h: ad.mse_loss(ad.softmax_row(ad.col_sums(reconstruct_token_label(
+            elementwise_mul(h, constant(np.broadcast_to(pad, (2, 5, 3)))), 3))), target2),
+            (2, 5, 3), kind="batched")
+        check(lambda a, b: ad.mse_loss(ad.concat_rows(ad.matmul(a, b), b), target253),
+              (2, 2, 3), (3, 3), kind="batched")
+        check(lambda t: ad.mse_loss(ad.gather_rows(t, [[4, 0, 4], [1, 3, 3]], pad[:, :3, 0] > 0),
+                                    target253[:, :3]), (5, 3), kind="batched")
 
     # end-to-end: loss through normalization, convolution and edge
     # reconstruction w.r.t. every parameter matrix
@@ -121,23 +141,24 @@ def test_criterion_1_gradient_suite(capsys):
     ids = [0, 4, 5, 1]
     target = build_target([1, 0, 1])
     with Tape() as tape:
-        tape.backward(sample_loss(ids, target, provider, params, cfg))
+        tape.backward(batch_loss([(ids, target)], provider, params, cfg))
     worst_e2e = 0.0
     for node in params.parameters() + provider.parameters():
         def f(v, node=node):
             old = node.value
             node.value = v
             with Tape():
-                loss = sample_loss(ids, target, provider, params, cfg)
+                loss = batch_loss([(ids, target)], provider, params, cfg)
             node.value = old
             return float(loss.value[0, 0])
         worst_e2e = max(worst_e2e, max_rel_err(node.grad,
                                                finite_difference_grad(f, node.value)))
     elapsed = time.monotonic() - start
-    ok = worst_op < 1e-4 and worst_e2e < 1e-3 and elapsed < 60
+    ok = (worst["op"] < 1e-4 and worst["batched"] < 1e-4 and worst_e2e < 1e-3
+          and elapsed < 60)
     report(capsys, 1,
-           ok, f"op rel err {worst_op:.2e} (<1e-4), end-to-end {worst_e2e:.2e} "
-               f"(<1e-3), {elapsed:.1f}s (<60s)")
+           ok, f"op rel err {worst['op']:.2e} (<1e-4), batched ops {worst['batched']:.2e} "
+               f"(<1e-4), end-to-end {worst_e2e:.2e} (<1e-3), {elapsed:.1f}s (<60s)")
 
 
 def test_criterion_2_structural_oracles(capsys):
@@ -259,9 +280,9 @@ def test_criterion_7_determinism_persistence(capsys, tmp_path):
     restored, model_cfg, vocab2, _, _ = load_checkpoint(ckpt)
     ids = tokenize(train[0].tokens, vocab1, cfg.max_len)
     with Tape():
-        before = forward(ids, provider1, params1, cfg.model_config())
+        before = forward([ids], provider1, params1, cfg.model_config())
     with Tape():
-        after = forward(ids, provider1, restored, model_cfg)
+        after = forward([ids], provider1, restored, model_cfg)
     forward_bitwise = bool(np.array_equal(before.probs, after.probs)
                            and np.array_equal(before.final_edges, after.final_edges))
     ok = logs_identical and forward_bitwise

@@ -130,9 +130,16 @@ def test_softmax_sums_to_one_and_in_open_interval():
         assert np.all(out.value > 0) and np.all(out.value < 1)
 
 
-def test_softmax_rejects_non_row():
+def test_softmax_rejects_non_matrix():
     with pytest.raises(ShapeError):
-        ad.softmax_row(constant(np.zeros((2, 2))))
+        ad.softmax_row(constant(np.zeros((1, 2, 2))))
+
+
+def test_softmax_normalizes_each_row_alone():
+    rows = np.array([[np.log(2.0), 0.0], [0.0, 0.0], [5.0, 5.0 + np.log(3.0)]])
+    with Tape():
+        out = ad.softmax_row(constant(rows))
+    assert np.allclose(out.value, [[2 / 3, 1 / 3], [0.5, 0.5], [0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_rejects_empty():

@@ -1,0 +1,188 @@
+"""The batched model path against the per-sample reference in oracles.py.
+
+A batch pads its samples to the longest one; these tests check that the
+padding changes nothing: probabilities, final edges and every parameter
+gradient agree with one graph and one tape per sample to within 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from hgcn import model
+from hgcn import run as runmod
+from hgcn.autodiff import SGD, Tape
+from hgcn.data import Sample
+from hgcn.encoder import PAD, PrecomputedFile, TrainableLookup, Vocabulary, tokenize
+from hgcn.model import (ModelConfig, ModelParams, batch_loss, build_target, chunks, forward,
+                        train_step)
+
+from oracles import forward_one, sample_loss_one, train_step_one
+
+TOL = 1e-12
+VOCAB = 14
+DIM = 5
+
+
+def make_model(activation="tanh", detach_edges=False, encoder="lookup", num_layers=2):
+    cfg = ModelConfig(num_labels=3, num_layers=num_layers, hidden=6, input_dim=DIM,
+                      activation=activation, detach_edges=detach_edges)
+    rng = np.random.default_rng(3)
+    params = ModelParams.init(cfg, rng)
+    if encoder == "lookup":
+        provider = TrainableLookup(VOCAB, DIM, rng)
+    else:
+        provider = PrecomputedFile({f"s{i}": rng.normal(size=(m, DIM))
+                                    for i, m in enumerate(LENGTHS)})
+    return cfg, params, provider
+
+
+# m = 3, a truncated sample (tokenize at max_len 8), m = 2, a long one
+VOCABULARY = Vocabulary([f"w{i}" for i in range(VOCAB - 4)])
+TOKENS = [["w0"], [f"w{i % 10}" for i in range(15)], [], ["w3", "w9", "w9", "w1", "w5"]]
+IDS = [tokenize(t, VOCABULARY, 8) for t in TOKENS]
+LENGTHS = [len(ids) for ids in IDS]
+TARGETS = [build_target(y) for y in ([1, 0, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1])]
+BATCH = [(ids, t, f"s{i}") for i, (ids, t) in enumerate(zip(IDS, TARGETS))]
+
+
+def test_batch_is_ragged_with_a_truncated_sample():
+    assert LENGTHS == [3, 8, 2, 7] and len(TOKENS[1]) + 2 > 8
+
+
+def per_sample_grads(batch, cfg, params, provider):
+    trainable = params.parameters() + provider.parameters()
+    for item in batch:
+        with Tape() as tape:
+            loss = sample_loss_one(item[0], item[1], provider, params, cfg, item[2])
+            tape.backward(loss)
+    grads = [p.grad / len(batch) for p in trainable]
+    for p in trainable:
+        p.zero_grad()
+    return grads
+
+
+def assert_close(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= TOL
+
+
+CASES = [("tanh", False, "lookup"), ("relu", False, "lookup"), ("tanh", True, "lookup"),
+         ("relu", True, "file"), ("tanh", False, "file")]
+
+
+@pytest.mark.parametrize("activation,detach,encoder", CASES)
+@pytest.mark.parametrize("members", [[0, 1, 2, 3], [1], [2, 0]], ids=["ragged", "one", "pair"])
+def test_forward_and_gradients_match_per_sample(activation, detach, encoder, members):
+    cfg, params, provider = make_model(activation, detach, encoder)
+    batch = [BATCH[i] for i in members]
+    trace = forward([item[0] for item in batch], provider, params, cfg,
+                    sample_ids=[item[2] for item in batch])
+    big = max(len(item[0]) for item in batch)
+    for b, (ids, _, sid) in enumerate(batch):
+        ref = forward_one(ids, provider, params, cfg, sample_id=sid)
+        m = len(ids)
+        assert_close(trace.probs[b:b + 1], ref.probs)
+        assert_close(trace.final_edges[b, :m], ref.final_edges)
+        assert not trace.final_edges[b, m:].any()
+        assert_close(trace.final_features[b, :m], ref.final_features[:m])
+        assert_close(trace.final_features[b, big:], ref.final_features[m:])
+        assert not trace.final_features[b, m:big].any()
+
+    trainable = params.parameters() + provider.parameters()
+    with Tape() as tape:
+        tape.backward(batch_loss(batch, provider, params, cfg))
+    grads = [p.grad.copy() for p in trainable]
+    for p in trainable:
+        p.zero_grad()
+    for got, want in zip(grads, per_sample_grads(batch, cfg, params, provider)):
+        assert_close(got, want)
+
+
+def test_padding_pushes_no_gradient_into_the_pad_row():
+    cfg, params, provider = make_model()
+    assert all(PAD not in ids for ids in IDS)
+    with Tape() as tape:
+        tape.backward(batch_loss(BATCH, provider, params, cfg))
+    assert not provider.table.grad[PAD].any()
+    assert provider.table.grad[IDS[1]].any()
+
+
+def test_embedding_zeroes_padded_rows():
+    _, _, provider = make_model()
+    out = provider.embed(IDS)
+    assert out.value.shape == (4, 8, DIM)
+    for b, ids in enumerate(IDS):
+        assert np.array_equal(out.value[b, :len(ids)], provider.table.value[ids])
+        assert not out.value[b, len(ids):].any()
+
+
+class Recorder:
+    """An optimizer that keeps the accumulated gradients instead of stepping."""
+
+    def __init__(self, params):
+        self.params = params
+        self.grads = None
+
+    def step(self):
+        self.grads = [p.grad.copy() for p in self.params]
+        for p in self.params:
+            p.zero_grad()
+
+
+@pytest.mark.parametrize("budget,count", [(model.CHUNK_BUDGET, 1), (1, len(BATCH))],
+                         ids=["one-chunk", "split"])
+def test_train_step_matches_per_sample_step(budget, count, monkeypatch):
+    monkeypatch.setattr(model, "CHUNK_BUDGET", budget)
+    cfg, params, provider = make_model("relu")
+    assert len(chunks(LENGTHS, cfg)) == count
+
+    def step(fn):
+        rec = Recorder(params.parameters() + provider.parameters())
+        loss = fn(BATCH, params, cfg, provider, rec)
+        return loss, rec.grads
+
+    loss, grads = step(train_step)
+    ref_loss, ref_grads = step(train_step_one)
+    assert loss == pytest.approx(ref_loss, abs=TOL)
+    for got, want in zip(grads, ref_grads):
+        assert_close(got, want)
+
+
+def test_sgd_step_matches_per_sample_step():
+    def trained(fn):
+        cfg, params, provider = make_model()
+        opt = SGD(params.parameters() + provider.parameters(), 0.5)
+        losses = [fn(BATCH, params, cfg, provider, opt) for _ in range(3)]
+        return losses, [p.value for p in params.parameters() + provider.parameters()]
+
+    losses, values = trained(train_step)
+    ref_losses, ref_values = trained(train_step_one)
+    assert np.allclose(losses, ref_losses, rtol=0, atol=TOL)
+    for got, want in zip(values, ref_values):
+        assert_close(got, want)
+
+
+def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
+    cfg = ModelConfig(num_labels=3, num_layers=1, hidden=4, input_dim=2,
+                      activation="tanh", detach_edges=False)
+    monkeypatch.setattr(model, "CHUNK_BUDGET", 4 * 2 * (5 + 3))
+    # two samples of up to 5 tokens fit, three of 1; a 9-token sample stands alone
+    assert chunks([3, 5, 2, 9, 1, 1, 1], cfg) == [
+        slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 7)]
+    assert chunks([1], cfg) == [slice(0, 1)]
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 10])
+def test_inference_matches_per_sample(batch_size, monkeypatch):
+    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (8 + 3) * 2)  # splits the batch of 3
+    cfg, params, provider = make_model()
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
+                               max_len=8, batch_size=batch_size)
+    samples = [Sample(id=f"s{i}", tokens=t, labels=[]) for i, t in enumerate(TOKENS)]
+    seen = list(runmod._forward_samples(samples, params, provider, run_cfg, VOCABULARY))
+    assert [s.id for s, *_ in seen] == [s.id for s in samples]
+    for s, ids, probs, edges, labels in seen:
+        ref = forward_one(ids, provider, params, cfg)
+        assert_close(probs, ref.probs[0])
+        assert_close(edges, ref.final_edges)
+        assert_close(labels, ref.final_features[len(ids):])

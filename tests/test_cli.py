@@ -254,10 +254,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
-def test_bad_decode_flag(corpus, tmp_path, capsys):
+@pytest.mark.parametrize("decode", ["best:2", "topk:x", "thr:abc", "topk:"],
+                         ids=["unknown-kind", "topk-not-int", "thr-not-float", "topk-empty"])
+def test_bad_decode_flag(decode, corpus, tmp_path, capsys):
     root, label_names = corpus
     config = write_config(tmp_path / "c.json", root, label_names, tmp_path)
-    assert main(["eval", "--config", str(config), "--decode", "best:2"]) == 1
+    assert main(["eval", "--config", str(config), "--decode", decode]) == 1
     assert "--decode" in capsys.readouterr().err
 
 

@@ -158,9 +158,9 @@ def test_checkpoint_restores_bitwise_identical_forward(tmp_path):
     assert label_names == ["A", "B", "C"]
     ids = [0, 4, 5, 1]
     with Tape():
-        before = forward(ids, provider, params, cfg)
+        before = forward([ids], provider, params, cfg)
     with Tape():
-        after = forward(ids, provider, params2, cfg2)
+        after = forward([ids], provider, params2, cfg2)
     assert np.array_equal(before.probs, after.probs)
     assert np.array_equal(before.final_edges, after.final_edges)
 

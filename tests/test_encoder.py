@@ -68,16 +68,16 @@ def test_lookup_identical_ids_identical_rows():
     rng = np.random.default_rng(0)
     lookup = TrainableLookup(10, 8, rng)
     with Tape():
-        out = lookup.embed([4, 4, 5])
-    assert np.array_equal(out.value[0], out.value[1])
-    assert out.value.shape == (3, 8)
+        out = lookup.embed([[4, 4, 5]])
+    assert np.array_equal(out.value[0, 0], out.value[0, 1])
+    assert out.value.shape == (1, 3, 8)
 
 
 def test_lookup_gradient_reaches_only_batch_rows():
     rng = np.random.default_rng(1)
     lookup = TrainableLookup(10, 4, rng)
     with Tape() as tape:
-        out = lookup.embed([2, 7, 2])
+        out = lookup.embed([[2, 7, 2]])
         tape.backward(total_sum(out))
     touched = np.flatnonzero(np.abs(lookup.table.grad).sum(axis=1))
     assert set(touched) == {2, 7}
@@ -91,7 +91,7 @@ def test_frozen_lookup_has_no_parameters_and_never_moves():
     assert lookup.parameters() == []
     before = lookup.table.value.copy()
     with Tape() as tape:
-        out = lookup.embed([1, 2])
+        out = lookup.embed([[1, 2]])
         tape.backward(total_sum(out))
     ad.SGD(lookup.parameters(), 0.1).step()
     assert np.array_equal(lookup.table.value, before)
@@ -101,8 +101,8 @@ def test_precomputed_provider_frozen_and_keyed():
     vecs = {"s1": np.ones((4, 6)), "s2": np.zeros((3, 6))}
     provider = PrecomputedFile(vecs)
     with Tape():
-        out = provider.embed([0, 1, 2, 3], sample_id="s1")
-    assert out.value.shape == (4, 6)
+        out = provider.embed([[0, 1, 2, 3]], sample_ids=["s1"])
+    assert out.value.shape == (1, 4, 6)
     assert not out.requires_grad
     assert provider.parameters() == []
 
@@ -110,10 +110,10 @@ def test_precomputed_provider_frozen_and_keyed():
 def test_precomputed_missing_sample_names_id():
     provider = PrecomputedFile({"s1": np.ones((2, 3))})
     with pytest.raises(KeyError, match="s9"):
-        provider.embed([0, 1], sample_id="s9")
+        provider.embed([[0, 1]], sample_ids=["s9"])
 
 
 def test_precomputed_length_mismatch():
     provider = PrecomputedFile({"s1": np.ones((2, 3))})
     with pytest.raises(ValueError, match="s1"):
-        provider.embed([0, 1, 2], sample_id="s1")
+        provider.embed([[0, 1, 2]], sample_ids=["s1"])

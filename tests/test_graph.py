@@ -225,6 +225,11 @@ def edge_block(kind, m, n, rng):
     return rng.uniform(0, 1, (m, n))
 
 
+def propagate_batch_of_one(h, edges):
+    """`propagate` on 3-D leaves holding one sample with all its rows real."""
+    return propagate(h, edges, [edges.value.shape[1]])
+
+
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=20),
        st.sampled_from(["uniform", "zeros", "ones"]), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=100, deadline=None)
@@ -233,10 +238,10 @@ def test_propagate_matches_dense_normalized_product(m, n, kind, seed):
     e = edge_block(kind, m, n, rng)
     h = rng.normal(size=(m + n, 3))
     with Tape():
-        out = propagate(constant(h), constant(e))
+        out = propagate_batch_of_one(constant(h[None]), constant(e[None]))
     blocks = AdjacencyBlocks(build_chain_adjacency(m), build_label_adjacency(n), e)
     dense = normalize_adjacency(assemble_block(blocks)) @ h
-    assert np.max(np.abs(out.value - dense)) < 1e-12
+    assert np.max(np.abs(out.value[0] - dense)) < 1e-12
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=20),
@@ -248,14 +253,14 @@ def test_propagate_gradients_match_dense_tape(m, n, kind, seed):
     h0 = rng.normal(size=(m + n, 3))
     t = rng.normal(size=(m + n, 3))
 
-    def grads(op):
-        h, e = parameter(h0), parameter(e0)
+    def grads(op, lead):
+        h, e = parameter(h0.reshape(lead + h0.shape)), parameter(e0.reshape(lead + e0.shape))
         with Tape() as tape:
-            tape.backward(ad.mse_loss(op(h, e), t))
-        return h.grad, e.grad
+            tape.backward(ad.mse_loss(op(h, e), t.reshape(lead + t.shape)))
+        return h.grad.reshape(h0.shape), e.grad.reshape(e0.shape)
 
-    gh, ge = grads(propagate)
-    dh, de = grads(dense_propagate)
+    gh, ge = grads(propagate_batch_of_one, (1,))
+    dh, de = grads(dense_propagate, ())
     assert np.max(np.abs(gh - dh)) < 1e-12
     assert np.max(np.abs(ge - de)) < 1e-12
 
@@ -263,14 +268,14 @@ def test_propagate_gradients_match_dense_tape(m, n, kind, seed):
 def test_propagate_gradients_vs_finite_differences():
     rng = np.random.default_rng(8)
     for m, n in [(1, 1), (2, 3), (5, 2)]:
-        h0 = rng.normal(size=(m + n, 4))
-        e0 = rng.uniform(0, 1, (m, n))
-        t = rng.normal(size=(m + n, 4))
+        h0 = rng.normal(size=(1, m + n, 4))
+        e0 = rng.uniform(0, 1, (1, m, n))
+        t = rng.normal(size=(1, m + n, 4))
 
         def run(h_val, e_val):
             h, e = parameter(h_val), parameter(e_val)
             with Tape() as tape:
-                loss = ad.mse_loss(propagate(h, e), t)
+                loss = ad.mse_loss(propagate_batch_of_one(h, e), t)
                 tape.backward(loss)
             return float(loss.value[0, 0]), h.grad, e.grad
 
@@ -280,14 +285,82 @@ def test_propagate_gradients_vs_finite_differences():
 
 
 def test_propagate_constant_edges_get_no_gradient():
-    h = parameter(np.ones((4, 2)))
-    e = constant(np.full((3, 1), 0.5))
+    h = parameter(np.ones((1, 4, 2)))
+    e = constant(np.full((1, 3, 1), 0.5))
     with Tape() as tape:
-        tape.backward(total_sum(propagate(h, e)))
-    assert not e.requires_grad and np.array_equal(e.grad, np.zeros((3, 1)))
+        tape.backward(total_sum(propagate_batch_of_one(h, e)))
+    assert not e.requires_grad and np.array_equal(e.grad, np.zeros((1, 3, 1)))
     assert np.all(h.grad > 0)
 
 
 def test_propagate_row_count_mismatch():
     with pytest.raises(ShapeError, match="m \\+ n"):
-        propagate(constant(np.ones((4, 2))), constant(np.zeros((2, 3))))
+        propagate(constant(np.ones((1, 4, 2))), constant(np.zeros((1, 2, 3))), [2])
+
+
+def ragged_batch(lengths, n, width, rng):
+    """Per-sample (h, e) and their zero-padded B x (M + n) x width and B x M x n stacks."""
+    big = max(lengths)
+    hs = [rng.normal(size=(m + n, width)) for m in lengths]
+    es = [rng.uniform(0, 1, (m, n)) for m in lengths]
+    h = np.zeros((len(lengths), big + n, width))
+    e = np.zeros((len(lengths), big, n))
+    for b, m in enumerate(lengths):
+        h[b, :m], h[b, big:] = hs[b][:m], hs[b][m:]
+        e[b, :m] = es[b]
+    return hs, es, h, e
+
+
+def test_propagate_ragged_batch_matches_dense_per_sample():
+    rng = np.random.default_rng(9)
+    lengths, n = [1, 5, 3, 2], 3
+    big = max(lengths)
+    hs, es, h0, e0 = ragged_batch(lengths, n, 4, rng)
+    t = rng.normal(size=h0.shape)
+    h, e = parameter(h0), parameter(e0)
+    with Tape() as tape:
+        out = propagate(h, e, lengths)
+        tape.backward(ad.mse_loss(out, t))
+    for b, m in enumerate(lengths):
+        hb, eb = parameter(hs[b]), parameter(es[b])
+        tb = np.vstack([t[b, :m], t[b, big:]])
+        with Tape() as tape:
+            dense = dense_propagate(hb, eb)
+            # the batched loss averages over every padded entry
+            tape.backward(ad.scale(ad.mse_loss(dense, tb), tb.size / t.size))
+        assert np.max(np.abs(out.value[b, :m] - dense.value[:m])) < 1e-12
+        assert np.max(np.abs(out.value[b, big:] - dense.value[m:])) < 1e-12
+        assert not out.value[b, m:big].any()
+        assert np.max(np.abs(h.grad[b, :m] - hb.grad[:m])) < 1e-12
+        assert np.max(np.abs(h.grad[b, big:] - hb.grad[m:])) < 1e-12
+        assert not h.grad[b, m:big].any()
+        assert np.max(np.abs(e.grad[b, :m] - eb.grad)) < 1e-12
+
+
+def test_propagate_rejects_bad_lengths():
+    h, e = constant(np.ones((2, 5, 2))), constant(np.zeros((2, 3, 2)))
+    for lengths in ([0, 3], [4, 3], [3]):
+        with pytest.raises(ValueError):
+            propagate(h, e, lengths)
+
+
+def test_reconstruct_ragged_batch_matches_per_sample():
+    rng = np.random.default_rng(10)
+    lengths, n = [2, 4, 1], 3
+    big = max(lengths)
+    hs, _, h0, _ = ragged_batch(lengths, n, 5, rng)
+    t = rng.uniform(0, 1, (len(lengths), big, n))
+    h = parameter(h0)
+    with Tape() as tape:
+        out = reconstruct_token_label(h, big)
+        tape.backward(ad.mse_loss(out, t))
+    for b, m in enumerate(lengths):
+        hb = parameter(hs[b])
+        with Tape() as tape:
+            one = reconstruct_token_label(hb, m)
+            tape.backward(ad.scale(ad.mse_loss(one, t[b, :m]), one.value.size / t.size))
+        assert np.max(np.abs(out.value[b, :m] - one.value)) < 1e-12
+        assert not out.value[b, m:].any()
+        assert np.max(np.abs(h.grad[b, :m] - hb.grad[:m])) < 1e-12
+        assert np.max(np.abs(h.grad[b, big:] - hb.grad[m:])) < 1e-12
+        assert not h.grad[b, m:big].any()

@@ -9,9 +9,9 @@ from hgcn.encoder import TrainableLookup
 from hgcn.model import (
     ModelConfig,
     ModelParams,
+    batch_loss,
     build_target,
     forward,
-    sample_loss,
     train_step,
 )
 
@@ -32,10 +32,10 @@ def test_forward_shapes_single_token_single_label():
     cfg, params, provider = tiny_setup(num_layers=1, n=1)
     assert params.w_label_in.shape == (cfg.num_labels, cfg.hidden)
     with Tape():
-        trace = forward([0], provider, params, cfg)
+        trace = forward([[0]], provider, params, cfg)
     assert trace.probs.shape == (1, 1)
-    assert trace.final_edges.shape == (1, 1)
-    assert trace.final_features.shape == (2, cfg.hidden)
+    assert trace.final_edges.shape == (1, 1, 1)
+    assert trace.final_features.shape == (1, 2, cfg.hidden)
     assert trace.probs_node.value is trace.probs
 
 
@@ -45,22 +45,22 @@ def test_first_layer_token_features_independent_of_label_params():
     cfg, params, provider = tiny_setup(num_layers=1)
     ids = [0, 2, 3]
     with Tape():
-        before = forward(ids, provider, params, cfg)
+        before = forward([ids], provider, params, cfg)
     params.w_label_in.value = params.w_label_in.value + 0.5
     with Tape():
-        after = forward(ids, provider, params, cfg)
+        after = forward([ids], provider, params, cfg)
     m = len(ids)
-    assert np.array_equal(before.final_features[:m], after.final_features[:m])
-    assert not np.array_equal(before.final_features[m:], after.final_features[m:])
+    assert np.array_equal(before.final_features[0, :m], after.final_features[0, :m])
+    assert not np.array_equal(before.final_features[0, m:], after.final_features[0, m:])
 
 
 def test_forward_without_tape_matches_taped_and_records_nothing():
     cfg, params, provider = tiny_setup(activation="tanh")
     ids = [0, 4, 5, 1]
     with Tape() as tape:
-        taped = forward(ids, provider, params, cfg)
+        taped = forward([ids], provider, params, cfg)
     recorded = len(tape.nodes)
-    untaped = forward(ids, provider, params, cfg)
+    untaped = forward([ids], provider, params, cfg)
     assert len(tape.nodes) == recorded
     assert untaped.probs_node.grad is None
     for field in ("probs", "final_edges", "final_features"):
@@ -70,7 +70,7 @@ def test_forward_without_tape_matches_taped_and_records_nothing():
 def test_forward_probabilities_sum_to_one():
     cfg, params, provider = tiny_setup()
     with Tape():
-        trace = forward([0, 4, 5, 1], provider, params, cfg)
+        trace = forward([[0, 4, 5, 1]], provider, params, cfg)
     assert abs(trace.probs.sum() - 1.0) < 1e-9
     assert np.all(trace.final_edges >= 0) and np.all(trace.final_edges <= 1)
 
@@ -90,12 +90,12 @@ def test_end_to_end_gradient_matches_finite_differences():
         old = node.value
         node.value = value
         with Tape():
-            loss = sample_loss(ids, target, provider, params, cfg)
+            loss = batch_loss([(ids, target)], provider, params, cfg)
         node.value = old
         return float(loss.value[0, 0])
 
     with Tape() as tape:
-        loss = sample_loss(ids, target, provider, params, cfg)
+        loss = batch_loss([(ids, target)], provider, params, cfg)
         tape.backward(loss)
 
     for node in params.parameters() + provider.parameters():
@@ -113,12 +113,12 @@ def test_end_to_end_gradient_with_tanh():
         old = node.value
         node.value = value
         with Tape():
-            loss = sample_loss(ids, target, provider, params, cfg)
+            loss = batch_loss([(ids, target)], provider, params, cfg)
         node.value = old
         return float(loss.value[0, 0])
 
     with Tape() as tape:
-        loss = sample_loss(ids, target, provider, params, cfg)
+        loss = batch_loss([(ids, target)], provider, params, cfg)
         tape.backward(loss)
     for node in params.parameters():
         fd = finite_difference_grad(lambda v, n=node: loss_with(n, v), node.value)
@@ -133,7 +133,7 @@ def test_detach_edges_changes_gradients_not_forward():
         cfg, params, provider = tiny_setup(n=2, activation="tanh",
                                            detach_edges=detach)
         with Tape() as tape:
-            loss = sample_loss(ids, target, provider, params, cfg)
+            loss = batch_loss([(ids, target)], provider, params, cfg)
             tape.backward(loss)
         return float(loss.value[0, 0]), [p.grad.copy() for p in params.parameters()]
 
@@ -148,11 +148,11 @@ def test_label_permutation_equivariance():
     cfg, params, provider = tiny_setup(n=4)
     ids = [0, 4, 6, 1]
     with Tape():
-        base = forward(ids, provider, params, cfg)
+        base = forward([ids], provider, params, cfg)
     perm = np.array([2, 0, 3, 1])
     params.w_label_in.value = params.w_label_in.value[perm]
     with Tape():
-        permuted = forward(ids, provider, params, cfg)
+        permuted = forward([ids], provider, params, cfg)
     assert np.allclose(permuted.probs[0], base.probs[0][perm], atol=1e-9)
 
 
@@ -160,7 +160,7 @@ def test_train_step_zero_loss_leaves_params():
     # when prediction already equals target the gradient is zero
     cfg, params, provider = tiny_setup(n=2)
     with Tape():
-        trace = forward([0, 4, 1], provider, params, cfg)
+        trace = forward([[0, 4, 1]], provider, params, cfg)
     target = trace.probs.copy()
     before = [p.value.copy() for p in params.parameters()]
     optimizer = SGD(params.parameters() + provider.parameters(), 0.5)
@@ -240,12 +240,12 @@ def test_model_config_is_the_architecture_without_defaults():
 
 
 def test_two_layer_sample_loss_tape_size():
-    # per sample: embed, projection, concat; per layer: propagate, matmul,
+    # per batch: embed, projection, concat; per layer: propagate, matmul,
     # activation (+ a reconstruction from the stacked rows after layer 1);
     # head: reconstruction, col_sums, softmax, mse
     cfg, params, provider = tiny_setup(num_layers=2)
     with Tape() as tape:
-        sample_loss([0, 4, 5, 1], build_target([1, 0, 0]), provider, params, cfg)
+        batch_loss([([0, 4, 5, 1], build_target([1, 0, 0]))], provider, params, cfg)
     assert len(tape.nodes) == 14
     assert not any(node.op == "slice_rows" for node in tape.nodes)
     assert sum(node.op == "propagate" for node in tape.nodes) == 2
