@@ -29,8 +29,8 @@ from .graph import propagate, reconstruct_token_label
 
 # Most entries of a chunk's B x (M + n) x hidden padded node features:
 # ten 11-token samples with 5 labels, or two 128-token documents with 20
-# labels, at hidden 64. Larger chunks gained little speed on long
-# documents and raised peak memory (sweep in CHANGES.md).
+# labels, at hidden 64. Whole batches of long documents trained about a
+# fifth faster but held 13 MB more at peak (sweep in CHANGES.md).
 CHUNK_BUDGET = 20480
 
 
