@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_text
+
 
 @dataclass
 class AttributionMatrix:
@@ -135,8 +137,7 @@ def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
     path = str(path)
     lines = [",".join([""] + [_csv_field(c) for c in col_names])]
     lines += [",".join([_csv_field(name)] + row) for name, row in zip(row_names, cells)]
-    with open(path + ".csv", "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(path + ".csv", "\n".join(lines) + "\n")
 
     lo = min(0.0, float(matrix.min()))
     span = float(matrix.max()) - lo
@@ -155,5 +156,4 @@ def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
         parts += [x + y + _RECT_FILLS[level] + text + '"/>'
                   for x, level, text in zip(x_open, row_levels, row_cells)]
     parts.append("</svg>")
-    with open(path + ".svg", "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(parts) + "\n")
+    write_text(path + ".svg", "\n".join(parts) + "\n")

@@ -23,6 +23,7 @@ from .data import (
     load_dataset,
     save_checkpoint,
     save_dataset,
+    write_text,
 )
 from .model import ModelConfig
 from .run import RunConfig
@@ -137,8 +138,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     report = runmod.evaluate_model(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "eval.txt").write_text(report.render(cfg.label_names), encoding="utf-8")
-    (out / "eval.json").write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
+    write_text(out / "eval.txt", report.render(cfg.label_names))
+    write_text(out / "eval.json", json.dumps(report.to_dict(), indent=2))
     print(report.render(cfg.label_names), end="")
     return 0
 
@@ -152,7 +153,7 @@ def cmd_explain(cfg: RunConfig) -> int:
     for sample, attr in attributions:
         render_heatmap(attr.values, attr.tokens, attr.labels, out / sample.id)
     if corpus_mse is not None:
-        (out / "mse.txt").write_text(f"attribution_mse {corpus_mse:.8f}\n", encoding="utf-8")
+        write_text(out / "mse.txt", f"attribution_mse {corpus_mse:.8f}\n")
         print(f"attribution_mse {corpus_mse:.8f}")
     print(f"wrote {len(attributions)} attribution matrices to {out}")
     return 0

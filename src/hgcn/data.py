@@ -1,4 +1,4 @@
-"""Dataset ingestion and binary persistence.
+"""Dataset ingestion, binary persistence and the CLI's text output files.
 
 Datasets are JSON-lines, one sample per line. Tensors (checkpoints and
 precomputed embeddings) share a single container format: a one-line JSON
@@ -9,6 +9,7 @@ payloads in header order, so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -20,6 +21,19 @@ CHECKPOINT_FORMAT = "hgcn-checkpoint"
 EMBEDDING_FORMAT = "hgcn-embeddings"
 CONTAINER_VERSION = 1
 EMBEDDING_TABLE = "embedding_table"
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` (UTF-8) to `path`, over an existing file's bytes, then cut it to length.
+
+    The file is not truncated to zero first: on ext4 a file truncated to
+    zero and written again is flushed to disk as soon as it is closed,
+    and with two heatmap files per sample that flush made `explain` into
+    an existing output directory slow and erratic.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        f.truncate()
 
 
 class DatasetError(ValueError):

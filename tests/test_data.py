@@ -15,6 +15,7 @@ from hgcn.data import (
     save_dataset,
     save_embeddings,
     save_tensors,
+    write_text,
 )
 from hgcn.encoder import TrainableLookup, Vocabulary
 from hgcn.model import ModelConfig, ModelParams, forward
@@ -278,3 +279,10 @@ def test_synth_samples_load_back_through_dataset(tmp_path):
     path = tmp_path / "synth.jsonl"
     save_dataset(samples, path)
     assert load_dataset(path, label_names) == samples
+
+
+def test_write_text_replaces_longer_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, "a much longer first text\n")
+    write_text(path, "é\n")
+    assert path.read_bytes() == "é\n".encode("utf-8")
