@@ -113,11 +113,18 @@ _RECT_FILLS = [f'" width="{_CELL}" height="{_CELL}" fill="rgb({v},{v},{v})" data
                for v in range(256)]
 
 
-def _csv_field(name) -> str:
-    """`name` as one CSV field, quoted the way `csv.writer` quotes it."""
+def _csv_fields(names) -> dict[str, str]:
+    """Each distinct string of `names` as one CSV field, quoted the way `csv.writer` quotes it."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([name, ""])
-    return buf.getvalue()[:-2]
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = {}
+    for name in names:
+        if name not in fields:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow([name, ""])
+            fields[name] = buf.getvalue()[:-2]
+    return fields
 
 
 def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
@@ -135,8 +142,9 @@ def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
     # repr of a list of floats is the repr of each float, joined by ", "
     cells = [repr(row)[1:-1].split(", ") for row in matrix.tolist()]
     path = str(path)
-    lines = [",".join([""] + [_csv_field(c) for c in col_names])]
-    lines += [",".join([_csv_field(name)] + row) for name, row in zip(row_names, cells)]
+    fields = _csv_fields([*col_names, *row_names])
+    lines = [",".join([""] + [fields[c] for c in col_names])]
+    lines += [",".join([fields[name]] + row) for name, row in zip(row_names, cells)]
     write_text(path + ".csv", "\n".join(lines) + "\n")
 
     lo = min(0.0, float(matrix.min()))

@@ -110,8 +110,11 @@ class Node:
 
 
 def parameter(value) -> Node:
-    """A trainable leaf. Rejects non-finite input."""
-    value = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    """A trainable leaf holding its own copy of `value`, which `Adam` updates in place.
+
+    Rejects non-finite input.
+    """
+    value = np.atleast_2d(np.array(value, dtype=np.float64))
     if not np.all(np.isfinite(value)):
         raise ValueError("parameter contains NaN/Inf")
     return Node(value, requires_grad=True)
@@ -255,9 +258,13 @@ def gather_rows(table: Node, ids, valid=None) -> Node:
         ids = ids[valid]
 
     def push(g):
-        acc = np.zeros_like(table.value)
-        np.add.at(acc, ids, g if valid is None else g[valid])
-        table.accumulate(acc)
+        # one bincount over flat (row, column) slots: the same sums, in the
+        # same order, as np.add.at into zeros
+        rows, width = table.value.shape
+        slots = (ids[..., None] * width + np.arange(width)).ravel()
+        picked = g if valid is None else g[valid]
+        table.accumulate(np.bincount(slots, weights=picked.ravel(),
+                                     minlength=rows * width).reshape(rows, width))
 
     return _result(out, "gather_rows", (table,), push)
 
@@ -295,12 +302,19 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        # in place, in the same operation order as
+        # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            denom = np.sqrt(v / (1 - b2 ** self.t))
+            denom += self.eps
+            step = m / (1 - b1 ** self.t)
+            step *= self.lr
+            step /= denom
+            p.value -= step
             p.zero_grad()
 

@@ -59,6 +59,11 @@ class Sample:
         return obj
 
 
+def _is_number(value, kinds) -> bool:
+    """isinstance(value, kinds), except that a JSON true/false is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse_sample(obj: dict, label_set, lineno: int) -> Sample:
     if "id" not in obj:
         raise DatasetError(f"line {lineno}: missing 'id'")
@@ -74,8 +79,15 @@ def _parse_sample(obj: dict, label_set, lineno: int) -> Sample:
     for name in labels:
         if label_set is not None and name not in label_set:
             raise DatasetError(f"line {lineno}: unknown label {name!r}")
+    entries = obj.get("annotations", [])
+    if not isinstance(entries, list):
+        raise DatasetError(f"line {lineno}: 'annotations' must be a list")
     annotations = []
-    for entry in obj.get("annotations", []):
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_number(entry[0], int)
+                and isinstance(entry[1], str) and _is_number(entry[2], (int, float))):
+            raise DatasetError(f"line {lineno}: malformed annotation {entry!r}, expected "
+                               f"[token index, label name, intensity]")
         idx, name, intensity = entry
         if not 0 <= idx < len(tokens):
             raise DatasetError(f"line {lineno}: annotation token index {idx} out of range")
@@ -83,7 +95,7 @@ def _parse_sample(obj: dict, label_set, lineno: int) -> Sample:
             raise DatasetError(f"line {lineno}: unknown annotation label {name!r}")
         if not 0.0 <= intensity <= 1.0:
             raise DatasetError(f"line {lineno}: intensity {intensity} outside [0, 1]")
-        annotations.append((int(idx), str(name), float(intensity)))
+        annotations.append((idx, name, float(intensity)))
     return Sample(id=str(obj["id"]), tokens=list(tokens), labels=list(labels),
                   annotations=annotations)
 

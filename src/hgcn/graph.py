@@ -25,32 +25,33 @@ import numpy as np
 from .autodiff import Node, ShapeError, _result
 
 
-def _normalized_mix(x: np.ndarray, e: np.ndarray, s_t: np.ndarray,
-                    s_l: np.ndarray) -> np.ndarray:
-    """S (A + I) S x per sample, with S = diag(s_t, s_l) and A built from e as above.
+def _mix(u: np.ndarray, e: np.ndarray | None, s: np.ndarray) -> np.ndarray:
+    """S (A + I) u per sample, for rows u already scaled by S = diag(s).
 
-    (C + I) is two shifted adds on top of 2x; the cross terms are
-    E @ x_label and E^T @ x_token. A shift that crosses a sample's last
-    real token meets a zero s_t, so it adds nothing.
+    (C + I) is two shifted adds on top of 2u; the cross terms are
+    E @ u_label and E^T @ u_token. A shift that crosses a sample's last
+    real token meets a zero scale, so it adds nothing. With no block E,
+    u holds token rows only.
     """
-    m = e.shape[1]
-    u_t = s_t[..., None] * x[:, :m]
-    u_l = s_l[..., None] * x[:, m:]
-    out = np.empty(x.shape)
+    m = u.shape[1] if e is None else e.shape[1]
+    u_t = u[:, :m]
+    out = np.empty(u.shape)
     y_t = out[:, :m]
-    np.matmul(e, u_l, out=y_t)
-    y_t += 2.0 * u_t
+    if e is None:
+        np.multiply(u_t, 2.0, out=y_t)
+    else:
+        np.matmul(e, u[:, m:], out=y_t)
+        y_t += 2.0 * u_t
+        y_l = out[:, m:]
+        np.matmul(e.transpose(0, 2, 1), u_t, out=y_l)
+        y_l += 2.0 * u[:, m:]
     y_t[:, 1:] += u_t[:, :-1]
     y_t[:, :-1] += u_t[:, 1:]
-    y_t *= s_t[..., None]
-    y_l = out[:, m:]
-    np.matmul(e.transpose(0, 2, 1), u_t, out=y_l)
-    y_l += 2.0 * u_l
-    y_l *= s_l[..., None]
+    out *= s[..., None]
     return out
 
 
-def propagate(h: Node, edges: Node, lengths) -> Node:
+def propagate(h: Node, edges: Node | None, lengths) -> Node:
     """D^{-1/2} (A + I) D^{-1/2} h per sample, with token-label blocks `edges`.
 
     `h` is B x (M + n) x hidden and `edges` B x M x n; sample b has
@@ -60,45 +61,61 @@ def propagate(h: Node, edges: Node, lengths) -> Node:
     positive for any E >= 0. Padded token rows get inverse root degree
     0: their output and their share of dh are zero.
 
-    The normalized matrix N is symmetric, so dh = N g. E enters both
-    A (directly) and the degrees; the backward keeps only the inverse
-    root degrees and recomputes the scaled features from h and the output.
+    `edges` None means no token-label edges yet, as in the first layer:
+    `h` is then the B x M x hidden token rows alone, which mix along
+    their chains only. A label row of that graph has degree 2 and keeps
+    its features unchanged, so the caller leaves the label rows out.
+
+    The normalized matrix N = S (A + I) S is symmetric, so dh = N g. E
+    enters both A (directly) and the degrees. The forward keeps the
+    scaled rows S h for the backward, which scales g once for both dh
+    and the edge gradient.
     """
-    e = edges.value
-    b, m, n = e.shape
+    x = h.value
+    e = None if edges is None else edges.value
     lengths = np.asarray(lengths)
-    if m < 1 or n < 1 or lengths.shape != (b,) or lengths.min() < 1 or lengths.max() > m:
-        raise ValueError(f"need at least one token and one label node per sample, got "
-                         f"lengths {lengths.tolist()} for edges {e.shape}")
-    if h.value.shape[:2] != (b, m + n):
-        raise ShapeError(f"propagate: h has shape {h.value.shape}, expected "
-                         f"B x (m + n) = {b} x ({m} + {n}) rows from edges {e.shape}")
+    if e is None:
+        if x.ndim != 3:
+            raise ShapeError(f"propagate: token rows must be B x M x hidden, got {x.shape}")
+        b, m = x.shape[:2]
+    else:
+        b, m, n = e.shape
+        if n < 1:
+            raise ValueError(f"need at least one label node per sample, got edges {e.shape}")
+        if x.shape[:2] != (b, m + n):
+            raise ShapeError(f"propagate: h has shape {x.shape}, expected "
+                             f"B x (m + n) = {b} x ({m} + {n}) rows from edges {e.shape}")
+    if m < 1 or lengths.shape != (b,) or lengths.min() < 1 or lengths.max() > m:
+        raise ValueError(f"need at least one token node per sample, got "
+                         f"lengths {lengths.tolist()} for {b} x {m} token rows")
     pos = np.arange(m)
     last = lengths[:, None] - 1
     # two chain neighbours, one fewer at each of the sample's real ends
-    d_t = 4.0 + e.sum(axis=2) - (pos == 0) - (pos == last)
-    d_l = 2.0 + e.sum(axis=1)
-    if d_t.min() <= 0 or d_l.min() <= 0:
+    d = (4.0 if e is None else 4.0 + e.sum(axis=2)) - (pos == 0) - (pos == last)
+    if e is not None:
+        d = np.concatenate([d, 2.0 + e.sum(axis=1)], axis=1)
+    if d.min() <= 0:
         raise ValueError("adjacency row degree must be positive after self-loops")
-    s_t = (pos <= last) / np.sqrt(d_t)  # zero on padded rows
-    s_l = 1.0 / np.sqrt(d_l)
-    out = _normalized_mix(h.value, e, s_t, s_l)
+    s = 1.0 / np.sqrt(d)
+    s[:, :m] *= pos <= last  # zero on padded rows
+    u = s[..., None] * x
+    out = _mix(u, e, s)
 
     def push(g):
-        dh = _normalized_mix(g, e, s_t, s_l)
+        v = s[..., None] * g
+        dh = _mix(v, e, s)
         if h.requires_grad:
             h.accumulate(dh)
-        if edges.requires_grad:
-            x = h.value
+        if e is not None and edges.requires_grad:
             # direct: out_t += s_t (E u_l), out_l += s_l (E^T u_t)
-            ge = (s_t[..., None] * g[:, :m]) @ (s_l[..., None] * x[:, m:]).transpose(0, 2, 1)
-            ge += (s_t[..., None] * x[:, :m]) @ (s_l[..., None] * g[:, m:]).transpose(0, 2, 1)
+            ge = v[:, :m] @ u[:, m:].transpose(0, 2, 1)
+            ge += u[:, :m] @ v[:, m:].transpose(0, 2, 1)
             # degrees: dL/dd_p = -s_p^2 / 2 * sum_k (g out + h dh)_pk
-            r = -0.5 * np.concatenate([s_t, s_l], axis=1) ** 2 * np.sum(g * out + x * dh, axis=2)
+            r = -0.5 * s ** 2 * np.sum(g * out + x * dh, axis=2)
             ge += r[:, :m, None] + r[:, None, m:]
             edges.accumulate(ge)
 
-    return _result(out, "propagate", (h, edges), push)
+    return _result(out, "propagate", (h,) if e is None else (h, edges), push)
 
 
 def reconstruct_token_label(h: Node, m: int) -> Node:
@@ -111,28 +128,30 @@ def reconstruct_token_label(h: Node, m: int) -> Node:
     weight 0, not 0.5 — a dead feature vector should not manufacture
     edges — and carry no gradient.
     """
-    xt, xl = h.value[..., :m, :], h.value[..., m:, :]
-    xl_t = np.swapaxes(xl, -1, -2)
-    tn = np.linalg.norm(xt, axis=-1)
-    ln = np.linalg.norm(xl, axis=-1)
-    t_ok = tn > 0.0
-    l_ok = ln > 0.0
-    tn_safe = np.where(t_ok, tn, 1.0)[..., :, None]
-    ln_safe = np.where(l_ok, ln, 1.0)[..., None, :]
-    cos = (xt @ xl_t) / (tn_safe * ln_safe)
-    live = t_ok[..., :, None] & l_ok[..., None, :]
-    out = np.where(live, (cos + 1.0) / 2.0, 0.0)
+    x = h.value
+    xt, xl = x[..., :m, :], x[..., m:, :]
+    norm = np.sqrt(np.sum(x * x, axis=-1))
+    live_row = norm > 0.0
+    inv = np.divide(1.0, norm, out=np.zeros(norm.shape), where=live_row)
+    inv_t, inv_l = inv[..., :m], inv[..., m:]
+    half_live = 0.5 * (live_row[..., :m, None] & live_row[..., None, m:])
+    # zero on dead rows, whose dot products are zero too
+    cos = (xt @ np.swapaxes(xl, -1, -2)) * inv_t[..., :, None] * inv_l[..., None, :]
+    out = (cos + 1.0) * half_live
 
     def push(g):
-        ge = np.where(live, g, 0.0) * 0.5  # d out / d cos = 1/2
+        ge = g * half_live  # d out / d cos = 1/2
         gc = ge * cos
-        dh = np.empty(h.value.shape)
+        # w_ij = ge_ij / (|xt_i||xl_j|), zero where either row is dead
+        w = ge * inv_t[..., :, None] * inv_l[..., None, :]
+        dh = np.empty(x.shape)
         # d cos_ij / d xt_i = xl_j/(|xt_i||xl_j|) - cos_ij xt_i/|xt_i|^2
-        dh[..., :m, :] = ((ge / ln_safe) @ xl / tn_safe
-                          - np.sum(gc, axis=-1)[..., :, None] * xt / tn_safe ** 2)
-        dh[..., m:, :] = ((np.swapaxes(ge / tn_safe, -1, -2) @ xt) / np.swapaxes(ln_safe, -1, -2)
-                          - np.sum(gc, axis=-2)[..., :, None] * xl
-                          / np.swapaxes(ln_safe, -1, -2) ** 2)
+        d_t = dh[..., :m, :]
+        np.matmul(w, xl, out=d_t)
+        d_t -= (np.sum(gc, axis=-1) * inv_t ** 2)[..., None] * xt
+        d_l = dh[..., m:, :]
+        np.matmul(np.swapaxes(w, -1, -2), xt, out=d_l)
+        d_l -= (np.sum(gc, axis=-2) * inv_l ** 2)[..., None] * xl
         h.accumulate(dh)
 
     return _result(out, "reconstruct_token_label", (h,), push)

@@ -2,9 +2,13 @@
 
 Each sample is its own graph. A layer is one GCN update
 act(D^{-1/2} (A + I) D^{-1/2} H W), applied by `graph.propagate` from
-the token-label block alone. Layer 1 uses a zero token-label block, so
-the token chain and the labels do not mix yet; later layers and the
-final prediction re-estimate that block from the current node features.
+the token-label block alone. Layer 1 runs before any token-label edges
+exist: the token rows mix along their chains only, and each label row,
+whose only neighbour is itself, becomes act(w_label_in @ w_layer[0]).
+Those label rows are the same for every sample, so they are computed
+once per chunk and stacked under each sample's token rows after layer
+1. Later layers and the final prediction re-estimate the token-label
+block from the current node features.
 Label scores are column sums of the final token-label block, pushed
 through a softmax and trained against a target distribution with MSE.
 
@@ -120,18 +124,20 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
 
     x_token = provider.embed(batch_ids, sample_ids=sample_ids)
     h_token = ad.matmul(x_token, params.w_token_in)
-    # one-hot label inputs: I_n @ w_label_in is w_label_in itself
-    h = ad.concat_rows(h_token, params.w_label_in)
 
-    # first layer: no token-label edges yet
-    edges: Node = constant(np.zeros((len(lengths), m, cfg.num_labels)))
-    for layer in range(cfg.num_layers):
-        if layer > 0:
-            edges = reconstruct_token_label(h, m)
-            if cfg.detach_edges:
-                edges = constant(edges.value)
-        h = ad.activation(ad.matmul(propagate(h, edges, lengths), params.w_layer[layer]),
-                          cfg.activation)
+    # first layer, before any token-label edges (see above); one-hot label
+    # inputs make I_n @ w_label_in the label rows' projection
+    w_first = params.w_layer[0]
+    h_token = ad.activation(ad.matmul(propagate(h_token, None, lengths), w_first),
+                            cfg.activation)
+    h_label = ad.activation(ad.matmul(params.w_label_in, w_first), cfg.activation)
+    h = ad.concat_rows(h_token, h_label)
+
+    for w in params.w_layer[1:]:
+        edges = reconstruct_token_label(h, m)
+        if cfg.detach_edges:
+            edges = constant(edges.value)
+        h = ad.activation(ad.matmul(propagate(h, edges, lengths), w), cfg.activation)
 
     final_edges = reconstruct_token_label(h, m)
     scores = ad.col_sums(final_edges)

@@ -109,6 +109,29 @@ def slice_rows(a: Node, start: int, stop: int) -> Node:
     return _result(a.value[start:stop].copy(), "slice_rows", (a,), push)
 
 
+class ReferenceAdam(ad.Adam):
+    """`Adam` with its former out-of-place step, the reference for the in-place one."""
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.zero_grad()
+
+
+def scatter_add_reference(table_shape, ids, g, valid=None) -> np.ndarray:
+    """`gather_rows`' table gradient by np.add.at into zeros."""
+    acc = np.zeros(table_shape)
+    np.add.at(acc, ids if valid is None else ids[valid], g if valid is None else g[valid])
+    return acc
+
+
 def parse_heatmap_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
     """Read back a heatmap CSV written by `hgcn.analysis.render_heatmap`."""
     with open(str(path), encoding="utf-8", newline="") as f:

@@ -133,6 +133,12 @@ def test_criterion_1_gradient_suite(capsys):
               (2, 2, 3), (3, 3), kind="batched")
         check(lambda t: ad.mse_loss(ad.gather_rows(t, [[4, 0, 4], [1, 3, 3]], pad[:, :3, 0] > 0),
                                     target253[:, :3]), (5, 3), kind="batched")
+    # propagate over token rows alone, as the first layer runs it; after the
+    # loops above for the same reason
+    for _ in range(20):
+        check(lambda h: ad.mse_loss(propagate(
+            elementwise_mul(h, constant(np.broadcast_to(pad[:, :3], (2, 3, 3)))), None, [3, 1]),
+            target253[:, :3]), (2, 3, 3), kind="batched")
 
     # end-to-end: loss through normalization, convolution and edge
     # reconstruction w.r.t. every parameter matrix

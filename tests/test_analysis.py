@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -115,6 +117,18 @@ def test_heatmap_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(values, matrix)  # repr round-trip is bit exact
     assert rows == ["r1", "r2", "r3"]
     assert cols == ["a", "b", "c", "d"]
+
+
+def test_heatmap_csv_quotes_names_as_csv_writer_does(tmp_path):
+    matrix = np.arange(8.0).reshape(4, 2) / 7
+    rows = ["a,b", 'say "hi"', "a,b", "plain"]
+    cols = ["line\nbreak", "plain"]
+    render_heatmap(matrix, rows, cols, tmp_path / "heat")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([""] + cols)
+    writer.writerows([name] + [repr(v) for v in row] for name, row in zip(rows, matrix.tolist()))
+    assert (tmp_path / "heat.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_heatmap_svg_brightness_monotone(tmp_path):

@@ -13,10 +13,12 @@ from hgcn.autodiff import (
 )
 
 from oracles import (
+    ReferenceAdam,
     add,
     elementwise_mul,
     finite_difference_grad,
     max_rel_err,
+    scatter_add_reference,
     slice_rows,
     total_sum,
 )
@@ -392,3 +394,38 @@ def test_optimizer_determinism():
         return p.value
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_in_place_steps_match_the_reference_bitwise():
+    rng = np.random.default_rng(4)
+    init = [rng.normal(size=(3, 4)), rng.normal(size=(1, 5))]
+    grads = [[rng.normal(size=v.shape) for v in init] for _ in range(6)]
+    runs = []
+    for cls in (Adam, ReferenceAdam):
+        params = [parameter(v) for v in init]
+        opt = cls(params, 0.05)
+        for step in grads:
+            for p, g in zip(params, step):
+                p.grad = g.copy()
+            opt.step()
+        runs.append((params, opt))
+    (params, opt), (ref_params, ref) = runs
+    for p, q, m, rm, v, rv in zip(params, ref_params, opt.m, ref.m, opt.v, ref.v):
+        assert np.array_equal(p.value, q.value)
+        assert np.array_equal(m, rm) and np.array_equal(v, rv)
+        assert not p.grad.any()
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all-valid", "masked"])
+def test_gather_rows_scatter_matches_add_at_bitwise(masked):
+    # repeated ids, and (masked) padded slots holding the PAD row's id
+    rng = np.random.default_rng(5)
+    pad = 3
+    ids = np.array([[4, 0, 4, 4, pad], [1, 4, 1, pad, pad]])
+    valid = ids != pad if masked else None
+    table = parameter(rng.normal(size=(6, 7)))
+    g = rng.normal(size=ids.shape + (7,))
+    with Tape() as tape:
+        tape.backward(total_sum(elementwise_mul(ad.gather_rows(table, ids, valid), constant(g))))
+    assert np.array_equal(table.grad, scatter_add_reference(table.value.shape, ids, g, valid))
+    assert table.grad[pad].any() != masked

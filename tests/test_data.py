@@ -71,16 +71,29 @@ def test_dataset_missing_id(tmp_path):
         load_dataset(path, LABELS)
 
 
-def test_dataset_annotation_validation(tmp_path):
-    path = write(
-        tmp_path,
-        '{"id": "s1", "tokens": ["a"], "labels": ["A"], "annotations": [[5, "A", 1.0]]}\n')
-    with pytest.raises(DatasetError, match="out of range"):
-        load_dataset(path, LABELS)
-    path = write(
-        tmp_path,
-        '{"id": "s1", "tokens": ["a"], "labels": ["A"], "annotations": [[0, "A", 2.0]]}\n')
-    with pytest.raises(DatasetError, match="intensity"):
+MALFORMED = "malformed annotation"
+
+
+@pytest.mark.parametrize("annotations,match", [
+    ('[[5, "A", 1.0]]', "out of range"),
+    ('[[0, "A", 2.0]]', "intensity"),
+    ('[["0", "A", 0.5]]', MALFORMED),
+    ('[[0, "A", "0.5"]]', MALFORMED),
+    ('[[1, "A"]]', MALFORMED),
+    ('[[0, "A", 0.5, 1]]', MALFORMED),
+    ('[[true, "A", 0.5]]', MALFORMED),
+    ('[[0, "A", false]]', MALFORMED),
+    ('[[0.0, "A", 0.5]]', MALFORMED),
+    ('[[0, 1, 0.5]]', MALFORMED),
+    ('[{"0": "A"}]', MALFORMED),
+    ('{"0": "A"}', "must be a list"),
+], ids=["index-out-of-range", "intensity-above-1", "string-index", "string-intensity",
+        "two-elements", "four-elements", "bool-index", "bool-intensity", "float-index",
+        "int-label", "object-entry", "object-annotations"])
+def test_dataset_annotation_validation(tmp_path, annotations, match):
+    path = write(tmp_path, '{"id": "s1", "tokens": ["a", "b"], "labels": ["A"], '
+                           f'"annotations": {annotations}}}\n')
+    with pytest.raises(DatasetError, match=f"line 1: .*{match}"):
         load_dataset(path, LABELS)
 
 

@@ -338,10 +338,36 @@ def test_propagate_ragged_batch_matches_dense_per_sample():
 
 
 def test_propagate_rejects_bad_lengths():
-    h, e = constant(np.ones((2, 5, 2))), constant(np.zeros((2, 3, 2)))
-    for lengths in ([0, 3], [4, 3], [3]):
-        with pytest.raises(ValueError):
-            propagate(h, e, lengths)
+    # with a token-label block, and token rows alone
+    for h, e in [((2, 5, 2), constant(np.zeros((2, 3, 2)))), ((2, 3, 2), None)]:
+        for lengths in ([0, 3], [4, 3], [3]):
+            with pytest.raises(ValueError):
+                propagate(constant(np.ones(h)), e, lengths)
+
+
+def test_propagate_token_only_needs_batched_rows():
+    with pytest.raises(ShapeError, match="B x M"):
+        propagate(constant(np.ones((3, 2))), None, [3])
+
+
+def test_propagate_without_edges_is_the_zero_block():
+    # token rows match the zero-block graph's, value and gradient, and
+    # that graph leaves its label rows as they are
+    rng = np.random.default_rng(11)
+    lengths, n = [1, 5, 3, 2], 3
+    big = max(lengths)
+    _, _, h0, _ = ragged_batch(lengths, n, 4, rng)
+    t = rng.normal(size=h0.shape)
+    full, tokens = parameter(h0), parameter(h0[:, :big])
+    with Tape() as tape:
+        out = propagate(full, constant(np.zeros((len(lengths), big, n))), lengths)
+        tape.backward(ad.mse_loss(out, t))
+    with Tape() as tape:
+        alone = propagate(tokens, None, lengths)
+        tape.backward(ad.scale(ad.mse_loss(alone, t[:, :big]), big / (big + n)))
+    assert np.max(np.abs(alone.value - out.value[:, :big])) < 1e-12
+    assert np.max(np.abs(tokens.grad - full.grad[:, :big])) < 1e-12
+    assert np.max(np.abs(out.value[:, big:] - h0[:, big:])) < 1e-15
 
 
 def test_reconstruct_ragged_batch_matches_per_sample():

@@ -240,12 +240,13 @@ def test_model_config_is_the_architecture_without_defaults():
 
 
 def test_two_layer_sample_loss_tape_size():
-    # per batch: embed, projection, concat; per layer: propagate, matmul,
-    # activation (+ a reconstruction from the stacked rows after layer 1);
-    # head: reconstruction, col_sums, softmax, mse
+    # per batch: embed, projection; per layer: propagate, matmul, activation
+    # (+ a reconstruction from the stacked rows after layer 1); after layer
+    # 1: the shared label rows' matmul and activation, concat; head:
+    # reconstruction, col_sums, softmax, mse
     cfg, params, provider = tiny_setup(num_layers=2)
     with Tape() as tape:
         batch_loss([([0, 4, 5, 1], build_target([1, 0, 0]))], provider, params, cfg)
-    assert len(tape.nodes) == 14
+    assert len(tape.nodes) == 16
     assert not any(node.op == "slice_rows" for node in tape.nodes)
     assert sum(node.op == "propagate" for node in tape.nodes) == 2
