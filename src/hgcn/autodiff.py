@@ -11,7 +11,9 @@ A `Node` wraps a value together with its gradient and a closure that
 pushes incoming gradients to its parents. Nodes created while a `Tape`
 is active are recorded in creation order, which is a valid topological
 order, so `Tape.backward` simply walks the list in reverse. With no
-active tape nothing is recorded, which is how inference runs.
+active tape nothing is recorded and no node keeps its closure, which is
+how inference runs: each intermediate array is freed as soon as nothing
+reads it.
 
 Every backward adds into a node through `Node.accumulate`. Leaf
 parameters live outside any tape and start with a zero gradient, which
@@ -128,13 +130,15 @@ def constant(value, dtype=np.float64) -> Node:
 
 
 def _result(value, op, parents, backward_fn) -> Node:
-    """A recorded op output; its backward is kept only if some parent needs a gradient.
+    """An op output; its backward is kept only on a tape, and only if a parent needs a gradient.
 
-    So the push of a one-parent op needs no `requires_grad` check.
+    So the push of a one-parent op needs no `requires_grad` check, and
+    outside a tape no closure holds the parents or the forward's
+    intermediate arrays alive.
     """
     requires = any(p.requires_grad for p in parents)
-    return Node(value, requires_grad=requires, op=op,
-                backward_fn=backward_fn if requires else None)
+    keep = requires and _current_tape is not None
+    return Node(value, requires_grad=requires, op=op, backward_fn=backward_fn if keep else None)
 
 
 def matmul(a: Node, b: Node) -> Node:

@@ -64,7 +64,9 @@ def _is_number(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _parse_sample(obj: dict, label_set, lineno: int) -> Sample:
+def _parse_sample(obj, label_set, lineno: int) -> Sample:
+    if not isinstance(obj, dict):
+        raise DatasetError(f"line {lineno}: expected a JSON object, got {obj!r}")
     if "id" not in obj:
         raise DatasetError(f"line {lineno}: missing 'id'")
     if "tokens" in obj:
@@ -72,11 +74,17 @@ def _parse_sample(obj: dict, label_set, lineno: int) -> Sample:
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DatasetError(f"line {lineno}: 'tokens' must be a list of strings")
     elif "text" in obj:
+        if not isinstance(obj["text"], str):
+            raise DatasetError(f"line {lineno}: 'text' must be a string")
         tokens = obj["text"].split()
     else:
         raise DatasetError(f"line {lineno}: need 'tokens' or 'text'")
     labels = obj.get("labels", [])
+    if not isinstance(labels, list):
+        raise DatasetError(f"line {lineno}: 'labels' must be a list of strings")
     for name in labels:
+        if not isinstance(name, str):
+            raise DatasetError(f"line {lineno}: 'labels' must be a list of strings")
         if label_set is not None and name not in label_set:
             raise DatasetError(f"line {lineno}: unknown label {name!r}")
     entries = obj.get("annotations", [])

@@ -13,12 +13,13 @@ Label scores are column sums of the final token-label block, pushed
 through a softmax and trained against a target distribution with MSE.
 
 `forward` runs a whole batch of samples at once, padded to its longest
-sample (see `graph`); one sample is a batch of one. Training and
-inference cut each batch into chunks whose padded node features stay
-under CHUNK_BUDGET values, which bounds the memory one tape holds:
-short samples run ten or more to a chunk, long documents two at a time.
-A training step runs one tape per chunk and one optimizer step per
-batch.
+sample (see `graph`); one sample is a batch of one. `chunks` cuts a
+sample list into runs whose padded node features stay under
+CHUNK_BUDGET values: short samples run about twenty to a chunk, long
+documents two at a time. A training step cuts its minibatch so, and
+runs one tape per chunk and one optimizer step per batch. Inference
+cuts the whole sample list, whatever the minibatch size, and records
+no tape.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ from .autodiff import Node, Tape, constant, parameter
 from .graph import propagate, reconstruct_token_label
 
 # Most entries of a chunk's B x (M + n) x hidden padded node features:
-# ten 11-token samples with 5 labels, or two 128-token documents with 20
-# labels, at hidden 64. Whole batches of long documents trained about a
-# fifth faster but held 13 MB more at peak (sweep in CHANGES.md).
+# twenty 11-token samples with 5 labels, or two 128-token documents with
+# 20 labels, at hidden 64; it bounds the memory one tape holds in training
+# and one chunk's arrays in inference. Whole batches of long documents
+# trained about a fifth faster but held 13 MB more at peak, and a 4x
+# budget for inference alone ran eval about 7% faster but raised serve's
+# peak RSS 3.5% (both in CHANGES.md).
 CHUNK_BUDGET = 20480
 
 
@@ -170,8 +174,11 @@ def batch_loss(batch, provider, params, cfg) -> Node:
 def chunks(lengths, cfg: ModelConfig) -> list[slice]:
     """Consecutive runs of samples whose padded node features fit CHUNK_BUDGET.
 
-    A sample too large for the budget on its own is a chunk of one.
+    A sample too large for the budget on its own is a chunk of one; no
+    samples make no chunks.
     """
+    if not len(lengths):
+        return []
     out = []
     start, longest = 0, 0
     for i, m in enumerate(lengths):

@@ -148,23 +148,22 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
 
 
 def _forward_samples(samples, params, provider, run_cfg, vocab):
-    """Yield (sample, ids, probs, final edges, final label features) per sample.
+    """Yield (sample, ids, probs, final edges, final label features) per sample, in order.
 
-    Samples run `batch_size` at a time, in chunks as in training;
-    inference records no tape. `probs` is the sample's row of n
+    The whole list is cut into consecutive chunks by `model.chunks`, the
+    same CHUNK_BUDGET as in training; `batch_size` plays no part.
+    Inference records no tape. `probs` is the sample's row of n
     probabilities, the edges are its m x n block.
     """
     cfg = run_cfg.model_config()
-    for start in range(0, len(samples), run_cfg.batch_size):
-        batch = samples[start:start + run_cfg.batch_size]
-        batch_ids = [tokenize(s.tokens, vocab, run_cfg.max_len) for s in batch]
-        for part in chunks([len(ids) for ids in batch_ids], cfg):
-            trace = forward(batch_ids[part], provider, params, cfg,
-                            sample_ids=[s.id for s in batch[part]])
-            m = trace.final_edges.shape[1]
-            for b, (s, ids) in enumerate(zip(batch[part], batch_ids[part])):
-                yield (s, ids, trace.probs[b], trace.final_edges[b, :len(ids)],
-                       trace.final_features[b, m:])
+    all_ids = [tokenize(s.tokens, vocab, run_cfg.max_len) for s in samples]
+    for part in chunks([len(ids) for ids in all_ids], cfg):
+        batch, batch_ids = samples[part], all_ids[part]
+        trace = forward(batch_ids, provider, params, cfg, sample_ids=[s.id for s in batch])
+        m = trace.final_edges.shape[1]
+        for b, (s, ids) in enumerate(zip(batch, batch_ids)):
+            yield (s, ids, trace.probs[b], trace.final_edges[b, :len(ids)],
+                   trace.final_features[b, m:])
 
 
 def predict(samples, params, provider, run_cfg, vocab):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,34 @@ def test_non_leaf_grad_is_created_by_backward():
     tape.backward(loss)
     assert np.array_equal(sq.grad, np.ones((2, 2)))
     assert np.array_equal(w.grad, np.full((2, 2), 2.0))
+
+
+UNARY_OPS = {
+    "matmul": lambda w: ad.matmul(w, constant(np.eye(2))),
+    "scale": lambda w: ad.scale(w, 2.0),
+    "tanh": lambda w: ad.activation(w, "tanh"),
+    "col_sums": ad.col_sums,
+    "gather_rows": lambda w: ad.gather_rows(w, [1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("opname", sorted(UNARY_OPS))
+def test_op_keeps_its_backward_only_on_a_tape(opname):
+    w = parameter(np.arange(4.0).reshape(2, 2))
+    untaped = UNARY_OPS[opname](w)
+    with Tape():
+        taped = UNARY_OPS[opname](w)
+    assert untaped._backward is None and taped._backward is not None
+    assert np.array_equal(untaped.value, taped.value)
+
+
+def test_untaped_intermediate_is_freed_once_unread():
+    inner = ad.matmul(parameter(np.ones((2, 2))), parameter(np.ones((2, 2))))
+    value = weakref.ref(inner.value)
+    outer = ad.activation(inner, "tanh")
+    del inner
+    assert value() is None
+    assert np.allclose(outer.value, np.tanh(2.0))
 
 
 def test_first_push_is_stored_and_later_pushes_add_out_of_place():

@@ -170,6 +170,7 @@ def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
     assert chunks([3, 5, 2, 9, 1, 1, 1], cfg) == [
         slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 7)]
     assert chunks([1], cfg) == [slice(0, 1)]
+    assert chunks([], cfg) == []
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 10])
@@ -186,3 +187,48 @@ def test_inference_matches_per_sample(batch_size, monkeypatch):
         assert_close(probs, ref.probs[0])
         assert_close(edges, ref.final_edges)
         assert_close(labels, ref.final_features[len(ids):])
+
+
+# lengths 3, 16 (truncated), 2, 5, 7, 4 at max_len 16
+MIXED = [["w0"], [f"w{i % 10}" for i in range(20)], [], ["w3", "w9", "w1"],
+         ["w2"] * 5, ["w4", "w7"]]
+
+
+def test_inference_ignores_batch_size(monkeypatch):
+    # two samples of up to 6 tokens fit a chunk; the 16-token one does not fit alone
+    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (6 + 3) * 2)
+    cfg, params, provider = make_model()
+    samples = [Sample(id=f"s{i}", tokens=t, labels=["A", "C"][: i % 3],
+                      annotations=[(0, "B", 1.0)] if t else [])
+               for i, t in enumerate(MIXED)]
+    lengths = [len(tokenize(t, VOCABULARY, 16)) for t in MIXED]
+    assert (max(lengths) + 3) * 6 > model.CHUNK_BUDGET
+    parts = chunks(lengths, cfg)
+    assert len(parts) < len(MIXED)
+    calls = []
+
+    def recording_forward(batch_ids, *args, **kwargs):
+        calls.append([len(ids) for ids in batch_ids])
+        return forward(batch_ids, *args, **kwargs)
+
+    monkeypatch.setattr(runmod, "forward", recording_forward)
+    results = []
+    for batch_size in (1, 3, 1000):
+        run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
+                                   max_len=16, batch_size=batch_size)
+        args = (samples, params, provider, run_cfg, VOCABULARY)
+        calls.clear()
+        for s, ids, probs, edges, _ in runmod._forward_samples(*args):
+            ref = forward_one(ids, provider, params, cfg, sample_id=s.id)
+            assert_close(probs, ref.probs[0])
+            assert_close(edges, ref.final_edges)
+        assert calls == [lengths[part] for part in parts]
+        attributions, mse = runmod.explain_samples(*args)
+        results.append((runmod.predict(*args), [a.values for _, a in attributions], mse,
+                        *runmod.correlate(*args)))
+    first = results[0]
+    assert first[2] is not None
+    for preds, values, mse, pearson, cosine in results[1:]:
+        assert preds == first[0] and mse == first[2]
+        assert all(np.array_equal(a, b) for a, b in zip(values, first[1], strict=True))
+        assert np.array_equal(pearson, first[3]) and np.array_equal(cosine, first[4])

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -209,6 +210,24 @@ def test_decode_override_changes_predictions(trained, tmp_path):
     assert main(["eval", "--config", str(out_dir_cfg)]) == 0
     thr = json.loads((out / "eval.json").read_text())
     assert topk != thr
+
+
+@pytest.mark.parametrize("command,code,message", [
+    ("eval", 2, "runtime error: empty evaluation set"),
+    ("explain", 0, "wrote 0 attribution matrices"),
+    ("correlate", 2, "runtime error: empty prediction list"),
+])
+def test_empty_test_set(trained, tmp_path, capsys, command, code, message):
+    root, label_names, out, _ = trained
+    run_dir = tmp_path / "out"
+    run_dir.mkdir()
+    shutil.copy(out / "model.ckpt", run_dir / "model.ckpt")
+    (tmp_path / "test.jsonl").write_text("", encoding="utf-8")
+    config = write_config(tmp_path / "c.json", root, label_names, run_dir,
+                          test_path=str(tmp_path / "test.jsonl"))
+    assert main([command, "--config", str(config)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
 
 
 def test_synth_subcommand_writes_datasets(tmp_path):

@@ -1,9 +1,11 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hgcn.autodiff import Tape
+from hgcn.cli import main
 from hgcn.data import (
     CheckpointError,
     DatasetError,
@@ -69,6 +71,36 @@ def test_dataset_missing_id(tmp_path):
     path = write(tmp_path, '{"tokens": ["a"], "labels": []}\n')
     with pytest.raises(DatasetError, match="line 1.*id"):
         load_dataset(path, LABELS)
+
+
+GOOD_LINE = '{"id": "s1", "tokens": ["a"], "labels": ["A"]}\n'
+NOT_STRINGS = "'labels' must be a list of strings"
+
+
+@pytest.mark.parametrize("line,match", [
+    ('5', "expected a JSON object"),
+    ('["s2", "a"]', "expected a JSON object"),
+    ('{"id": "s2", "tokens": ["a"], "labels": 5}', NOT_STRINGS),
+    ('{"id": "s2", "tokens": ["a"], "labels": "AB"}', NOT_STRINGS),
+    ('{"id": "s2", "tokens": ["a"], "labels": [["A"]]}', NOT_STRINGS),
+    ('{"id": "s2", "text": 5, "labels": []}', "'text' must be a string"),
+], ids=["number-line", "array-line", "int-labels", "string-labels", "nested-labels",
+        "int-text"])
+def test_dataset_type_errors_name_the_line(tmp_path, capsys, line, match):
+    path = write(tmp_path, GOOD_LINE + line + "\n")
+    with pytest.raises(DatasetError, match=f"line 2: {match}"):
+        load_dataset(path, LABELS)
+    config = write(tmp_path, json.dumps({"label_names": LABELS, "train_path": str(path),
+                                         "out_dir": str(tmp_path / "out")}), "config.json")
+    assert main(["train", "--config", str(config)]) == 1
+    assert "line 2: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train.log").exists()
+
+
+def test_dataset_labels_checked_without_whitelist(tmp_path):
+    path = write(tmp_path, '{"id": "s1", "tokens": ["a"], "labels": "AB"}\n')
+    with pytest.raises(DatasetError, match=f"line 1: {NOT_STRINGS}"):
+        load_dataset(path)
 
 
 MALFORMED = "malformed annotation"

@@ -67,6 +67,15 @@ def test_forward_without_tape_matches_taped_and_records_nothing():
         assert np.array_equal(getattr(untaped, field), getattr(taped, field))
 
 
+def test_forward_without_tape_keeps_no_closure():
+    cfg, params, provider = tiny_setup(activation="tanh")
+    with Tape():
+        taped = forward([[0, 4, 1]], provider, params, cfg)
+    untaped = forward([[0, 4, 1]], provider, params, cfg)
+    assert taped.probs_node._backward is not None
+    assert untaped.probs_node._backward is None
+
+
 def test_forward_probabilities_sum_to_one():
     cfg, params, provider = tiny_setup()
     with Tape():

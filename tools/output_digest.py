@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""SHA-256 of every file the hgcn user path writes, for each benchmark workload shape.
+
+    python3 tools/output_digest.py [--src DIR]
+
+For each workload in perfbench/run.py (its corpus shape and the full
+RunConfig from its `run_config`, imported read-only), this generates a
+train and a test corpus at fixed seeds and runs `train`, `eval`,
+`explain` and `correlate` through `hgcn.cli.main` in a temporary
+directory. It prints one line per output file: the workload, the path
+under the output directory and the file's SHA-256. The corpus comes from
+`hgcn.synth.generate_synthetic_corpus`, as in the benchmark, because the
+`synth` subcommand cannot set a workload's filler range.
+
+To show that a change leaves every output byte-identical, run it against
+both checkouts' sources and compare:
+
+    python3 tools/output_digest.py > new.txt
+    python3 tools/output_digest.py --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+`--src` is the directory holding the `hgcn` package to import (default:
+`src/` of this checkout); the workloads always come from this checkout's
+`perfbench/`.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRAIN_SEED, TEST_SEED, MODEL_SEED = 0, 1, 0
+
+
+def load_benchmark():
+    """perfbench/run.py as a module; importing it also pins BLAS to one thread."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for its own `checks` and `tracer`
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def digest_workload(wl, run_config, work: Path) -> list[tuple[str, str]]:
+    """(path under the output directory, SHA-256) of every file the four commands write."""
+    from hgcn import cli, data, synth
+    lo, hi = wl.fillers
+    train, label_names, _ = synth.generate_synthetic_corpus(
+        wl.labels, wl.vocab, wl.train_samples, seed=TRAIN_SEED,
+        min_fillers=lo, max_fillers=hi, id_prefix="tr")
+    test, _, _ = synth.generate_synthetic_corpus(
+        wl.labels, wl.vocab, wl.test_samples, seed=TEST_SEED,
+        min_fillers=lo, max_fillers=hi, id_prefix="te")
+    data.save_dataset(train, work / "train.jsonl")
+    data.save_dataset(test, work / "test.jsonl")
+    out = work / "out"
+    config = work / "config.json"
+    config.write_text(json.dumps(run_config(wl, label_names, MODEL_SEED, work, out)),
+                      encoding="utf-8")
+    for command in ("train", "eval", "explain", "correlate"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([command, "--config", str(config)])
+        if rc != 0:
+            raise SystemExit(f"hgcn {command} exited {rc}")
+    return [(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+            for path in sorted(out.rglob("*")) if path.is_file()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the hgcn package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    bench = load_benchmark()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import hgcn
+    if Path(hgcn.__file__).resolve().parent != src / "hgcn":
+        raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
+    for name, wl in bench.WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            for rel, digest in digest_workload(wl, bench.run_config, Path(tmp)):
+                print(f"{name} {rel} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
