@@ -75,9 +75,10 @@ def attribution_mse(pred: np.ndarray, golden: np.ndarray) -> float:
 def pearson_matrix(pred_sets, n: int) -> np.ndarray:
     """Pearson correlation between per-label binary prediction vectors.
 
-    A constant vector (a label always or never predicted) has no defined
-    correlation; by convention it gets 0 off-diagonal and 1 on the
-    diagonal.
+    This is the cosine similarity of the centred indicator vectors, so
+    `label_cosine_matrix` computes it. A constant vector (a label always
+    or never predicted) centres to zero and has no defined correlation;
+    it gets 0 off-diagonal and 1 on the diagonal.
     """
     if not pred_sets:
         raise ValueError("empty prediction list")
@@ -85,18 +86,11 @@ def pearson_matrix(pred_sets, n: int) -> np.ndarray:
     for i, labels in enumerate(pred_sets):
         for j in labels:
             indicators[j, i] = 1.0
-    centered = indicators - indicators.mean(axis=1, keepdims=True)
-    std = np.sqrt(np.sum(centered ** 2, axis=1))
-    ok = std > 0
-    safe = np.where(ok, std, 1.0)
-    corr = (centered @ centered.T) / np.outer(safe, safe)
-    corr = np.where(np.outer(ok, ok), corr, 0.0)
-    np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, -1.0, 1.0)
+    return label_cosine_matrix(indicators - indicators.mean(axis=1, keepdims=True))
 
 
 def label_cosine_matrix(x_label_last: np.ndarray) -> np.ndarray:
-    """Raw cosine similarity between final label-node embeddings, in [-1, 1]."""
+    """Raw cosine similarity between the rows, in [-1, 1]; a zero row has 0 off the diagonal."""
     x = np.asarray(x_label_last, dtype=float)
     norms = np.linalg.norm(x, axis=1)
     ok = norms > 0

@@ -247,30 +247,26 @@ def concat_rows(a: Node, b: Node) -> Node:
     return _result(out, "concat_rows", (a, b), push)
 
 
-def gather_rows(table: Node, ids, valid=None) -> Node:
+def gather_rows(table: Node, ids) -> Node:
     """Row lookup; backward scatter-adds into exactly the looked-up rows.
 
-    `ids` may have any shape. Where the boolean `valid` (same shape) is
-    False, the output row is zero and pushes no gradient into the table.
+    `ids` may have any shape. Padded slots look up the PAD row like any
+    other id; `graph.propagate` is what makes them inert, so they push
+    only zeros into it.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
         raise ShapeError(f"gather_rows: id out of range for table {table.value.shape}")
-    out = table.value[ids]
-    if valid is not None:
-        out[~valid] = 0.0
-        ids = ids[valid]
 
     def push(g):
         # one bincount over flat (row, column) slots: the same sums, in the
         # same order, as np.add.at into zeros
         rows, width = table.value.shape
         slots = (ids[..., None] * width + np.arange(width)).ravel()
-        picked = g if valid is None else g[valid]
-        table.accumulate(np.bincount(slots, weights=picked.ravel(),
+        table.accumulate(np.bincount(slots, weights=g.ravel(),
                                      minlength=rows * width).reshape(rows, width))
 
-    return _result(out, "gather_rows", (table,), push)
+    return _result(table.value[ids], "gather_rows", (table,), push)
 
 
 class SGD:
@@ -289,16 +285,15 @@ class SGD:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the usual defaults."""
+    """Adaptive-moment optimizer with the usual hyperparameters."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]

@@ -11,7 +11,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import run as runmod
@@ -46,25 +46,18 @@ def _load_run_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {args.config}: invalid JSON ({e.msg})") from e
+        if not isinstance(values, dict):
+            raise ConfigError(f"config {args.config}: top level must be a JSON object, "
+                              f"got {json.dumps(values)}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.layers is not None:
-        values["num_layers"] = args.layers
-    if args.hidden is not None:
-        values["hidden"] = args.hidden
-    if args.encoder is not None:
-        values["encoder"] = args.encoder
-    if args.freeze:
-        values["freeze"] = True
-    if args.out is not None:
-        values["out_dir"] = args.out
-    if args.decode is not None:
-        kind, _, value = args.decode.partition(":")
+    # the override flags given, each stored under its config key
+    values.update((key, value) for key, value in vars(args).items() if key in known)
+    if args.decode_flag is not None:
+        kind, _, value = args.decode_flag.partition(":")
         try:
             if kind == "topk":
                 values["decode"], values["topk"] = "topk", int(value)
@@ -74,14 +67,11 @@ def _load_run_config(args) -> RunConfig:
                 raise ValueError
         except ValueError:
             raise ConfigError(
-                f"--decode must be topk:K or thr:T, got {args.decode!r}") from None
+                f"--decode must be topk:K or thr:T, got {args.decode_flag!r}") from None
 
     if "label_names" not in values:
         raise ConfigError("config must declare label_names")
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    cfg = RunConfig(**values)
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))
@@ -139,7 +129,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "eval.txt", report.render(cfg.label_names))
-    write_text(out / "eval.json", json.dumps(report.to_dict(), indent=2))
+    write_text(out / "eval.json", json.dumps(asdict(report), indent=2))
     print(report.render(cfg.label_names), end="")
     return 0
 
@@ -193,15 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "multi-label text classification")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("train", "eval", "explain", "correlate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON run configuration")
+        # an override flag absent from the command line sets no config key
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--seed", type=int)
-        p.add_argument("--layers", type=int)
+        p.add_argument("--layers", type=int, dest="num_layers", metavar="LAYERS")
         p.add_argument("--hidden", type=int)
-        p.add_argument("--decode", help="topk:K or thr:T")
+        p.add_argument("--decode", default=None, dest="decode_flag", metavar="DECODE",
+                       help="topk:K or thr:T")
         p.add_argument("--encoder", help="lookup or file:PATH")
         p.add_argument("--freeze", action="store_true")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     p = sub.add_parser("synth")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")

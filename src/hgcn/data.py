@@ -69,6 +69,10 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
         raise DatasetError(f"line {lineno}: expected a JSON object, got {obj!r}")
     if "id" not in obj:
         raise DatasetError(f"line {lineno}: missing 'id'")
+    sample_id = str(obj["id"])
+    # `explain` writes attributions/<id>.csv and .svg
+    if sample_id in ("", ".", "..") or "/" in sample_id or "\0" in sample_id:
+        raise DatasetError(f"line {lineno}: id {sample_id!r} is not a plain file name")
     if "tokens" in obj:
         tokens = obj["tokens"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
@@ -104,14 +108,15 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
         if not 0.0 <= intensity <= 1.0:
             raise DatasetError(f"line {lineno}: intensity {intensity} outside [0, 1]")
         annotations.append((idx, name, float(intensity)))
-    return Sample(id=str(obj["id"]), tokens=list(tokens), labels=list(labels),
+    return Sample(id=sample_id, tokens=list(tokens), labels=list(labels),
                   annotations=annotations)
 
 
 def load_dataset(path, label_names=None) -> list[Sample]:
-    """Parse a JSON-lines dataset, validating labels against the declared set."""
+    """Parse a JSON-lines dataset; labels must be declared, ids unique plain file names."""
     label_set = set(label_names) if label_names is not None else None
     samples = []
+    first_line = {}  # sample id -> line it was first seen on
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -121,7 +126,12 @@ def load_dataset(path, label_names=None) -> list[Sample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"line {lineno}: malformed JSON ({e.msg})") from e
-            samples.append(_parse_sample(obj, label_set, lineno))
+            sample = _parse_sample(obj, label_set, lineno)
+            if sample.id in first_line:
+                raise DatasetError(f"line {lineno}: id {sample.id!r} repeats line "
+                                   f"{first_line[sample.id]}")
+            first_line[sample.id] = lineno
+            samples.append(sample)
     return samples
 
 

@@ -5,7 +5,8 @@ trainable embedding table or frozen per-sample vectors loaded from a
 tensor container file. Sequence boundary markers are real token nodes.
 
 Both embed a batch of id sequences as B x M x dim features, M the
-longest sequence; the rows past each sequence's end are zero.
+longest sequence. The rows past a sequence's end repeat the lookup's
+PAD row (or are zero), and `graph.propagate` makes them inert.
 """
 
 from __future__ import annotations
@@ -55,21 +56,25 @@ class Vocabulary:
         return vocab
 
 
-def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
-    """[START] + content ids (UNKNOWN for OOV, truncated to max_len - 2) + [END]."""
+def token_rows(tokens, max_len: int) -> list[str]:
+    """A sample's token nodes: <s>, the tokens truncated to max_len - 2, </s>."""
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
-    ids = [vocab.id_of(t) for t in tokens[: max_len - 2]]
-    return [SEQ_START] + ids + [SEQ_END]
+    return [RESERVED[SEQ_START], *tokens[: max_len - 2], RESERVED[SEQ_END]]
 
 
-def pad_ids(batch_ids) -> tuple[np.ndarray, np.ndarray]:
-    """(B x M ids, padded with PAD; B x M mask of the real positions)."""
+def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
+    """The ids of `token_rows`: the markers keep their reserved ids, OOV tokens get UNKNOWN."""
+    return [vocab.id_of(t) for t in token_rows(tokens, max_len)]
+
+
+def pad_ids(batch_ids) -> np.ndarray:
+    """B x M ids, each sequence padded with PAD to the longest."""
     lengths = np.array([len(ids) for ids in batch_ids])
     valid = np.arange(lengths.max()) < lengths[:, None]
     padded = np.full(valid.shape, PAD, dtype=np.intp)
     padded[valid] = np.concatenate(batch_ids)
-    return padded, valid
+    return padded
 
 
 class TrainableLookup:
@@ -96,8 +101,7 @@ class TrainableLookup:
         self.dim = table.shape[1]
 
     def embed(self, batch_ids, sample_ids=None) -> Node:
-        ids, valid = pad_ids(batch_ids)
-        return gather_rows(self.table, ids, valid)
+        return gather_rows(self.table, pad_ids(batch_ids))
 
     def parameters(self) -> list[Node]:
         return [] if self.frozen else [self.table]

@@ -13,9 +13,12 @@ so its normalized form is applied straight from E, without forming an
 
 A batch pads every sample to the longest one's M token rows: node
 features are B x (M + n) x hidden, token rows over label rows, and the
-token-label blocks are B x M x n. Padded token rows hold zero features,
-so they get zero edges and, with a zero inverse root degree, mix with
-nothing.
+token-label blocks are B x M x n. This module is the one place that
+makes padded token rows inert: `propagate` gives them a zero inverse
+root degree, so whatever finite features they hold (the lookup encoder
+repeats its PAD row there) scale to ±0, push ±0 gradients back, and mix
+with nothing. From the first `propagate` on they are zero, so they get
+zero edges too.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def propagate(h: Node, edges: Node | None, lengths) -> Node:
     +I augmentation, token i has degree 2 + (chain neighbours of i) +
     sum_j E_ij and label j has degree 2 + sum_i E_ij, so degrees stay
     positive for any E >= 0. Padded token rows get inverse root degree
-    0: their output and their share of dh are zero.
+    0: their output and their share of dh are ±0, whatever their input.
 
     `edges` None means no token-label edges yet, as in the first layer:
     `h` is then the B x M x hidden token rows alone, which mix along

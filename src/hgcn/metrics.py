@@ -45,14 +45,6 @@ class EvalReport:
     jaccard: float
     per_label: list[dict]  # label index -> precision/recall/f1/tp/fp/fn
 
-    def to_dict(self) -> dict:
-        return {
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "jaccard": self.jaccard,
-            "per_label": self.per_label,
-        }
-
     def render(self, label_names=None) -> str:
         lines = [
             f"micro_f1 {self.micro_f1:.6f}",

@@ -16,7 +16,7 @@ from .analysis import (
     pearson_matrix,
 )
 from .autodiff import ACTIVATIONS, SGD, Adam
-from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, tokenize
+from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows, tokenize
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
 
@@ -230,8 +230,8 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     attributions = []
     mses = []
     for s, ids, _, edges, _ in _forward_samples(samples, params, provider, run_cfg, vocab):
-        token_names = ["<s>"] + s.tokens[: run_cfg.max_len - 2] + ["</s>"]
-        attr = build_attribution(edges, token_names, run_cfg.label_names)
+        attr = build_attribution(edges, token_rows(s.tokens, run_cfg.max_len),
+                                 run_cfg.label_names)
         attributions.append((s, attr))
         if s.annotations:
             golden = build_golden(

@@ -125,10 +125,10 @@ class ReferenceAdam(ad.Adam):
             p.zero_grad()
 
 
-def scatter_add_reference(table_shape, ids, g, valid=None) -> np.ndarray:
+def scatter_add_reference(table_shape, ids, g) -> np.ndarray:
     """`gather_rows`' table gradient by np.add.at into zeros."""
     acc = np.zeros(table_shape)
-    np.add.at(acc, ids if valid is None else ids[valid], g if valid is None else g[valid])
+    np.add.at(acc, ids, g)
     return acc
 
 

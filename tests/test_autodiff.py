@@ -446,16 +446,14 @@ def test_adam_in_place_steps_match_the_reference_bitwise():
         assert not p.grad.any()
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["all-valid", "masked"])
-def test_gather_rows_scatter_matches_add_at_bitwise(masked):
-    # repeated ids, and (masked) padded slots holding the PAD row's id
+def test_gather_rows_scatter_matches_add_at_bitwise():
+    # repeated ids, and padded slots holding the PAD row's id
     rng = np.random.default_rng(5)
     pad = 3
     ids = np.array([[4, 0, 4, 4, pad], [1, 4, 1, pad, pad]])
-    valid = ids != pad if masked else None
     table = parameter(rng.normal(size=(6, 7)))
     g = rng.normal(size=ids.shape + (7,))
     with Tape() as tape:
-        tape.backward(total_sum(elementwise_mul(ad.gather_rows(table, ids, valid), constant(g))))
-    assert np.array_equal(table.grad, scatter_add_reference(table.value.shape, ids, g, valid))
-    assert table.grad[pad].any() != masked
+        tape.backward(total_sum(elementwise_mul(ad.gather_rows(table, ids), constant(g))))
+    assert np.array_equal(table.grad, scatter_add_reference(table.value.shape, ids, g))
+    assert table.grad[pad].any()

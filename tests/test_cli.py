@@ -1,10 +1,11 @@
 import json
 import shutil
+from dataclasses import asdict
 
 import pytest
 
 from hgcn import run as runmod
-from hgcn.cli import main
+from hgcn.cli import _load_run_config, build_parser, main
 from hgcn.data import load_dataset, load_tensors, save_dataset, save_tensors
 from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
@@ -105,7 +106,7 @@ def test_cli_eval_matches_in_process_evaluation(corpus, tmp_path):
     params, provider, vocab, _ = runmod.train(load_dataset(cfg.train_path, label_names), cfg)
     report = runmod.evaluate_model(load_dataset(cfg.test_path, label_names),
                                    params, provider, cfg, vocab)
-    assert json.loads((tmp_path / "eval.json").read_text()) == report.to_dict()
+    assert json.loads((tmp_path / "eval.json").read_text()) == asdict(report)
 
 
 @pytest.mark.parametrize("flags, extra, field", [
@@ -230,6 +231,24 @@ def test_empty_test_set(trained, tmp_path, capsys, command, code, message):
     assert message in captured.out + captured.err
 
 
+@pytest.mark.parametrize("ids", [["a", "a"], ["x", "sub/z"]], ids=["repeated", "slash"])
+def test_explain_rejects_bad_ids_before_writing(trained, tmp_path, capsys, ids):
+    # each id names its heatmap files: a repeat would overwrite, a '/' fail midway
+    root, label_names, out, _ = trained
+    run_dir = tmp_path / "out"
+    run_dir.mkdir()
+    shutil.copy(out / "model.ckpt", run_dir / "model.ckpt")
+    samples = load_dataset(root / "test.jsonl", label_names)[:2]
+    for sample, sample_id in zip(samples, ids):
+        sample.id = sample_id
+    save_dataset(samples, tmp_path / "test.jsonl")
+    config = write_config(tmp_path / "c.json", root, label_names, run_dir,
+                          test_path=str(tmp_path / "test.jsonl"))
+    assert main(["explain", "--config", str(config)]) == 1
+    assert "line 2: " in capsys.readouterr().err
+    assert not (run_dir / "attributions").exists()
+
+
 def test_synth_subcommand_writes_datasets(tmp_path):
     out = tmp_path / "synth"
     assert main(["synth", "--labels", "2", "--vocab-size", "12",
@@ -263,6 +282,33 @@ def test_missing_label_names_is_config_error(tmp_path, capsys):
     config.write_text(json.dumps({"train_path": "x.jsonl"}), encoding="utf-8")
     assert main(["train", "--config", str(config)]) == 1
     assert "label_names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "true", '"abc"', '["label_names"]'],
+                         ids=["number", "null", "bool", "string", "array"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, text):
+    config = tmp_path / "c.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config {config}: top level must be a JSON object" in err
+    assert not (tmp_path / "out" / "train.log").exists()
+
+
+def test_override_flags_set_their_config_keys(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"label_names": ["A"], "seed": 1, "out_dir": "x"}),
+                      encoding="utf-8")
+
+    def load(*flags):
+        return _load_run_config(build_parser().parse_args(["eval", "--config", str(config),
+                                                           *flags]))
+    assert load("--seed", "3", "--layers", "4", "--hidden", "9", "--decode", "thr:0.25",
+                "--encoder", "file:v.bin", "--freeze", "--out", "o") == RunConfig(
+        label_names=["A"], seed=3, num_layers=4, hidden=9, decode="threshold", threshold=0.25,
+        encoder="file:v.bin", freeze=True, out_dir="o")
+    # absent flags leave the file's values and the defaults alone
+    assert load() == RunConfig(label_names=["A"], seed=1, out_dir="x")
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

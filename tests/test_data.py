@@ -84,8 +84,17 @@ NOT_STRINGS = "'labels' must be a list of strings"
     ('{"id": "s2", "tokens": ["a"], "labels": "AB"}', NOT_STRINGS),
     ('{"id": "s2", "tokens": ["a"], "labels": [["A"]]}', NOT_STRINGS),
     ('{"id": "s2", "text": 5, "labels": []}', "'text' must be a string"),
+    # `explain` names each sample's heatmap files after its id
+    ('{"id": "s1", "tokens": ["a"]}', "id 's1' repeats line 1"),
+    ('{"id": "", "tokens": ["a"]}', "id '' is not a plain file name"),
+    ('{"id": ".", "tokens": ["a"]}', r"id '\.' is not a plain file name"),
+    ('{"id": "..", "tokens": ["a"]}', r"id '\.\.' is not a plain file name"),
+    ('{"id": "sub/z", "tokens": ["a"]}', "id 'sub/z' is not a plain file name"),
+    ('{"id": "/tmp", "tokens": ["a"]}', "id '/tmp' is not a plain file name"),
+    ('{"id": "a\\u0000b", "tokens": ["a"]}', r"id 'a\\x00b' is not a plain file name"),
 ], ids=["number-line", "array-line", "int-labels", "string-labels", "nested-labels",
-        "int-text"])
+        "int-text", "repeated-id", "empty-id", "dot-id", "dotdot-id", "slash-id",
+        "absolute-id", "nul-id"])
 def test_dataset_type_errors_name_the_line(tmp_path, capsys, line, match):
     path = write(tmp_path, GOOD_LINE + line + "\n")
     with pytest.raises(DatasetError, match=f"line 2: {match}"):
@@ -95,6 +104,12 @@ def test_dataset_type_errors_name_the_line(tmp_path, capsys, line, match):
     assert main(["train", "--config", str(config)]) == 1
     assert "line 2: " in capsys.readouterr().err
     assert not (tmp_path / "out" / "train.log").exists()
+
+
+def test_dataset_ids_may_be_numbers_or_dotted_names(tmp_path):
+    path = write(tmp_path, "".join('{"id": %s, "tokens": ["a"], "labels": []}\n' % i
+                                   for i in ('7', '"te0"', '"a.b"', '"..."')))
+    assert [s.id for s in load_dataset(path, LABELS)] == ["7", "te0", "a.b", "..."]
 
 
 def test_dataset_labels_checked_without_whitelist(tmp_path):

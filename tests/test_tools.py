@@ -1,0 +1,47 @@
+"""tools/output_digest.py, the check behind every claim that a change keeps outputs byte-identical."""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_digest():
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  ROOT / "tools" / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
+    # main() prepends perfbench/ and src/ to sys.path, and importing
+    # perfbench/run.py sets these variables; both are restored afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    digest = load_digest()
+    runs = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert digest.main([]) == 0
+        runs.append(out.getvalue().splitlines())
+    assert runs[0] == runs[1]
+
+    written = {}
+    for line in runs[0]:
+        workload, path, sha = line.split(" ")
+        assert len(sha) == 64
+        written.setdefault(workload, set()).add(path)
+    workloads = digest.load_benchmark().WORKLOADS
+    assert set(written) == set(workloads)
+    for name, wl in workloads.items():
+        expected = {"train.log", "model.ckpt", "eval.txt", "eval.json", "attributions/mse.txt"}
+        expected |= {f"{stem}.{ext}" for stem in ("pearson", "label_cosine")
+                     for ext in ("csv", "svg")}
+        expected |= {f"attributions/te{i}.{ext}" for i in range(wl.test_samples)
+                     for ext in ("csv", "svg")}
+        assert expected <= written[name], name
