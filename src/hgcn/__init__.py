@@ -1,14 +1,1 @@
 """Heterogeneous graph convolutional network for multi-label text classification."""
-
-from .model import ModelConfig, ModelParams, ForwardTrace, forward, build_target, train_step
-from .run import RunConfig
-
-__all__ = [
-    "ModelConfig",
-    "ModelParams",
-    "ForwardTrace",
-    "forward",
-    "build_target",
-    "train_step",
-    "RunConfig",
-]

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -28,8 +26,6 @@ from .data import (
 from .model import ModelConfig
 from .run import RunConfig
 from .synth import generate_synthetic_corpus
-
-log = logging.getLogger("hgcn")
 
 
 class ConfigError(ValueError):
@@ -118,7 +114,6 @@ def cmd_train(cfg: RunConfig) -> int:
         params, provider, vocab, _ = runmod.train(train_samples, cfg, dev, log=emit)
     save_checkpoint(params, cfg.model_config(), out / "model.ckpt",
                     vocab=vocab, label_names=cfg.label_names, provider=provider)
-    log.info("checkpoint written to %s", out / "model.ckpt")
     return 0
 
 
@@ -205,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("HGCN_LOG_LEVEL", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
@@ -217,9 +211,7 @@ def main(argv=None) -> int:
             return cmd_eval(cfg)
         if args.command == "explain":
             return cmd_explain(cfg)
-        if args.command == "correlate":
-            return cmd_correlate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_correlate(cfg)
     except (ConfigError, DatasetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

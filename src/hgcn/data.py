@@ -238,3 +238,11 @@ def load_checkpoint(path):
 
 def save_embeddings(path, vectors: dict[str, np.ndarray]) -> None:
     save_tensors(path, vectors, {}, EMBEDDING_FORMAT)
+
+
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """The per-sample vector blocks that `save_embeddings` wrote, keyed by sample id."""
+    meta, tensors = load_tensors(path)
+    if meta.get("format") != EMBEDDING_FORMAT:
+        raise ValueError(f"{path}: not an embedding container")
+    return tensors

@@ -64,8 +64,12 @@ def token_rows(tokens, max_len: int) -> list[str]:
 
 
 def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
-    """The ids of `token_rows`: the markers keep their reserved ids, OOV tokens get UNKNOWN."""
-    return [vocab.id_of(t) for t in token_rows(tokens, max_len)]
+    """The ids of `token_rows`. The markers are placed by position only: a
+    content token that is out of vocabulary or spelled like a reserved
+    marker gets UNKNOWN, so data text never shares a marker's or PAD's row.
+    """
+    content = (vocab.id_of(t) for t in token_rows(tokens, max_len)[1:-1])
+    return [SEQ_START, *(i if i >= len(RESERVED) else UNKNOWN for i in content), SEQ_END]
 
 
 def pad_ids(batch_ids) -> np.ndarray:
@@ -118,14 +122,6 @@ class PrecomputedFile:
         for sid, v in vectors.items():
             if v.ndim != 2 or v.shape[1] != self.dim:
                 raise ValueError(f"vector block for sample {sid!r} has shape {v.shape}")
-
-    @classmethod
-    def load(cls, path) -> "PrecomputedFile":
-        from .data import load_tensors
-        meta, tensors = load_tensors(path)
-        if meta.get("format") != "hgcn-embeddings":
-            raise ValueError(f"{path}: not an embedding container")
-        return cls(tensors)
 
     def embed(self, batch_ids, sample_ids=None) -> Node:
         out = np.zeros((len(batch_ids), max(map(len, batch_ids)), self.dim))

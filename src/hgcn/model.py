@@ -58,6 +58,8 @@ class ModelConfig:
             raise ValueError("num_layers must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

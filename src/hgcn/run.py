@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -16,6 +17,7 @@ from .analysis import (
     pearson_matrix,
 )
 from .autodiff import ACTIVATIONS, SGD, Adam
+from .data import load_embeddings
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows, tokenize
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
@@ -58,6 +60,8 @@ class RunConfig:
             return problems
         if not self.label_names:
             problems.append("label_names must be nonempty")
+        if len(set(self.label_names)) != len(self.label_names):
+            problems.append(f"label_names must not repeat a name, got {self.label_names}")
         if self.decode not in ("topk", "threshold"):
             problems.append(f"decode must be topk or threshold, got {self.decode!r}")
         if self.decode == "topk" and self.topk < 1:
@@ -72,14 +76,16 @@ class RunConfig:
         if self.activation not in ACTIVATIONS:
             problems.append(f"activation must be one of {sorted(ACTIVATIONS)}, "
                             f"got {self.activation!r}")
-        if self.lr <= 0:
-            problems.append(f"lr must be > 0, got {self.lr}")
+        if not math.isfinite(self.lr) or self.lr <= 0:
+            problems.append(f"lr must be finite and > 0, got {self.lr}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.precision != "float64":
             problems.append(f"precision must be float64, got {self.precision!r}")
-        if self.num_layers < 1:
-            problems.append("num_layers must be >= 1")
-        if self.hidden < 1:
-            problems.append("hidden must be >= 1")
+        try:
+            self.model_config()
+        except ValueError as e:
+            problems.append(str(e))
         if self.max_len < 3:
             problems.append("max_len must be >= 3")
         if self.epochs < 1:
@@ -113,18 +119,10 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def build_vocab(samples) -> Vocabulary:
-    vocab = Vocabulary()
-    for s in samples:
-        for t in s.tokens:
-            vocab.add(t)
-    return vocab
-
-
 def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generator | None):
     """The configured token-feature provider; `rng` draws a new lookup table."""
     if run_cfg.encoder.startswith("file:"):
-        return PrecomputedFile.load(run_cfg.encoder[len("file:"):])
+        return PrecomputedFile(load_embeddings(run_cfg.encoder[len("file:"):]))
     return TrainableLookup(len(vocab), run_cfg.input_dim, rng, freeze=run_cfg.freeze)
 
 
@@ -192,7 +190,7 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, vocab=None,
     if not train_samples:
         raise ValueError("empty training set")
     if vocab is None:
-        vocab = build_vocab(train_samples)
+        vocab = Vocabulary(t for s in train_samples for t in s.tokens)
     cfg = run_cfg.model_config()
     rng = np.random.default_rng(run_cfg.seed)
     params = ModelParams.init(cfg, rng)

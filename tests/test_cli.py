@@ -2,11 +2,13 @@ import json
 import shutil
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from hgcn import run as runmod
 from hgcn.cli import _load_run_config, build_parser, main
-from hgcn.data import load_dataset, load_tensors, save_dataset, save_tensors
+from hgcn.data import load_dataset, load_tensors, save_dataset, save_embeddings, save_tensors
+from hgcn.encoder import token_rows
 from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
 
@@ -109,6 +111,30 @@ def test_cli_eval_matches_in_process_evaluation(corpus, tmp_path):
     assert json.loads((tmp_path / "eval.json").read_text()) == asdict(report)
 
 
+def test_file_encoder_end_to_end(corpus, tmp_path, capsys):
+    root, label_names = corpus
+    samples = (load_dataset(root / "train.jsonl", label_names)
+               + load_dataset(root / "test.jsonl", label_names))
+    max_len = 8  # cuts the longer samples, so the vector counts follow the truncation
+    rng = np.random.default_rng(0)
+    vectors = tmp_path / "vectors.bin"
+    save_embeddings(vectors, {s.id: rng.normal(size=(len(token_rows(s.tokens, max_len)), 8))
+                              for s in samples})
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", root, label_names, out, max_len=max_len)
+    for command in ("train", "eval", "explain", "correlate"):
+        assert main([command, "--config", str(config), "--encoder", f"file:{vectors}"]) == 0
+    cfg = RunConfig(**json.loads(config.read_text()), encoder=f"file:{vectors}")
+    params, provider, vocab, _ = runmod.train(load_dataset(cfg.train_path, label_names), cfg)
+    report = runmod.evaluate_model(load_dataset(cfg.test_path, label_names),
+                                   params, provider, cfg, vocab)
+    assert json.loads((out / "eval.json").read_text()) == asdict(report)
+
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--encoder", f"file:{out / 'model.ckpt'}"]) == 2
+    assert "not an embedding container" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, extra, field", [
     (["--layers", "1"], {}, "num_layers"),
     (["--layers", "3"], {}, "num_layers"),
@@ -154,6 +180,12 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
     pytest.param({"epochs": 1.5}, "epochs", id="epochs-float"),
     pytest.param({"freeze": "no"}, "freeze", id="freeze-string"),
     pytest.param({"label_names": "L1"}, "label_names", id="label_names-string"),
+    pytest.param({"seed": -1}, "seed", id="seed-negative"),
+    pytest.param({"lr": float("nan")}, "lr", id="lr-nan"),
+    pytest.param({"lr": float("inf")}, "lr", id="lr-infinity"),
+    pytest.param({"label_names": ["L1", "L2", "L3", "L1"]}, "label_names",
+                 id="label_names-repeated"),
+    pytest.param({"input_dim": 0}, "input_dim", id="input_dim-zero"),
 ])
 def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, values, key):
     root, label_names = corpus

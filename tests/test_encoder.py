@@ -37,6 +37,14 @@ def test_tokenize_oov(vocab):
     assert ids[2] == UNKNOWN
 
 
+def test_tokenize_places_markers_by_position_only():
+    # content spelled like a marker must not share its row, nor train PAD's
+    tokens = ["x", "<s>", "<pad>", "</s>"]
+    vocab = Vocabulary(tokens)
+    assert len(vocab) == 5
+    assert tokenize(tokens, vocab, 17) == [SEQ_START, 4, UNKNOWN, UNKNOWN, UNKNOWN, SEQ_END]
+
+
 def test_tokenize_truncation(vocab):
     ids = tokenize(["a"] * 40, vocab, 17)
     assert len(ids) == 17

@@ -45,3 +45,5 @@ def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
         expected |= {f"attributions/te{i}.{ext}" for i in range(wl.test_samples)
                      for ext in ("csv", "svg")}
         assert expected <= written[name], name
+        if name == digest.FILE_ENCODER_WORKLOAD:
+            assert {f"file-encoder/{path}" for path in expected} <= written[name]

@@ -10,7 +10,9 @@ train and a test corpus at fixed seeds and runs `train`, `eval`,
 directory. It prints one line per output file: the workload, the path
 under the output directory and the file's SHA-256. The corpus comes from
 `hgcn.synth.generate_synthetic_corpus`, as in the benchmark, because the
-`synth` subcommand cannot set a workload's filler range.
+`synth` subcommand cannot set a workload's filler range. One more run of
+the short-chain shape reads per-sample vectors drawn at a fixed seed
+through `--encoder file:PATH`; its paths start with `file-encoder/`.
 
 To show that a change leaves every output byte-identical, run it against
 both checkouts' sources and compare:
@@ -34,8 +36,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-TRAIN_SEED, TEST_SEED, MODEL_SEED = 0, 1, 0
+TRAIN_SEED, TEST_SEED, MODEL_SEED, EMBEDDING_SEED = 0, 1, 0, 2
+FILE_ENCODER_WORKLOAD = "short-chain"
 
 
 def load_benchmark():
@@ -47,9 +52,14 @@ def load_benchmark():
     return module
 
 
-def digest_workload(wl, run_config, work: Path) -> list[tuple[str, str]]:
-    """(path under the output directory, SHA-256) of every file the four commands write."""
+def digest_workload(wl, run_config, work: Path, file_encoder=False) -> list[tuple[str, str]]:
+    """(path under the output directory, SHA-256) of every file the four commands write.
+
+    With `file_encoder`, the run reads one vector per token node of each
+    sample from an embedding file instead of training a lookup table.
+    """
     from hgcn import cli, data, synth
+    from hgcn.encoder import token_rows
     lo, hi = wl.fillers
     train, label_names, _ = synth.generate_synthetic_corpus(
         wl.labels, wl.vocab, wl.train_samples, seed=TRAIN_SEED,
@@ -61,8 +71,14 @@ def digest_workload(wl, run_config, work: Path) -> list[tuple[str, str]]:
     data.save_dataset(test, work / "test.jsonl")
     out = work / "out"
     config = work / "config.json"
-    config.write_text(json.dumps(run_config(wl, label_names, MODEL_SEED, work, out)),
-                      encoding="utf-8")
+    values = run_config(wl, label_names, MODEL_SEED, work, out)
+    if file_encoder:
+        rng = np.random.default_rng(EMBEDDING_SEED)
+        data.save_embeddings(work / "vectors.bin", {
+            s.id: rng.normal(size=(len(token_rows(s.tokens, wl.max_len)), values["input_dim"]))
+            for s in train + test})
+        values["encoder"] = f"file:{work / 'vectors.bin'}"
+    config.write_text(json.dumps(values), encoding="utf-8")
     for command in ("train", "eval", "explain", "correlate"):
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main([command, "--config", str(config)])
@@ -83,10 +99,13 @@ def main(argv=None) -> int:
     import hgcn
     if Path(hgcn.__file__).resolve().parent != src / "hgcn":
         raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
-    for name, wl in bench.WORKLOADS.items():
+    runs = [(name, wl, "", False) for name, wl in bench.WORKLOADS.items()]
+    runs.append((FILE_ENCODER_WORKLOAD, bench.WORKLOADS[FILE_ENCODER_WORKLOAD],
+                 "file-encoder/", True))
+    for name, wl, prefix, file_encoder in runs:
         with tempfile.TemporaryDirectory() as tmp:
-            for rel, digest in digest_workload(wl, bench.run_config, Path(tmp)):
-                print(f"{name} {rel} {digest}")
+            for rel, digest in digest_workload(wl, bench.run_config, Path(tmp), file_encoder):
+                print(f"{name} {prefix}{rel} {digest}")
     return 0
 
 
