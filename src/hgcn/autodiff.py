@@ -122,8 +122,8 @@ def parameter(value) -> Node:
     return Node(value, requires_grad=True)
 
 
-def constant(value, dtype=np.float64) -> Node:
-    value = np.atleast_2d(np.asarray(value, dtype=dtype))
+def constant(value) -> Node:
+    value = np.atleast_2d(np.asarray(value, dtype=np.float64))
     if not np.all(np.isfinite(value)):
         raise ValueError("constant contains NaN/Inf")
     return Node(value, requires_grad=False)

@@ -24,12 +24,8 @@ from .data import (
     write_text,
 )
 from .model import ModelConfig
-from .run import RunConfig
+from .run import ConfigError, RunConfig
 from .synth import generate_synthetic_corpus
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _load_run_config(args) -> RunConfig:
@@ -105,13 +101,10 @@ def _load_model(cfg: RunConfig):
 def cmd_train(cfg: RunConfig) -> int:
     train_samples = load_dataset(_require(cfg, "train_path", "train"), cfg.label_names)
     dev = load_dataset(cfg.dev_path, cfg.label_names) if cfg.dev_path else None
+    params, provider, vocab, lines = runmod.train(train_samples, cfg, dev, log=print)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "train.log", "w", encoding="utf-8") as logfile:
-        def emit(line):
-            print(line)
-            logfile.write(line + "\n")
-        params, provider, vocab, _ = runmod.train(train_samples, cfg, dev, log=emit)
+    write_text(out / "train.log", "".join(line + "\n" for line in lines))
     save_checkpoint(params, cfg.model_config(), out / "model.ckpt",
                     vocab=vocab, label_names=cfg.label_names, provider=provider)
     return 0

@@ -23,17 +23,22 @@ CONTAINER_VERSION = 1
 EMBEDDING_TABLE = "embedding_table"
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` (UTF-8) to `path`, over an existing file's bytes, then cut it to length.
+def write_bytes(path, data: bytes) -> None:
+    """Write `data` to `path`, over an existing file's bytes, then cut it to length.
 
-    The file is not truncated to zero first: on ext4 a file truncated to
-    zero and written again is flushed to disk as soon as it is closed,
-    and with two heatmap files per sample that flush made `explain` into
-    an existing output directory slow and erratic.
+    Every output file is written so. The file is not truncated to zero
+    first: on ext4 a file truncated to zero and written again is flushed
+    to disk as soon as it is closed, and with two heatmap files per
+    sample that flush made `explain` into an existing output directory
+    slow and erratic.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(text.encode("utf-8"))
+        f.write(data)
         f.truncate()
+
+
+def write_text(path, text: str) -> None:
+    write_bytes(path, text.encode("utf-8"))
 
 
 class DatasetError(ValueError):
@@ -136,9 +141,8 @@ def load_dataset(path, label_names=None) -> list[Sample]:
 
 
 def save_dataset(samples, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            f.write(json.dumps(s.to_json(), ensure_ascii=False) + "\n")
+    write_text(path, "".join(json.dumps(s.to_json(), ensure_ascii=False) + "\n"
+                             for s in samples))
 
 
 # --- tensor container ---------------------------------------------------
@@ -153,10 +157,10 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict, fmt: str) -> 
             for name, t in tensors.items()
         ],
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
-        for t in tensors.values():
-            f.write(np.ascontiguousarray(t).astype(t.dtype.newbyteorder("<")).tobytes())
+    write_bytes(path, b"".join([
+        json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n",
+        *(np.ascontiguousarray(t).astype(t.dtype.newbyteorder("<")).tobytes()
+          for t in tensors.values())]))
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -165,27 +169,27 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         payload = f.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        if header.get("version") != CONTAINER_VERSION:
+            raise CheckpointError(
+                f"{path}: container version {header.get('version')!r}, "
+                f"expected {CONTAINER_VERSION}")
+        meta = {"format": header.get("format"), **header.get("meta", {})}
+        specs = [(spec["name"], tuple(spec["shape"]), np.dtype(spec["dtype"]))
+                 for spec in header.get("tensors", [])]
+    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError,
+            TypeError) as e:
         raise CheckpointError(f"{path}: corrupt container header") from e
-    if header.get("version") != CONTAINER_VERSION:
-        raise CheckpointError(
-            f"{path}: container version {header.get('version')!r}, "
-            f"expected {CONTAINER_VERSION}")
     tensors = {}
     offset = 0
-    for spec in header.get("tensors", []):
-        shape = tuple(spec["shape"])
-        dtype = np.dtype(spec["dtype"])
+    for name, shape, dtype in specs:
         nbytes = int(np.prod(shape)) * dtype.itemsize
         if offset + nbytes > len(payload):
-            raise CheckpointError(
-                f"{path}: payload truncated for tensor {spec['name']!r}")
-        tensors[spec["name"]] = np.frombuffer(
+            raise CheckpointError(f"{path}: payload truncated for tensor {name!r}")
+        tensors[name] = np.frombuffer(
             payload[offset:offset + nbytes], dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing payload bytes")
-    meta = {"format": header.get("format"), **header.get("meta", {})}
     return meta, tensors
 
 
@@ -196,8 +200,8 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
                     provider=None) -> None:
     """Write the weights and, for a `TrainableLookup` provider, its table.
 
-    Other providers (precomputed vectors) are rebuilt from their own
-    files, so nothing of them is stored.
+    Precomputed vectors (the `PrecomputedFile` subclass) are rebuilt
+    from their own file, so nothing of them is stored.
     """
     meta = {"config": asdict(cfg)}
     tensors = params.named_tensors()
@@ -205,7 +209,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
         meta["vocab"] = vocab.to_dict()
     if label_names is not None:
         meta["label_names"] = list(label_names)
-    if isinstance(provider, TrainableLookup):
+    if type(provider) is TrainableLookup:
         meta["embedding_frozen"] = provider.frozen
         tensors[EMBEDDING_TABLE] = provider.table.value
     save_tensors(path, tensors, meta, CHECKPOINT_FORMAT)

@@ -4,9 +4,10 @@ A pluggable stand-in for a pretrained contextual encoder: either a
 trainable embedding table or frozen per-sample vectors loaded from a
 tensor container file. Sequence boundary markers are real token nodes.
 
-Both embed a batch of id sequences as B x M x dim features, M the
-longest sequence. The rows past a sequence's end repeat the lookup's
-PAD row (or are zero), and `graph.propagate` makes them inert.
+A provider's `token_ids` turns a sample into row ids of its table, and
+`embed` gathers a batch of id sequences as B x M x dim features, M the
+longest sequence. The rows past a sequence's end read the PAD row, and
+`graph.propagate` makes them inert.
 """
 
 from __future__ import annotations
@@ -102,38 +103,43 @@ class TrainableLookup:
     def _set_table(self, table: np.ndarray, freeze: bool) -> None:
         self.table = parameter(table) if not freeze else constant(table)
         self.frozen = freeze
-        self.dim = table.shape[1]
 
-    def embed(self, batch_ids, sample_ids=None) -> Node:
+    def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
+        return tokenize(sample.tokens, vocab, max_len)
+
+    def embed(self, batch_ids) -> Node:
         return gather_rows(self.table, pad_ids(batch_ids))
 
     def parameters(self) -> list[Node]:
         return [] if self.frozen else [self.table]
 
 
-class PrecomputedFile:
-    """Frozen per-sample vectors keyed by sample id; never updated by training."""
+class PrecomputedFile(TrainableLookup):
+    """Frozen per-sample vectors keyed by sample id; never updated by training.
+
+    The blocks are stacked into one constant table under len(RESERVED)
+    zero rows, so PAD reads zeros. A sample's ids are its own block's
+    rows, checked against its token nodes when it is tokenized.
+    """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
             raise ValueError("no precomputed vectors given")
-        self.vectors = vectors
-        self.dim = next(iter(vectors.values())).shape[1]
+        first = next(iter(vectors.values()))
+        self.rows: dict[str, range] = {}
+        start = len(RESERVED)
         for sid, v in vectors.items():
-            if v.ndim != 2 or v.shape[1] != self.dim:
+            if v.ndim != 2 or v.shape[1:] != first.shape[1:]:
                 raise ValueError(f"vector block for sample {sid!r} has shape {v.shape}")
+            self.rows[sid] = range(start, start + len(v))
+            start += len(v)
+        reserved = np.zeros((len(RESERVED), first.shape[1]))
+        self._set_table(np.concatenate([reserved, *vectors.values()]), freeze=True)
 
-    def embed(self, batch_ids, sample_ids=None) -> Node:
-        out = np.zeros((len(batch_ids), max(map(len, batch_ids)), self.dim))
-        for row, ids, sample_id in zip(out, batch_ids, sample_ids or [None] * len(batch_ids)):
-            if sample_id not in self.vectors:
-                raise KeyError(f"no precomputed embedding for sample {sample_id!r}")
-            vecs = self.vectors[sample_id]
-            if vecs.shape[0] != len(ids):
-                raise ValueError(
-                    f"sample {sample_id!r}: {vecs.shape[0]} vectors for {len(ids)} tokens")
-            row[:len(ids)] = vecs
-        return constant(out)
-
-    def parameters(self) -> list[Node]:
-        return []
+    def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
+        if sample.id not in self.rows:
+            raise KeyError(f"no precomputed embedding for sample {sample.id!r}")
+        rows, m = self.rows[sample.id], len(token_rows(sample.tokens, max_len))
+        if len(rows) != m:
+            raise ValueError(f"sample {sample.id!r}: {len(rows)} vectors for {m} tokens")
+        return list(rows)

@@ -116,8 +116,7 @@ class ForwardTrace:
     probs_node: Node
 
 
-def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
-            sample_ids=None) -> ForwardTrace:
+def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
     """Run the HGCN on a batch of token-id sequences; records on the active Tape, if any.
 
     Sample b's token rows are the first len(batch_ids[b]) of the M padded
@@ -128,7 +127,7 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
         raise ValueError("empty batch or token sequence")
     m = int(lengths.max())
 
-    x_token = provider.embed(batch_ids, sample_ids=sample_ids)
+    x_token = provider.embed(batch_ids)
     h_token = ad.matmul(x_token, params.w_token_in)
 
     # first layer, before any token-label edges (see above); one-hot label
@@ -166,11 +165,9 @@ def build_target(labels) -> np.ndarray:
 
 
 def batch_loss(batch, provider, params, cfg) -> Node:
-    """Mean per-sample MSE over a batch of (ids, target[, sample_id]) triples."""
-    sample_ids = [item[2] if len(item) > 2 else None for item in batch]
-    trace = forward([item[0] for item in batch], provider, params, cfg,
-                    sample_ids=sample_ids)
-    return ad.mse_loss(trace.probs_node, np.concatenate([item[1] for item in batch]))
+    """Mean per-sample MSE over a batch of (ids, target) pairs."""
+    trace = forward([ids for ids, _ in batch], provider, params, cfg)
+    return ad.mse_loss(trace.probs_node, np.concatenate([target for _, target in batch]))
 
 
 def chunks(lengths, cfg: ModelConfig) -> list[slice]:
@@ -194,7 +191,7 @@ def chunks(lengths, cfg: ModelConfig) -> list[slice]:
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
                optimizer: ad.Adam | ad.SGD) -> float:
-    """One optimizer step on a batch of (ids, target[, sample_id]) triples.
+    """One optimizer step on a batch of (ids, target) pairs.
 
     Loss is the mean per-sample MSE. Each chunk's loss is scaled by its
     share of the batch, so gradients accumulate across chunks into the
@@ -203,7 +200,7 @@ def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
     if not batch:
         raise ValueError("empty batch")
     total = 0.0
-    for part in chunks([len(item[0]) for item in batch], cfg):
+    for part in chunks([len(ids) for ids, _ in batch], cfg):
         chunk = batch[part]
         with Tape() as tape:
             loss = batch_loss(chunk, provider, params, cfg)

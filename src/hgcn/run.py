@@ -18,11 +18,15 @@ from .analysis import (
 )
 from .autodiff import ACTIVATIONS, SGD, Adam
 from .data import load_embeddings
-from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows, tokenize
+from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
 
 OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
+class ConfigError(ValueError):
+    pass
 
 
 @dataclass
@@ -120,22 +124,30 @@ def _has_type(value, hint) -> bool:
 
 
 def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generator | None):
-    """The configured token-feature provider; `rng` draws a new lookup table."""
+    """The configured token-feature provider; `rng` draws a new lookup table.
+
+    File vectors whose width is not `input_dim` are a configuration error.
+    """
     if run_cfg.encoder.startswith("file:"):
-        return PrecomputedFile(load_embeddings(run_cfg.encoder[len("file:"):]))
+        path = run_cfg.encoder[len("file:"):]
+        provider = PrecomputedFile(load_embeddings(path))
+        width = provider.table.value.shape[1]
+        if width != run_cfg.input_dim:
+            raise ConfigError(f"input_dim is {run_cfg.input_dim}, "
+                              f"but {path} holds {width}-wide vectors")
+        return provider
     return TrainableLookup(len(vocab), run_cfg.input_dim, rng, freeze=run_cfg.freeze)
 
 
-def prepare(samples, run_cfg: RunConfig, vocab: Vocabulary):
-    """Tokenize and target-encode samples into (ids, target, sample_id) triples."""
+def prepare(samples, run_cfg: RunConfig, vocab: Vocabulary, provider):
+    """(ids, target) pairs: each sample's `provider.token_ids` and target distribution."""
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     out = []
     for s in samples:
-        ids = tokenize(s.tokens, vocab, run_cfg.max_len)
         binary = np.zeros(len(run_cfg.label_names))
         for name in s.labels:
             binary[index[name]] = 1.0
-        out.append((ids, build_target(binary), s.id))
+        out.append((provider.token_ids(s, vocab, run_cfg.max_len), build_target(binary)))
     return out
 
 
@@ -154,10 +166,10 @@ def _forward_samples(samples, params, provider, run_cfg, vocab):
     probabilities, the edges are its m x n block.
     """
     cfg = run_cfg.model_config()
-    all_ids = [tokenize(s.tokens, vocab, run_cfg.max_len) for s in samples]
+    all_ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
     for part in chunks([len(ids) for ids in all_ids], cfg):
         batch, batch_ids = samples[part], all_ids[part]
-        trace = forward(batch_ids, provider, params, cfg, sample_ids=[s.id for s in batch])
+        trace = forward(batch_ids, provider, params, cfg)
         m = trace.final_edges.shape[1]
         for b, (s, ids) in enumerate(zip(batch, batch_ids)):
             yield (s, ids, trace.probs[b], trace.final_edges[b, :len(ids)],
@@ -179,8 +191,7 @@ def evaluate_model(samples, params, provider, run_cfg, vocab) -> EvalReport:
     return evaluate(preds, golds, len(run_cfg.label_names))
 
 
-def train(train_samples, run_cfg: RunConfig, dev_samples=None, vocab=None,
-          log=None):
+def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
     """Full training run; returns (params, provider, vocab, log_lines).
 
     All randomness flows from run_cfg.seed; the per-epoch shuffle order
@@ -189,8 +200,7 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, vocab=None,
     """
     if not train_samples:
         raise ValueError("empty training set")
-    if vocab is None:
-        vocab = Vocabulary(t for s in train_samples for t in s.tokens)
+    vocab = Vocabulary(t for s in train_samples for t in s.tokens)
     cfg = run_cfg.model_config()
     rng = np.random.default_rng(run_cfg.seed)
     params = ModelParams.init(cfg, rng)
@@ -198,7 +208,7 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, vocab=None,
     trainable = params.parameters() + provider.parameters()
     optimizer = OPTIMIZERS[run_cfg.optimizer](trainable, run_cfg.lr)
 
-    prepared = prepare(train_samples, run_cfg, vocab)
+    prepared = prepare(train_samples, run_cfg, vocab, provider)
     lines = []
     for epoch in range(run_cfg.epochs):
         order = np.random.default_rng([run_cfg.seed, epoch]).permutation(len(prepared))

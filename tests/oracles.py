@@ -14,7 +14,6 @@ import numpy as np
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import Node, ShapeError, Tape, _result, constant, gather_rows
-from hgcn.encoder import PrecomputedFile
 from hgcn.model import ForwardTrace
 
 
@@ -334,18 +333,21 @@ def reconstruct_one(h: Node, m: int) -> Node:
     return _result(out, "reconstruct_token_label", (h,), push)
 
 
-def embed_one(provider, ids, sample_id=None) -> Node:
-    """One sample's m x dim token features, unpadded."""
-    if isinstance(provider, PrecomputedFile):
-        return constant(provider.vectors[sample_id])
+def embed_one(provider, ids, block=None) -> Node:
+    """One sample's m x dim token features, unpadded: its own vector `block`
+    if given (read from a test's dict, not a provider's stacked table), else
+    the provider's table rows.
+    """
+    if block is not None:
+        return constant(block)
     return gather_rows(provider.table, ids)
 
 
-def forward_one(ids, provider, params, cfg, sample_id=None) -> ForwardTrace:
+def forward_one(ids, provider, params, cfg, block=None) -> ForwardTrace:
     """The HGCN on one sample: probs 1 x n, edges m x n, features (m + n) x hidden."""
     m = len(ids)
     n = cfg.num_labels
-    h_token = ad.matmul(embed_one(provider, ids, sample_id), params.w_token_in)
+    h_token = ad.matmul(embed_one(provider, ids, block), params.w_token_in)
     h = ad.concat_rows(h_token, params.w_label_in)
     edges = constant(np.zeros((m, n)))
     for layer in range(cfg.num_layers):
@@ -361,8 +363,8 @@ def forward_one(ids, provider, params, cfg, sample_id=None) -> ForwardTrace:
                         final_features=h.value, probs_node=probs)
 
 
-def sample_loss_one(ids, target, provider, params, cfg, sample_id=None) -> Node:
-    trace = forward_one(ids, provider, params, cfg, sample_id=sample_id)
+def sample_loss_one(ids, target, provider, params, cfg, block=None) -> Node:
+    trace = forward_one(ids, provider, params, cfg, block)
     return ad.mse_loss(trace.probs_node, target)
 
 
@@ -370,10 +372,9 @@ def train_step_one(batch, params, cfg, provider, optimizer) -> float:
     """One optimizer step, one tape per sample; gradients accumulate over the batch."""
     total = 0.0
     inv = 1.0 / len(batch)
-    for item in batch:
-        sample_id = item[2] if len(item) > 2 else None
+    for ids, target in batch:
         with Tape() as tape:
-            loss = sample_loss_one(item[0], item[1], provider, params, cfg, sample_id)
+            loss = sample_loss_one(ids, target, provider, params, cfg)
             tape.backward(ad.scale(loss, inv))
         total += float(loss.value[0, 0])
     optimizer.step()

@@ -13,7 +13,7 @@ import pytest
 from hgcn import metrics, model
 from hgcn import run as runmod
 from hgcn.autodiff import SGD, Tape
-from hgcn.data import Sample
+from hgcn.data import Sample, save_embeddings
 from hgcn.encoder import PAD, PrecomputedFile, TrainableLookup, Vocabulary, tokenize
 from hgcn.model import (ModelConfig, ModelParams, batch_loss, build_target, chunks, forward,
                         train_step)
@@ -33,29 +33,40 @@ def make_model(activation="tanh", detach_edges=False, encoder="lookup", num_laye
     if encoder == "lookup":
         provider = TrainableLookup(VOCAB, DIM, rng)
     else:
-        provider = PrecomputedFile({f"s{i}": rng.normal(size=(m, DIM))
-                                    for i, m in enumerate(LENGTHS)})
+        provider = PrecomputedFile(BLOCKS)
     return cfg, params, provider
 
 
 # m = 3, a truncated sample (tokenize at max_len 8), m = 2, a long one
 VOCABULARY = Vocabulary([f"w{i}" for i in range(VOCAB - 4)])
 TOKENS = [["w0"], [f"w{i % 10}" for i in range(15)], [], ["w3", "w9", "w9", "w1", "w5"]]
+SAMPLES = [Sample(id=f"s{i}", tokens=t, labels=[]) for i, t in enumerate(TOKENS)]
 IDS = [tokenize(t, VOCABULARY, 8) for t in TOKENS]
 LENGTHS = [len(ids) for ids in IDS]
 TARGETS = [build_target(y) for y in ([1, 0, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1])]
-BATCH = [(ids, t, f"s{i}") for i, (ids, t) in enumerate(zip(IDS, TARGETS))]
+BATCH = list(zip(IDS, TARGETS))
+# the file provider's per-sample vectors; the oracle reads these, not its stacked table
+BLOCKS = {s.id: np.random.default_rng(4 + i).normal(size=(m, DIM))
+          for i, (s, m) in enumerate(zip(SAMPLES, LENGTHS))}
+
+
+def provider_batch(provider, members):
+    """BATCH's members as `provider` tokenizes them, and each one's oracle block (or None)."""
+    blocks = [BLOCKS[SAMPLES[i].id] if isinstance(provider, PrecomputedFile) else None
+              for i in members]
+    return ([(provider.token_ids(SAMPLES[i], VOCABULARY, 8), TARGETS[i]) for i in members],
+            blocks)
 
 
 def test_batch_is_ragged_with_a_truncated_sample():
     assert LENGTHS == [3, 8, 2, 7] and len(TOKENS[1]) + 2 > 8
 
 
-def per_sample_grads(batch, cfg, params, provider):
+def per_sample_grads(batch, blocks, cfg, params, provider):
     trainable = params.parameters() + provider.parameters()
-    for item in batch:
+    for (ids, target), block in zip(batch, blocks):
         with Tape() as tape:
-            loss = sample_loss_one(item[0], item[1], provider, params, cfg, item[2])
+            loss = sample_loss_one(ids, target, provider, params, cfg, block)
             tape.backward(loss)
     grads = [p.grad / len(batch) for p in trainable]
     for p in trainable:
@@ -76,12 +87,11 @@ CASES = [("tanh", False, "lookup"), ("relu", False, "lookup"), ("tanh", True, "l
 @pytest.mark.parametrize("members", [[0, 1, 2, 3], [1], [2, 0]], ids=["ragged", "one", "pair"])
 def test_forward_and_gradients_match_per_sample(activation, detach, encoder, members):
     cfg, params, provider = make_model(activation, detach, encoder)
-    batch = [BATCH[i] for i in members]
-    trace = forward([item[0] for item in batch], provider, params, cfg,
-                    sample_ids=[item[2] for item in batch])
-    big = max(len(item[0]) for item in batch)
-    for b, (ids, _, sid) in enumerate(batch):
-        ref = forward_one(ids, provider, params, cfg, sample_id=sid)
+    batch, blocks = provider_batch(provider, members)
+    trace = forward([ids for ids, _ in batch], provider, params, cfg)
+    big = max(len(ids) for ids, _ in batch)
+    for b, ((ids, _), block) in enumerate(zip(batch, blocks)):
+        ref = forward_one(ids, provider, params, cfg, block)
         m = len(ids)
         assert_close(trace.probs[b:b + 1], ref.probs)
         assert_close(trace.final_edges[b, :m], ref.final_edges)
@@ -96,7 +106,7 @@ def test_forward_and_gradients_match_per_sample(activation, detach, encoder, mem
     grads = [p.grad.copy() for p in trainable]
     for p in trainable:
         p.zero_grad()
-    for got, want in zip(grads, per_sample_grads(batch, cfg, params, provider)):
+    for got, want in zip(grads, per_sample_grads(batch, blocks, cfg, params, provider)):
         assert_close(got, want)
 
 
@@ -111,28 +121,36 @@ def test_padding_pushes_no_gradient_into_the_pad_row():
 
 def test_pad_row_is_inert():
     # padded slots look up the PAD row; propagate's zero inverse root degree
-    # alone must keep even a large PAD row out of every result
-    cfg, params, provider = make_model()
+    # alone must keep even a large PAD row out of every result, the file
+    # provider's stacked zero row as much as the lookup's trained one
+    for encoder in ("lookup", "file"):
+        check_pad_row_is_inert(*make_model(encoder=encoder))
+
+
+def check_pad_row_is_inert(cfg, params, provider):
     provider.table.value[PAD] = 1e3
-    out = provider.embed(IDS)
+    batch, blocks = provider_batch(provider, range(len(SAMPLES)))
+    all_ids = [ids for ids, _ in batch]
+    out = provider.embed(all_ids)
     assert out.value.shape == (4, 8, DIM)
-    for b, ids in enumerate(IDS):
+    for b, ids in enumerate(all_ids):
         assert np.array_equal(out.value[b, :len(ids)], provider.table.value[ids])
         assert (out.value[b, len(ids):] == 1e3).all()
-    trace = forward(IDS, provider, params, cfg)
-    for b, ids in enumerate(IDS):
-        ref = forward_one(ids, provider, params, cfg)
+    trace = forward(all_ids, provider, params, cfg)
+    for b, (ids, block) in enumerate(zip(all_ids, blocks)):
+        ref = forward_one(ids, provider, params, cfg, block)
         assert_close(trace.probs[b:b + 1], ref.probs)
         assert_close(trace.final_edges[b, :len(ids)], ref.final_edges)
     trainable = params.parameters() + provider.parameters()
     with Tape() as tape:
-        tape.backward(batch_loss(BATCH, provider, params, cfg))
+        tape.backward(batch_loss(batch, provider, params, cfg))
     grads = [p.grad.copy() for p in trainable]
     for p in trainable:
         p.zero_grad()
-    for got, want in zip(grads, per_sample_grads(BATCH, cfg, params, provider)):
+    for got, want in zip(grads, per_sample_grads(batch, blocks, cfg, params, provider)):
         assert_close(got, want)
-    assert not grads[-1][PAD].any()
+    if provider.parameters():
+        assert not grads[-1][PAD].any()
 
 
 class Recorder:
@@ -238,7 +256,7 @@ def test_inference_ignores_batch_size(monkeypatch):
         args = (samples, params, provider, run_cfg, VOCABULARY)
         calls.clear()
         for s, ids, probs, edges, _ in runmod._forward_samples(*args):
-            ref = forward_one(ids, provider, params, cfg, sample_id=s.id)
+            ref = forward_one(ids, provider, params, cfg)
             assert_close(probs, ref.probs[0])
             assert_close(edges, ref.final_edges)
         assert calls == [lengths[part] for part in parts]
@@ -282,3 +300,28 @@ def test_decoders_get_one_probability_vector_per_sample(decode, monkeypatch):
         for probs, ref in zip(seen, refs):
             assert probs.shape == (3,)
             assert_close(probs, ref)
+
+
+@pytest.mark.parametrize("block", [None, np.ones((LENGTHS[3] + 1, DIM))],
+                         ids=["missing", "wrong-length"])
+def test_file_block_errors_come_at_tokenization(block, tmp_path, monkeypatch):
+    blocks = {sid: v for sid, v in BLOCKS.items() if sid != "s3"}
+    if block is not None:
+        blocks["s3"] = block
+    save_embeddings(tmp_path / "v.bin", blocks)
+    calls = []
+
+    def recording_forward(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    monkeypatch.setattr(runmod, "forward", recording_forward)
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
+                               max_len=8, epochs=1, encoder=f"file:{tmp_path / 'v.bin'}")
+    with pytest.raises((KeyError, ValueError), match="s3"):
+        runmod.train(SAMPLES, run_cfg)
+    params = make_model()[1]
+    with pytest.raises((KeyError, ValueError), match="s3"):
+        runmod.predict(SAMPLES, params, PrecomputedFile(blocks), run_cfg, VOCABULARY)
+    assert calls == []

@@ -135,6 +135,33 @@ def test_file_encoder_end_to_end(corpus, tmp_path, capsys):
     assert "not an embedding container" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", [None, 5], ids=["missing-file", "wrong-width"])
+def test_file_encoder_errors_come_before_any_output(trained, tmp_path, capsys, width):
+    root, label_names, trained_out, _ = trained
+    vectors = tmp_path / "vectors.bin"
+    if width is not None:
+        samples = (load_dataset(root / "train.jsonl", label_names)
+                   + load_dataset(root / "test.jsonl", label_names))
+        save_embeddings(vectors, {s.id: np.ones((len(token_rows(s.tokens, 32)), width))
+                                  for s in samples})
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", root, label_names, out)
+    flags = ["--config", str(config), "--encoder", f"file:{vectors}"]
+    assert main(["train", *flags]) == (2 if width is None else 1)
+    err = capsys.readouterr().err
+    assert not out.exists()
+    if width is None:
+        assert str(vectors) in err
+        return
+    assert f"input_dim is 8, but {vectors} holds 5-wide vectors" in err
+    out.mkdir()
+    shutil.copy(trained_out / "model.ckpt", out / "model.ckpt")
+    for command in ("eval", "explain", "correlate"):
+        assert main([command, *flags]) == 1
+        assert "input_dim is 8" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["model.ckpt"]
+
+
 @pytest.mark.parametrize("flags, extra, field", [
     (["--layers", "1"], {}, "num_layers"),
     (["--layers", "3"], {}, "num_layers"),

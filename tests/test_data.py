@@ -185,9 +185,11 @@ def test_tensor_container_trailing_bytes_detected(tmp_path):
 
 def test_tensor_container_corrupt_header(tmp_path):
     path = tmp_path / "t.bin"
-    path.write_bytes(b"\xff\xfenot json\n1234")
-    with pytest.raises(CheckpointError, match="header"):
-        load_tensors(path)
+    for header in (b"\xff\xfenot json", b"[1, 2]", b'{"version": 1, "tensors": 5}',
+                   b'{"version": 1, "tensors": [{"name": "a", "shape": [1], "dtype": "foo"}]}'):
+        path.write_bytes(header + b"\n1234")
+        with pytest.raises(CheckpointError, match=f"{path}: corrupt container header"):
+            load_tensors(path)
 
 
 def test_tensor_container_bad_version(tmp_path):

@@ -12,6 +12,7 @@ from hgcn.encoder import (
     Vocabulary,
     tokenize,
 )
+from hgcn.data import Sample
 
 from oracles import total_sum
 
@@ -105,23 +106,39 @@ def test_frozen_lookup_has_no_parameters_and_never_moves():
     assert np.array_equal(lookup.table.value, before)
 
 
-def test_precomputed_provider_frozen_and_keyed():
-    vecs = {"s1": np.ones((4, 6)), "s2": np.zeros((3, 6))}
+def test_precomputed_provider_frozen_and_keyed(vocab):
+    vecs = {"s1": np.ones((4, 6)), "s2": np.full((3, 6), 2.0)}
     provider = PrecomputedFile(vecs)
+    batch = [provider.token_ids(Sample(sid, ["a"] * (len(v) - 2), []), vocab, 17)
+             for sid, v in reversed(vecs.items())]
     with Tape():
-        out = provider.embed([[0, 1, 2, 3]], sample_ids=["s1"])
-    assert out.value.shape == (1, 4, 6)
+        out = provider.embed(batch)
+    assert out.value.shape == (2, 4, 6)
+    # each sample reads its own block; its padded slot reads a zero row
+    assert np.array_equal(out.value[0, :3], vecs["s2"]) and not out.value[0, 3:].any()
+    assert np.array_equal(out.value[1], vecs["s1"])
     assert not out.requires_grad
     assert provider.parameters() == []
 
 
-def test_precomputed_missing_sample_names_id():
+def test_precomputed_missing_sample_names_id(vocab):
     provider = PrecomputedFile({"s1": np.ones((2, 3))})
     with pytest.raises(KeyError, match="s9"):
-        provider.embed([[0, 1]], sample_ids=["s9"])
+        provider.token_ids(Sample("s9", [], []), vocab, 17)
 
 
-def test_precomputed_length_mismatch():
+def test_precomputed_length_mismatch(vocab):
     provider = PrecomputedFile({"s1": np.ones((2, 3))})
     with pytest.raises(ValueError, match="s1"):
-        provider.embed([[0, 1, 2]], sample_ids=["s1"])
+        provider.token_ids(Sample("s1", ["a"], []), vocab, 17)
+
+
+@pytest.mark.parametrize("blocks", [
+    {"s1": np.ones(3), "s2": np.ones((2, 3))},
+    {"s1": np.array(1.0), "s2": np.ones((2, 3))},
+    {"s2": np.ones((2, 3)), "s1": np.ones((2, 4))},
+], ids=["first-1d", "first-0d", "width-differs"])
+def test_precomputed_bad_block_names_sample(blocks):
+    with pytest.raises(ValueError, match="'s1'"):
+        PrecomputedFile(blocks)
+

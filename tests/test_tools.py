@@ -39,11 +39,24 @@ def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
     workloads = digest.load_benchmark().WORKLOADS
     assert set(written) == set(workloads)
     for name, wl in workloads.items():
-        expected = {"train.log", "model.ckpt", "eval.txt", "eval.json", "attributions/mse.txt"}
-        expected |= {f"{stem}.{ext}" for stem in ("pearson", "label_cosine")
-                     for ext in ("csv", "svg")}
-        expected |= {f"attributions/te{i}.{ext}" for i in range(wl.test_samples)
-                     for ext in ("csv", "svg")}
+        expected = outputs(wl.test_samples)
         assert expected <= written[name], name
-        if name == digest.FILE_ENCODER_WORKLOAD:
+        if name == digest.EXTRA_RUN_WORKLOAD:
             assert {f"file-encoder/{path}" for path in expected} <= written[name]
+
+    # each model-knob variant of the short-chain shape covers every output too
+    expected = outputs(digest.VARIANT_SIZE["test_samples"])
+    for prefix in digest.VARIANTS:
+        variant = {path[len(prefix):] for path in written[digest.EXTRA_RUN_WORKLOAD]
+                   if path.startswith(prefix)}
+        assert variant == expected, prefix
+
+
+def outputs(test_samples) -> set[str]:
+    """Every file `train`, `eval`, `explain` and `correlate` write for a test set of this size."""
+    expected = {"train.log", "model.ckpt", "eval.txt", "eval.json", "attributions/mse.txt"}
+    expected |= {f"{stem}.{ext}" for stem in ("pearson", "label_cosine")
+                 for ext in ("csv", "svg")}
+    expected |= {f"attributions/te{i}.{ext}" for i in range(test_samples)
+                 for ext in ("csv", "svg")}
+    return expected

@@ -10,9 +10,16 @@ train and a test corpus at fixed seeds and runs `train`, `eval`,
 directory. It prints one line per output file: the workload, the path
 under the output directory and the file's SHA-256. The corpus comes from
 `hgcn.synth.generate_synthetic_corpus`, as in the benchmark, because the
-`synth` subcommand cannot set a workload's filler range. One more run of
-the short-chain shape reads per-sample vectors drawn at a fixed seed
-through `--encoder file:PATH`; its paths start with `file-encoder/`.
+`synth` subcommand cannot set a workload's filler range.
+
+More runs of the short-chain shape follow, each printed under the
+`short-chain` workload with its own path prefix:
+
+- `file-encoder/` reads per-sample vectors drawn at a fixed seed through
+  `--encoder file:PATH`;
+- one run per entry of VARIANTS sets the model knobs the benchmark
+  leaves at their defaults (layer count, `detach_edges`, `relu`, `sgd`,
+  `freeze`), on a corpus cut to VARIANT_SIZE to keep the runs short.
 
 To show that a change leaves every output byte-identical, run it against
 both checkouts' sources and compare:
@@ -28,6 +35,7 @@ both checkouts' sources and compare:
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -40,7 +48,16 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAIN_SEED, TEST_SEED, MODEL_SEED, EMBEDDING_SEED = 0, 1, 0, 2
-FILE_ENCODER_WORKLOAD = "short-chain"
+# the shape of the file-encoder and VARIANTS runs
+EXTRA_RUN_WORKLOAD = "short-chain"
+VARIANTS = {
+    "layers3-detach/": {"num_layers": 3, "detach_edges": True},
+    "relu/": {"activation": "relu"},
+    "sgd/": {"optimizer": "sgd", "lr": 0.5},
+    "layers1/": {"num_layers": 1},
+    "freeze/": {"freeze": True},
+}
+VARIANT_SIZE = {"train_samples": 40, "test_samples": 8, "epochs": 2}
 
 
 def load_benchmark():
@@ -52,11 +69,13 @@ def load_benchmark():
     return module
 
 
-def digest_workload(wl, run_config, work: Path, file_encoder=False) -> list[tuple[str, str]]:
+def digest_workload(wl, run_config, work: Path, file_encoder=False,
+                    overrides=None) -> list[tuple[str, str]]:
     """(path under the output directory, SHA-256) of every file the four commands write.
 
     With `file_encoder`, the run reads one vector per token node of each
     sample from an embedding file instead of training a lookup table.
+    `overrides` replace entries of the workload's run configuration.
     """
     from hgcn import cli, data, synth
     from hgcn.encoder import token_rows
@@ -71,7 +90,7 @@ def digest_workload(wl, run_config, work: Path, file_encoder=False) -> list[tupl
     data.save_dataset(test, work / "test.jsonl")
     out = work / "out"
     config = work / "config.json"
-    values = run_config(wl, label_names, MODEL_SEED, work, out)
+    values = run_config(wl, label_names, MODEL_SEED, work, out) | (overrides or {})
     if file_encoder:
         rng = np.random.default_rng(EMBEDDING_SEED)
         data.save_embeddings(work / "vectors.bin", {
@@ -99,12 +118,15 @@ def main(argv=None) -> int:
     import hgcn
     if Path(hgcn.__file__).resolve().parent != src / "hgcn":
         raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
-    runs = [(name, wl, "", False) for name, wl in bench.WORKLOADS.items()]
-    runs.append((FILE_ENCODER_WORKLOAD, bench.WORKLOADS[FILE_ENCODER_WORKLOAD],
-                 "file-encoder/", True))
-    for name, wl, prefix, file_encoder in runs:
+    short = bench.WORKLOADS[EXTRA_RUN_WORKLOAD]
+    runs = [(name, wl, "", False, None) for name, wl in bench.WORKLOADS.items()]
+    runs.append((EXTRA_RUN_WORKLOAD, short, "file-encoder/", True, None))
+    runs += [(EXTRA_RUN_WORKLOAD, dataclasses.replace(short, **VARIANT_SIZE), prefix,
+              False, overrides) for prefix, overrides in VARIANTS.items()]
+    for name, wl, prefix, file_encoder, overrides in runs:
         with tempfile.TemporaryDirectory() as tmp:
-            for rel, digest in digest_workload(wl, bench.run_config, Path(tmp), file_encoder):
+            for rel, digest in digest_workload(wl, bench.run_config, Path(tmp), file_encoder,
+                                               overrides):
                 print(f"{name} {prefix}{rel} {digest}")
     return 0
 
