@@ -17,10 +17,10 @@ reads it.
 
 Every backward adds into a node through `Node.accumulate`. Leaf
 parameters live outside any tape and start with a zero gradient, which
-builds up across backward calls until an optimizer step zeroes it. A
-non-leaf node has no gradient until its first push in `Tape.backward`,
-which stores the pushed array as is; each later push rebinds the sum.
-A node that receives no push is skipped.
+builds up in place until an optimizer step zeroes it. A non-leaf node
+has no gradient until its first push in `Tape.backward`, which stores
+the pushed array as is; each later push rebinds the sum. A node that
+receives no push is skipped.
 """
 
 from __future__ import annotations
@@ -97,22 +97,23 @@ class Node:
         return self.value.shape
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.value)
+        self.grad.fill(0.0)
 
     def accumulate(self, g) -> None:
-        """Add `g` to this node's gradient; the first push is stored as is.
+        """Add `g` to this node's gradient: a leaf's in place, a non-leaf's never.
 
-        Never in place: `g` may be a read-only view (a broadcast) or the
-        very array stored as another node's gradient.
+        `g` may be a read-only view (a broadcast) or the very array stored as
+        another node's gradient, so a non-leaf stores its first push as is.
         """
-        self.grad = g if self.grad is None else self.grad + g
+        out = None if self.op else self.grad
+        self.grad = g if self.grad is None else np.add(self.grad, g, out=out)
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 def parameter(value) -> Node:
-    """A trainable leaf holding its own copy of `value`, which `Adam` updates in place.
+    """A trainable leaf holding its own copy of `value`, until an optimizer moves it to its store.
 
     Rejects non-finite input.
     """
@@ -269,19 +270,29 @@ def gather_rows(table: Node, ids) -> Node:
     return _result(table.value[ids], "gather_rows", (table,), push)
 
 
+def _flat_store(params):
+    """(params, values, grads), each leaf's value and grad copied in and rebound as views."""
+    params = list(params)
+    values = np.concatenate([np.empty(0), *(p.value.ravel() for p in params)])
+    grads = np.concatenate([np.empty(0), *(p.grad.ravel() for p in params)])
+    cuts = np.cumsum([p.value.size for p in params])[:-1]
+    for p, v, g in zip(params, np.split(values, cuts), np.split(grads, cuts)):
+        p.value, p.grad = v.reshape(p.value.shape), g.reshape(p.value.shape)
+    return params, values, grads
+
+
 class SGD:
     """Plain gradient descent: p <- p - lr * grad, then zero grads."""
 
     def __init__(self, params, lr):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
-        self.params = list(params)
+        self.params, self.values, self.grads = _flat_store(params)
         self.lr = lr
 
     def step(self) -> None:
-        for p in self.params:
-            p.value = p.value - self.lr * p.grad
-            p.zero_grad()
+        self.values -= self.lr * self.grads
+        self.grads.fill(0.0)
 
 
 class Adam:
@@ -292,28 +303,26 @@ class Adam:
     def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
-        self.params = list(params)
-        self.lr = lr
-        self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.params, self.values, self.grads = _flat_store(params)
+        self.lr, self.t = lr, 0
+        self.m, self.v, self._scratch = (np.zeros_like(self.values) for _ in range(3))
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        # in place, in the same operation order as
-        # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            denom = np.sqrt(v / (1 - b2 ** self.t))
-            denom += self.eps
-            step = m / (1 - b1 ** self.t)
-            step *= self.lr
-            step /= denom
-            p.value -= step
-            p.zero_grad()
-
+        b1, b2, g, m, v, s = self.beta1, self.beta2, self.grads, self.m, self.v, self._scratch
+        # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), per element in this order
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(v, 1 - b2 ** self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, 1 - b1 ** self.t, out=s)
+        s *= self.lr
+        s /= g
+        self.values -= s
+        g.fill(0.0)

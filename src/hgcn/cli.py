@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 config/validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import sys
 from dataclasses import asdict, fields
@@ -193,6 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # glibc M_TRIM_THRESHOLD (-1), 128 KiB -> 8 MiB: trimming each freed tape cost about 310
+    # minor page faults per short-chain step (0 after), and 66k (8k) in five long-doc trainings
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        ctypes.CDLL(None).mallopt(-1, 8 << 20)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":

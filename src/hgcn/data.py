@@ -174,8 +174,11 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"{path}: container version {header.get('version')!r}, "
                 f"expected {CONTAINER_VERSION}")
         meta = {"format": header.get("format"), **header.get("meta", {})}
-        specs = [(spec["name"], tuple(spec["shape"]), np.dtype(spec["dtype"]))
+        specs = [(spec["name"], spec["shape"], np.dtype(spec["dtype"]))
                  for spec in header.get("tensors", [])]
+        for name, shape, _ in specs:  # `type(n) is int` rejects a JSON true
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise CheckpointError(f"{path}: corrupt container header: shape {shape!r}")
     except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError,
             TypeError) as e:
         raise CheckpointError(f"{path}: corrupt container header") from e

@@ -108,8 +108,30 @@ def slice_rows(a: Node, start: int, stop: int) -> Node:
     return _result(a.value[start:stop].copy(), "slice_rows", (a,), push)
 
 
-class ReferenceAdam(ad.Adam):
-    """`Adam` with its former out-of-place step, the reference for the in-place one."""
+class ReferenceSGD:
+    """`SGD` as a loop over the parameters, the reference for the flat store's step."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr = list(params), lr
+
+    def step(self) -> None:
+        for p in self.params:
+            p.value = p.value - self.lr * p.grad
+            p.zero_grad()
+
+
+class ReferenceAdam:
+    """`Adam` as a loop over the parameters, out of place, with per-parameter moments.
+
+    The reference for the flat store's in-place step.
+    """
+
+    beta1, beta2, eps = ad.Adam.beta1, ad.Adam.beta2, ad.Adam.eps
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = list(params), lr, 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self) -> None:
         self.t += 1

@@ -16,6 +16,7 @@ from hgcn.autodiff import (
 
 from oracles import (
     ReferenceAdam,
+    ReferenceSGD,
     add,
     elementwise_mul,
     finite_difference_grad,
@@ -380,7 +381,7 @@ def test_public_ops_reject_nonfinite_inputs():
 
 def test_sgd_hand_value():
     p = parameter([[1.0]])
-    p.grad = np.array([[2.0]])
+    p.grad[...] = np.array([[2.0]])
     SGD([p], 0.1).step()
     assert p.value[0, 0] == pytest.approx(0.8, abs=1e-15)
     assert p.grad[0, 0] == 0.0  # grads zeroed after the step
@@ -405,7 +406,7 @@ def test_adam_rejects_nonpositive_lr():
 
 def test_adam_first_step_moves_against_gradient():
     p = parameter([[1.0]])
-    p.grad = np.array([[2.0]])
+    p.grad[...] = np.array([[2.0]])
     Adam([p], 0.1).step()
     # bias-corrected first step is lr * g / (|g| + eps) ~ lr
     assert p.value[0, 0] == pytest.approx(0.9, abs=1e-6)
@@ -428,22 +429,25 @@ def test_optimizer_determinism():
 
 def test_adam_in_place_steps_match_the_reference_bitwise():
     rng = np.random.default_rng(4)
-    init = [rng.normal(size=(3, 4)), rng.normal(size=(1, 5))]
+    init = [rng.normal(size=(3, 4)), rng.normal(size=(1, 5)), rng.normal(size=(64, 64))]
     grads = [[rng.normal(size=v.shape) for v in init] for _ in range(6)]
-    runs = []
-    for cls in (Adam, ReferenceAdam):
-        params = [parameter(v) for v in init]
-        opt = cls(params, 0.05)
-        for step in grads:
-            for p, g in zip(params, step):
-                p.grad = g.copy()
-            opt.step()
-        runs.append((params, opt))
-    (params, opt), (ref_params, ref) = runs
-    for p, q, m, rm, v, rv in zip(params, ref_params, opt.m, ref.m, opt.v, ref.v):
-        assert np.array_equal(p.value, q.value)
-        assert np.array_equal(m, rm) and np.array_equal(v, rv)
-        assert not p.grad.any()
+    for cls, ref_cls in ((Adam, ReferenceAdam), (SGD, ReferenceSGD)):
+        runs = []
+        for c in (cls, ref_cls):
+            params = [parameter(v) for v in init]
+            opt = c(params, 0.05)
+            for step in grads:
+                for p, g in zip(params, step):
+                    p.grad[...] = g
+                opt.step()
+            runs.append((params, opt))
+        (params, opt), (ref_params, ref) = runs
+        for p, q in zip(params, ref_params):
+            assert np.array_equal(p.value, q.value)
+            assert not p.grad.any()
+        if cls is Adam:
+            assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+            assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
 
 def test_gather_rows_scatter_matches_add_at_bitwise():

@@ -1,4 +1,6 @@
+import ctypes
 import json
+import resource
 import shutil
 from dataclasses import asdict
 
@@ -409,3 +411,28 @@ def test_train_missing_dataset_path(tmp_path, capsys):
     config.write_text(json.dumps({"label_names": ["A"]}), encoding="utf-8")
     assert main(["train", "--config", str(config)]) == 1
     assert "train_path" in capsys.readouterr().err
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_training_keeps_the_heap_mapped_between_steps(tmp_path):
+    # A freed tape must not hand the heap top back to the system for the
+    # next step to fault in again: with glibc's default trim threshold a
+    # short-chain step took about 310 minor page faults, with hgcn's about 0.
+    train, label_names, _ = generate_synthetic_corpus(
+        5, 60, 300, seed=0, min_fillers=3, max_fillers=6, id_prefix="tr")
+    save_dataset(train, tmp_path / "train.jsonl")
+    config = write_config(tmp_path / "config.json", tmp_path, label_names, tmp_path / "out",
+                          hidden=64, input_dim=64, max_len=32, batch_size=10)
+    assert main(["train", "--config", str(config)]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["train", "--config", str(config)]) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    steps = 3 * 300 // 10
+    assert faults / steps < 5, f"{faults} minor page faults over {steps} steps"

@@ -183,13 +183,22 @@ def test_tensor_container_trailing_bytes_detected(tmp_path):
         load_tensors(path)
 
 
-def test_tensor_container_corrupt_header(tmp_path):
+def _one_tensor(shape: str) -> bytes:
+    return b'{"version": 1, "tensors": [{"name": "a", "shape": %s, "dtype": "<f8"}]}' % (
+        shape.encode())
+
+
+@pytest.mark.parametrize("header", [
+    b"\xff\xfenot json", b"[1, 2]", b'{"version": 1, "tensors": 5}',
+    b'{"version": 1, "tensors": [{"name": "a", "shape": [1], "dtype": "foo"}]}',
+    _one_tensor('["2"]'), _one_tensor("[2.5]"), _one_tensor("[true]"), _one_tensor("[-1]"),
+], ids=["not-utf8", "array", "int-tensors", "bad-dtype",
+        "string-dim", "float-dim", "bool-dim", "negative-dim"])
+def test_tensor_container_corrupt_header(tmp_path, header):
     path = tmp_path / "t.bin"
-    for header in (b"\xff\xfenot json", b"[1, 2]", b'{"version": 1, "tensors": 5}',
-                   b'{"version": 1, "tensors": [{"name": "a", "shape": [1], "dtype": "foo"}]}'):
-        path.write_bytes(header + b"\n1234")
-        with pytest.raises(CheckpointError, match=f"{path}: corrupt container header"):
-            load_tensors(path)
+    path.write_bytes(header + b"\n" + bytes(24))
+    with pytest.raises(CheckpointError, match=f"{path}: corrupt container header"):
+        load_tensors(path)
 
 
 def test_tensor_container_bad_version(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hgcn import autodiff as ad
+from hgcn import run
 from hgcn.autodiff import SGD, Adam, Tape
+from hgcn.data import Sample
 from hgcn.encoder import TrainableLookup
 from hgcn.model import (
     ModelConfig,
@@ -259,3 +261,39 @@ def test_two_layer_sample_loss_tape_size():
     assert len(tape.nodes) == 16
     assert not any(node.op == "slice_rows" for node in tape.nodes)
     assert sum(node.op == "propagate" for node in tape.nodes) == 2
+
+
+@pytest.mark.parametrize("optimizer", sorted(run.OPTIMIZERS))
+def test_trained_leaves_stay_views_into_the_optimizer_store(optimizer, monkeypatch):
+    made = []
+
+    class Recorded(run.OPTIMIZERS[optimizer]):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            made.append(self)
+
+    monkeypatch.setitem(run.OPTIMIZERS, optimizer, Recorded)
+    samples = [Sample(id=f"s{i}", tokens=["a", "b"][: 1 + i % 2], labels=[["x"], ["y"]][i % 2])
+               for i in range(6)]
+    cfg = run.RunConfig(label_names=["x", "y"], hidden=6, input_dim=5, epochs=2,
+                        batch_size=4, optimizer=optimizer)
+    params, provider, _, _ = run.train(samples, cfg)
+    (opt,) = made
+    trainable = params.parameters() + provider.parameters()
+    assert opt.params == trainable and len(trainable) == 5
+    assert sum(p.value.size for p in trainable) == opt.values.size
+
+    def assert_views():
+        for p in trainable:
+            assert np.shares_memory(p.value, opt.values)
+            assert np.shares_memory(p.grad, opt.grads)
+
+    assert_views()
+    assert not opt.grads.any()
+    for p in trainable:
+        p.zero_grad()
+    with Tape() as tape:
+        tape.backward(batch_loss([([0, 4, 1], build_target([1, 0]))], provider, params,
+                                 cfg.model_config()))
+    assert_views()
+    assert all(p.grad.any() for p in trainable)
