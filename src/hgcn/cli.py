@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # glibc M_TRIM_THRESHOLD (-1), 128 KiB -> 8 MiB: trimming each freed tape cost about 310
-    # minor page faults per short-chain step (0 after), and 66k (8k) in five long-doc trainings
+    # glibc M_TRIM_THRESHOLD (-1), 128 KiB -> 8 MiB: trimming each freed tape cost about 300
+    # minor page faults per short-chain step (0 after), and 114k (2k) in five long-doc trainings
     with contextlib.suppress(OSError, AttributeError, TypeError):
         ctypes.CDLL(None).mallopt(-1, 8 << 20)
     args = build_parser().parse_args(argv)
