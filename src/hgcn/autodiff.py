@@ -15,12 +15,14 @@ active tape nothing is recorded and no node keeps its closure, which is
 how inference runs: each intermediate array is freed as soon as nothing
 reads it.
 
-Every backward adds into a node through `Node.accumulate`. Leaf
-parameters live outside any tape and start with a zero gradient, which
-builds up in place until an optimizer step zeroes it. A non-leaf node
-has no gradient until its first push in `Tape.backward`, which stores
-the pushed array as is; each later push rebinds the sum. A node that
-receives no push is skipped.
+Every backward adds into a node through `Node.accumulate`. Only a leaf
+that trains has a gradient of its own: a parameter lives outside any
+tape and starts with a zero gradient, which builds up in place until an
+optimizer step zeroes it. A constant has none, and nothing pushes into
+it: a two-parent op checks `requires_grad`, and a one-parent op over a
+constant keeps no backward. A non-leaf node has no gradient until its
+first push in `Tape.backward`, which stores the pushed array as is; each
+later push rebinds the sum. A node that receives no push is skipped.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ class Tape:
         _current_tape = self._outer
         return False
 
-    def backward(self, loss: "Node") -> None:
-        """Seed d(loss)/d(loss) = 1 and push gradients back through the tape.
+    def backward(self, loss: "Node", weight: float = 1.0) -> None:
+        """Seed d(loss) = weight and push gradients back through the tape.
 
-        Leaf gradients accumulate; calling twice doubles them.
+        Leaf gradients accumulate; calling twice doubles them. `weight`
+        scales every pushed gradient, as a chunk's share of its batch does
+        in `model.train_step`.
         """
         if loss.value.shape != (1, 1):
             raise ShapeError(f"loss must be scalar (1x1), got {loss.value.shape}")
@@ -65,7 +69,7 @@ class Tape:
         # d(loss)/d(leaf) into the (persistent) leaf gradients
         for node in self.nodes:
             node.grad = None
-        loss.grad = np.ones_like(loss.value)
+        loss.grad = np.full_like(loss.value, weight)
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
@@ -74,8 +78,9 @@ class Tape:
 class Node:
     """A matrix in the computation graph.
 
-    `op` names the producing operation ("" for leaves). Only a leaf starts
-    with a zero gradient; a non-leaf's `grad` is None until its first push.
+    `op` names the producing operation ("" for leaves). Only a leaf with
+    `requires_grad` starts with a zero gradient; a constant's `grad` stays
+    None, and a non-leaf's is None until its first push.
     """
 
     __slots__ = ("value", "grad", "op", "requires_grad", "_backward")
@@ -85,16 +90,12 @@ class Node:
         if value.ndim != 2:
             value = np.atleast_2d(value)
         self.value = value
-        self.grad = None if op else np.zeros_like(value)
+        self.grad = np.zeros_like(value) if requires_grad and not op else None
         self.op = op
         self.requires_grad = bool(requires_grad)
         self._backward = backward_fn
         if op and _current_tape is not None:
             _current_tape.nodes.append(self)
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -156,15 +157,6 @@ def matmul(a: Node, b: Node) -> Node:
             b.accumulate(a.value.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
 
     return _result(a.value @ b.value, "matmul", (a, b), push)
-
-
-def scale(a: Node, c: float) -> Node:
-    c = float(c)
-
-    def push(g):
-        a.accumulate(g * c)
-
-    return _result(a.value * c, "scale", (a,), push)
 
 
 # elementwise nonlinearities: kind -> (f(x), f'(x) from x and f(x))

@@ -226,20 +226,27 @@ def load_checkpoint(path):
     meta, tensors = load_tensors(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    if "config" not in meta:
-        raise CheckpointError(f"{path}: checkpoint header missing config")
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"{path}: checkpoint header has no config object")
     stored, expected = set(meta["config"]), {f.name for f in fields(ModelConfig)}
     if stored != expected:
         raise CheckpointError(
             f"{path}: checkpoint config keys do not match the model's: "
             f"unexpected {sorted(stored - expected)}, missing {sorted(expected - stored)}")
-    cfg = ModelConfig(**meta["config"])
-    params = ModelParams.from_named_tensors(tensors, cfg)
-    vocab = Vocabulary.from_dict(meta["vocab"]) if "vocab" in meta else None
-    lookup = None
-    if EMBEDDING_TABLE in tensors:
-        lookup = TrainableLookup.from_table(tensors[EMBEDDING_TABLE],
-                                            freeze=bool(meta.get("embedding_frozen")))
+    try:
+        cfg = ModelConfig(**meta["config"])
+        params = ModelParams.from_named_tensors(tensors, cfg)
+        vocab = Vocabulary.from_dict(meta["vocab"]) if "vocab" in meta else None
+        lookup = None
+        if EMBEDDING_TABLE in tensors:
+            table = tensors[EMBEDDING_TABLE]  # one row per vocabulary id, if there is one
+            shape = ((len(vocab),) if vocab is not None else table.shape[:1]) + (cfg.input_dim,)
+            if table.shape != shape:
+                raise ValueError(f"tensor {EMBEDDING_TABLE!r} has shape {table.shape}, "
+                                 f"expected {shape}")
+            lookup = TrainableLookup.from_table(table, freeze=bool(meta.get("embedding_frozen")))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     return params, cfg, vocab, meta.get("label_names"), lookup
 
 

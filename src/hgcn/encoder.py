@@ -24,17 +24,10 @@ RESERVED = ["<s>", "</s>", "<unk>", "<pad>"]
 
 
 class Vocabulary:
-    """Dense token -> id map with fixed reserved ids 0..3."""
+    """Dense token -> id map: the reserved ids 0..3, then each new token in first-seen order."""
 
     def __init__(self, tokens=()):
-        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED)}
-        for t in tokens:
-            self.add(t)
-
-    def add(self, token: str) -> int:
-        if token not in self._token_to_id:
-            self._token_to_id[token] = len(self._token_to_id)
-        return self._token_to_id[token]
+        self._token_to_id = {t: i for i, t in enumerate(dict.fromkeys([*RESERVED, *tokens]))}
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNKNOWN)
@@ -46,14 +39,16 @@ class Vocabulary:
         return dict(self._token_to_id)
 
     @classmethod
-    def from_dict(cls, mapping: dict[str, int]) -> "Vocabulary":
-        vocab = cls()
-        for token, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
-            if idx < len(RESERVED):
-                continue
-            got = vocab.add(token)
-            if got != idx:
-                raise ValueError(f"vocabulary ids not dense: {token!r} -> {idx}, expected {got}")
+    def from_dict(cls, mapping) -> "Vocabulary":
+        """The vocabulary `to_dict` stored, rebuilt from its tokens in id order.
+
+        A mapping the rebuild does not reproduce exactly is a ValueError.
+        """
+        if not (isinstance(mapping, dict) and all(type(i) is int for i in mapping.values())):
+            raise ValueError("vocabulary must map each token to an integer id")
+        vocab = cls(sorted(mapping, key=mapping.get))
+        if vocab.to_dict() != mapping:
+            raise ValueError("vocabulary is not the reserved tokens at ids 0..3, then dense ids")
         return vocab
 
 

@@ -54,12 +54,23 @@ class ModelConfig:
     detach_edges: bool
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        for name in ("num_labels", "num_layers", "hidden", "input_dim"):
+            if type(getattr(self, name)) is not int:  # a bool is no int here
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("num_layers", "hidden", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (isinstance(self.activation, str) and self.activation in ad.ACTIVATIONS):
+            raise ValueError(f"activation must be one of {sorted(ad.ACTIVATIONS)}, "
+                             f"got {self.activation!r}")
+        if type(self.detach_edges) is not bool:
+            raise ValueError(f"detach_edges must be a bool, got {self.detach_edges!r}")
+
+    def weight_shapes(self) -> dict[str, tuple[int, int]]:
+        """Each learned weight's checkpoint name and shape, in `ModelParams.parameters` order."""
+        return {"w_token_in": (self.input_dim, self.hidden),
+                "w_label_in": (self.num_labels, self.hidden),
+                **{f"w_layer_{i}": (self.hidden, self.hidden) for i in range(self.num_layers)}}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -76,34 +87,32 @@ class ModelParams:
     w_layer: list[Node]
 
     @classmethod
+    def _from_values(cls, values) -> "ModelParams":
+        w_token_in, w_label_in, *w_layer = (parameter(v) for v in values)
+        return cls(w_token_in, w_label_in, w_layer)
+
+    @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        return cls(
-            w_token_in=parameter(_glorot(rng, cfg.input_dim, cfg.hidden)),
-            w_label_in=parameter(_glorot(rng, cfg.num_labels, cfg.hidden)),
-            w_layer=[parameter(_glorot(rng, cfg.hidden, cfg.hidden))
-                     for _ in range(cfg.num_layers)],
-        )
+        return cls._from_values([_glorot(rng, *shape) for shape in cfg.weight_shapes().values()])
 
     def parameters(self) -> list[Node]:
         return [self.w_token_in, self.w_label_in, *self.w_layer]
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {"w_token_in": self.w_token_in.value, "w_label_in": self.w_label_in.value}
-        for i, w in enumerate(self.w_layer):
-            out[f"w_layer_{i}"] = w.value
-        return out
+        names = ["w_token_in", "w_label_in", *(f"w_layer_{i}" for i in range(len(self.w_layer)))]
+        return {name: p.value for name, p in zip(names, self.parameters())}
 
     @classmethod
     def from_named_tensors(cls, tensors: dict[str, np.ndarray], cfg: ModelConfig) -> "ModelParams":
-        for name in ["w_token_in", "w_label_in",
-                     *(f"w_layer_{i}" for i in range(cfg.num_layers))]:
+        """The weights `cfg` needs; a missing one is a KeyError, a misshapen one a ValueError."""
+        shapes = cfg.weight_shapes()
+        for name, shape in shapes.items():
             if name not in tensors:
                 raise KeyError(f"checkpoint missing tensor {name!r}")
-        return cls(
-            w_token_in=parameter(tensors["w_token_in"]),
-            w_label_in=parameter(tensors["w_label_in"]),
-            w_layer=[parameter(tensors[f"w_layer_{i}"]) for i in range(cfg.num_layers)],
-        )
+            if tensors[name].shape != shape:
+                raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, "
+                                 f"expected {shape}")
+        return cls._from_values([tensors[name] for name in shapes])
 
 
 @dataclass
@@ -193,8 +202,8 @@ def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
                optimizer: ad.Adam | ad.SGD) -> float:
     """One optimizer step on a batch of (ids, target) pairs.
 
-    Loss is the mean per-sample MSE. Each chunk's loss is scaled by its
-    share of the batch, so gradients accumulate across chunks into the
+    Loss is the mean per-sample MSE. Each chunk's backward is seeded with
+    its share of the batch, so gradients accumulate across chunks into the
     batch mean before the single parameter update.
     """
     if not batch:
@@ -204,7 +213,7 @@ def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
         chunk = batch[part]
         with Tape() as tape:
             loss = batch_loss(chunk, provider, params, cfg)
-            tape.backward(ad.scale(loss, len(chunk) / len(batch)))
+            tape.backward(loss, len(chunk) / len(batch))
         total += float(loss.value[0, 0]) * len(chunk)
     optimizer.step()
     return total / len(batch)

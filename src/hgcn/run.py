@@ -16,7 +16,7 @@ from .analysis import (
     label_cosine_matrix,
     pearson_matrix,
 )
-from .autodiff import ACTIVATIONS, SGD, Adam
+from .autodiff import SGD, Adam
 from .data import load_embeddings
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
@@ -77,9 +77,6 @@ class RunConfig:
         if self.optimizer not in OPTIMIZERS:
             problems.append(f"optimizer must be one of {sorted(OPTIMIZERS)}, "
                             f"got {self.optimizer!r}")
-        if self.activation not in ACTIVATIONS:
-            problems.append(f"activation must be one of {sorted(ACTIVATIONS)}, "
-                            f"got {self.activation!r}")
         if not math.isfinite(self.lr) or self.lr <= 0:
             problems.append(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0:
@@ -141,14 +138,9 @@ def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generato
 
 def prepare(samples, run_cfg: RunConfig, vocab: Vocabulary, provider):
     """(ids, target) pairs: each sample's `provider.token_ids` and target distribution."""
-    index = {name: i for i, name in enumerate(run_cfg.label_names)}
-    out = []
-    for s in samples:
-        binary = np.zeros(len(run_cfg.label_names))
-        for name in s.labels:
-            binary[index[name]] = 1.0
-        out.append((provider.token_ids(s, vocab, run_cfg.max_len), build_target(binary)))
-    return out
+    return [(provider.token_ids(s, vocab, run_cfg.max_len),
+             build_target([name in s.labels for name in run_cfg.label_names]))
+            for s in samples]
 
 
 def decode_probs(probs, run_cfg: RunConfig) -> set[int]:

@@ -397,7 +397,7 @@ def train_step_one(batch, params, cfg, provider, optimizer) -> float:
     for ids, target in batch:
         with Tape() as tape:
             loss = sample_loss_one(ids, target, provider, params, cfg)
-            tape.backward(ad.scale(loss, inv))
+            tape.backward(loss, inv)
         total += float(loss.value[0, 0])
     optimizer.step()
     return total * inv

@@ -65,15 +65,6 @@ def test_add_identity_and_grad():
     assert np.array_equal(a.grad, np.ones((1, 2)))
 
 
-def test_scale_zero():
-    a = parameter([[3.0, -4.0]])
-    with Tape() as tape:
-        out = ad.scale(a, 0.0)
-        tape.backward(total_sum(out))
-    assert np.array_equal(out.value, np.zeros((1, 2)))
-    assert np.array_equal(a.grad, np.zeros((1, 2)))
-
-
 def test_elementwise_mul_identity():
     m = np.array([[1.5, -2.5]])
     with Tape():
@@ -204,7 +195,7 @@ def test_backward_sum_gives_ones():
 def test_backward_rejects_non_scalar_loss():
     w = parameter(np.ones((2, 2)))
     with Tape() as tape:
-        out = ad.scale(w, 2.0)
+        out = ad.activation(w, "tanh")
         with pytest.raises(ShapeError):
             tape.backward(out)
 
@@ -217,6 +208,23 @@ def test_backward_accumulates_across_calls():
         once = w.grad.copy()
         tape.backward(loss)
     assert np.allclose(w.grad, 2 * once)
+
+
+def test_only_a_trainable_leaf_holds_a_gradient():
+    assert constant(np.ones((2, 3))).grad is None
+    assert np.array_equal(parameter(np.ones((2, 3))).grad, np.zeros((2, 3)))
+
+
+def test_backward_weight_scales_every_gradient():
+    # a power of two scales every product exactly, so the check is bitwise
+    w0 = np.random.default_rng(5).normal(size=(3, 2))
+    grads = []
+    for weight in (1.0, 0.25):
+        w = parameter(w0)
+        with Tape() as tape:
+            tape.backward(ad.mse_loss(ad.activation(w, "tanh"), np.zeros((3, 2))), weight)
+        grads.append(w.grad)
+    assert np.array_equal(grads[1], 0.25 * grads[0])
 
 
 def test_non_leaf_grad_is_created_by_backward():
@@ -233,7 +241,6 @@ def test_non_leaf_grad_is_created_by_backward():
 
 UNARY_OPS = {
     "matmul": lambda w: ad.matmul(w, constant(np.eye(2))),
-    "scale": lambda w: ad.scale(w, 2.0),
     "tanh": lambda w: ad.activation(w, "tanh"),
     "col_sums": ad.col_sums,
     "gather_rows": lambda w: ad.gather_rows(w, [1, 0, 1]),
@@ -260,12 +267,12 @@ def test_untaped_intermediate_is_freed_once_unread():
 
 
 def test_first_push_is_stored_and_later_pushes_add_out_of_place():
-    # x feeds scale and col_sums; col_sums, recorded later, pushes first,
+    # x feeds a matmul and col_sums; col_sums, recorded later, pushes first,
     # and what it pushes is a read-only broadcast of its own gradient
     w = parameter(np.arange(6.0).reshape(3, 2))
     with Tape() as tape:
-        x = ad.scale(w, 1.0)
-        doubled = ad.scale(x, 2.0)
+        x = ad.matmul(w, constant(np.eye(2)))
+        doubled = ad.matmul(x, constant(2.0 * np.eye(2)))
         sums = ad.col_sums(x)
         loss = add(total_sum(doubled), total_sum(sums))
         tape.backward(loss)
@@ -289,7 +296,7 @@ def test_fanout_accumulation_matches_duplicate_construction():
 
 
 @pytest.mark.parametrize("opname", [
-    "matmul", "add", "elementwise_mul", "scale", "relu", "tanh",
+    "matmul", "add", "elementwise_mul", "relu", "tanh",
     "softmax_row", "mse_loss", "col_sums", "concat_rows", "slice_rows",
     "gather_rows",
 ])
@@ -325,8 +332,6 @@ def test_gradients_match_finite_differences(opname):
                     out = add(x, constant(other))
                 elif opname == "elementwise_mul":
                     out = elementwise_mul(x, constant(other))
-                elif opname == "scale":
-                    out = ad.scale(x, 1.7)
                 elif opname == "relu":
                     out = ad.activation(x, "relu")
                 elif opname == "tanh":

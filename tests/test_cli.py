@@ -182,7 +182,13 @@ def test_architecture_mismatch_is_config_error(trained, tmp_path, capsys,
     (lambda c: c.update(optimizer="adam", lr=0.02, seed=0, precision="float64"),
      "unexpected ['lr', 'optimizer', 'precision', 'seed']"),
     (lambda c: c.pop("hidden"), "missing ['hidden']"),
-], ids=["extra-keys", "missing-key"])
+    (lambda c: c.update(num_layers="2"), "num_layers must be an int, got '2'"),
+    (lambda c: c.update(num_layers=2.0), "num_layers must be an int, got 2.0"),
+    (lambda c: c.update(hidden=True), "hidden must be an int, got True"),
+    (lambda c: c.update(activation="gelu"), "activation must be one of"),
+    (lambda c: c.update(detach_edges="no"), "detach_edges must be a bool"),
+], ids=["extra-keys", "missing-key", "layers-string", "layers-float", "hidden-bool",
+        "activation-unknown", "detach-string"])
 def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, capsys,
                                                          edit, named):
     root, label_names, out, _ = trained
@@ -192,7 +198,32 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
     save_tensors(tmp_path / "model.ckpt", tensors, meta, fmt)
     config = write_config(tmp_path / "c.json", root, label_names, tmp_path)
     assert main(["eval", "--config", str(config)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert str(tmp_path / "model.ckpt") in err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta, tensors: meta.update(vocab=["a"]), "vocabulary"),
+    (lambda meta, tensors: meta.update(vocab={"a": "x"}), "vocabulary"),
+    (lambda meta, tensors: meta.update(vocab={"foo": 0, "bar": 4}), "vocabulary"),
+    (lambda meta, tensors: tensors.update(w_token_in=tensors["w_token_in"][:-1]),
+     "'w_token_in' has shape (7, 8), expected (8, 8)"),
+    (lambda meta, tensors: tensors.update(embedding_table=tensors["embedding_table"][:5]),
+     "'embedding_table' has shape (5, 8)"),
+], ids=["vocab-list", "vocab-string-id", "vocab-sparse", "weight-shape", "table-rows"])
+def test_checkpoint_malformed_vocab_or_weight_is_runtime_error(trained, tmp_path, capsys,
+                                                               edit, named):
+    root, label_names, out, _ = trained
+    meta, tensors = load_tensors(out / "model.ckpt")
+    fmt = meta.pop("format")
+    edit(meta, tensors)
+    save_tensors(tmp_path / "model.ckpt", tensors, meta, fmt)
+    config = write_config(tmp_path / "c.json", root, label_names, tmp_path)
+    assert main(["eval", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert str(tmp_path / "model.ckpt") in err
 
 
 @pytest.mark.parametrize("values, key", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,17 @@ def test_vocab_roundtrip(vocab):
     assert rebuilt.to_dict() == vocab.to_dict()
 
 
+@pytest.mark.parametrize("mapping", [
+    {"<s>": 0, "</s>": 1, "<unk>": 2, "foo": 3, "bar": 4},
+    {"foo": 0, "bar": 4},
+    ["a"],
+    {"a": "x", "b": 4},
+], ids=["token-on-pad-id", "sparse-ids", "not-a-mapping", "string-id"])
+def test_vocab_from_dict_accepts_only_what_to_dict_writes(mapping):
+    with pytest.raises(ValueError, match="vocabulary"):
+        Vocabulary.from_dict(mapping)
+
+
 def test_lookup_identical_ids_identical_rows():
     rng = np.random.default_rng(0)
     lookup = TrainableLookup(10, 8, rng)
@@ -104,6 +117,21 @@ def test_frozen_lookup_has_no_parameters_and_never_moves():
         tape.backward(total_sum(out))
     ad.SGD(lookup.parameters(), 0.1).step()
     assert np.array_equal(lookup.table.value, before)
+    assert lookup.table.grad is None
+
+
+def test_precomputed_table_is_held_once():
+    # the stacked table, and no gradient array as large beside it
+    vectors = {f"s{i}": np.full((50, 64), float(i)) for i in range(40)}
+    nbytes = sum(v.nbytes for v in vectors.values())
+    tracemalloc.start()
+    try:
+        provider = PrecomputedFile(vectors)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert provider.table.value.nbytes > nbytes
+    assert held < 1.5 * nbytes
 
 
 def test_precomputed_provider_frozen_and_keyed(vocab):
@@ -119,6 +147,7 @@ def test_precomputed_provider_frozen_and_keyed(vocab):
     assert np.array_equal(out.value[1], vecs["s1"])
     assert not out.requires_grad
     assert provider.parameters() == []
+    assert provider.table.grad is None
 
 
 def test_precomputed_missing_sample_names_id(vocab):

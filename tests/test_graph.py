@@ -289,7 +289,7 @@ def test_propagate_constant_edges_get_no_gradient():
     e = constant(np.full((1, 3, 1), 0.5))
     with Tape() as tape:
         tape.backward(total_sum(propagate_batch_of_one(h, e)))
-    assert not e.requires_grad and np.array_equal(e.grad, np.zeros((1, 3, 1)))
+    assert not e.requires_grad and e.grad is None
     assert np.all(h.grad > 0)
 
 
@@ -327,7 +327,7 @@ def test_propagate_ragged_batch_matches_dense_per_sample():
         with Tape() as tape:
             dense = dense_propagate(hb, eb)
             # the batched loss averages over every padded entry
-            tape.backward(ad.scale(ad.mse_loss(dense, tb), tb.size / t.size))
+            tape.backward(ad.mse_loss(dense, tb), tb.size / t.size)
         assert np.max(np.abs(out.value[b, :m] - dense.value[:m])) < 1e-12
         assert np.max(np.abs(out.value[b, big:] - dense.value[m:])) < 1e-12
         assert not out.value[b, m:big].any()
@@ -364,7 +364,7 @@ def test_propagate_without_edges_is_the_zero_block():
         tape.backward(ad.mse_loss(out, t))
     with Tape() as tape:
         alone = propagate(tokens, None, lengths)
-        tape.backward(ad.scale(ad.mse_loss(alone, t[:, :big]), big / (big + n)))
+        tape.backward(ad.mse_loss(alone, t[:, :big]), big / (big + n))
     assert np.max(np.abs(alone.value - out.value[:, :big])) < 1e-12
     assert np.max(np.abs(tokens.grad - full.grad[:, :big])) < 1e-12
     assert np.max(np.abs(out.value[:, big:] - h0[:, big:])) < 1e-15
@@ -384,7 +384,7 @@ def test_reconstruct_ragged_batch_matches_per_sample():
         hb = parameter(hs[b])
         with Tape() as tape:
             one = reconstruct_token_label(hb, m)
-            tape.backward(ad.scale(ad.mse_loss(one, t[b, :m]), one.value.size / t.size))
+            tape.backward(ad.mse_loss(one, t[b, :m]), one.value.size / t.size)
         assert np.max(np.abs(out.value[b, :m] - one.value)) < 1e-12
         assert not out.value[b, m:].any()
         assert np.max(np.abs(h.grad[b, :m] - hb.grad[:m])) < 1e-12

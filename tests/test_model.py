@@ -32,7 +32,7 @@ def tiny_setup(num_layers=2, hidden=6, n=3, d=5, vocab=8, seed=0,
 
 def test_forward_shapes_single_token_single_label():
     cfg, params, provider = tiny_setup(num_layers=1, n=1)
-    assert params.w_label_in.shape == (cfg.num_labels, cfg.hidden)
+    assert params.w_label_in.value.shape == (cfg.num_labels, cfg.hidden)
     with Tape():
         trace = forward([[0]], provider, params, cfg)
     assert trace.probs.shape == (1, 1)

@@ -1,9 +1,14 @@
-"""tools/output_digest.py, the check behind every claim that a change keeps outputs byte-identical."""
+"""The tools behind a change's claims.
+
+tools/output_digest.py shows outputs byte-identical; tools/src_lines.py counts code lines.
+"""
 
 import contextlib
 import importlib.util
 import io
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +65,35 @@ def outputs(test_samples) -> set[str]:
     expected |= {f"attributions/te{i}.{ext}" for i in range(test_samples)
                  for ext in ("csv", "svg")}
     return expected
+
+
+def test_src_lines_counts_code_not_comments_or_docstrings(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""Package docstring."""\n')
+    (pkg / "mod.py").write_text(textwrap.dedent('''\
+        """Module docstring
+        over two lines."""
+
+        # a comment
+        import os  # a trailing comment
+
+
+        class A:
+            """Class docstring."""
+
+            x = """a string,
+            not a docstring"""
+
+            def f(self,
+                  y):
+                """Function
+                docstring."""
+                # another comment
+                return (y +
+                        1)
+        '''))
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"),
+                             "--src", str(tmp_path)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == ["pkg/__init__.py 0", "pkg/mod.py 8", "total 8"]
