@@ -87,7 +87,7 @@ class Node:
 
     def __init__(self, value, requires_grad=False, op="", backward_fn=None):
         value = np.asarray(value)
-        if value.ndim != 2:
+        if value.ndim < 2:
             value = np.atleast_2d(value)
         self.value = value
         self.grad = np.zeros_like(value) if requires_grad and not op else None
@@ -96,9 +96,6 @@ class Node:
         self._backward = backward_fn
         if op and _current_tape is not None:
             _current_tape.nodes.append(self)
-
-    def zero_grad(self):
-        self.grad.fill(0.0)
 
     def accumulate(self, g) -> None:
         """Add `g` to this node's gradient: a leaf's in place, a non-leaf's never.

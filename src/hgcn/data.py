@@ -237,6 +237,9 @@ def load_checkpoint(path):
         cfg = ModelConfig(**meta["config"])
         params = ModelParams.from_named_tensors(tensors, cfg)
         vocab = Vocabulary.from_dict(meta["vocab"]) if "vocab" in meta else None
+        frozen = meta.get("embedding_frozen", False)
+        if type(frozen) is not bool:
+            raise ValueError(f"embedding_frozen must be a bool, got {frozen!r}")
         lookup = None
         if EMBEDDING_TABLE in tensors:
             table = tensors[EMBEDDING_TABLE]  # one row per vocabulary id, if there is one
@@ -244,7 +247,7 @@ def load_checkpoint(path):
             if table.shape != shape:
                 raise ValueError(f"tensor {EMBEDDING_TABLE!r} has shape {table.shape}, "
                                  f"expected {shape}")
-            lookup = TrainableLookup.from_table(table, freeze=bool(meta.get("embedding_frozen")))
+            lookup = TrainableLookup.from_table(table, freeze=frozen)
     except ValueError as e:
         raise CheckpointError(f"{path}: {e}") from e
     return params, cfg, vocab, meta.get("label_names"), lookup

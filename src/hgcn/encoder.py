@@ -70,11 +70,8 @@ def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
 
 def pad_ids(batch_ids) -> np.ndarray:
     """B x M ids, each sequence padded with PAD to the longest."""
-    lengths = np.array([len(ids) for ids in batch_ids])
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    padded = np.full(valid.shape, PAD, dtype=np.intp)
-    padded[valid] = np.concatenate(batch_ids)
-    return padded
+    m = max(map(len, batch_ids))
+    return np.array([[*ids, *[PAD] * (m - len(ids))] for ids in batch_ids], dtype=np.intp)
 
 
 class TrainableLookup:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape, constant, parameter
-from .graph import propagate, reconstruct_token_label
+from .graph import Chains, propagate, reconstruct_token_label
 
 # Most entries of a chunk's B x (M + n) x hidden padded node features:
 # twenty 11-token samples with 5 labels, or two 128-token documents with
@@ -131,10 +131,9 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> Forwa
     Sample b's token rows are the first len(batch_ids[b]) of the M padded
     ones; its padded rows of `final_edges` and `final_features` are zero.
     """
-    lengths = np.array([len(ids) for ids in batch_ids])
-    if not lengths.size or lengths.min() < 1:
-        raise ValueError("empty batch or token sequence")
-    m = int(lengths.max())
+    lengths = [len(ids) for ids in batch_ids]
+    chains = Chains(lengths, max(lengths, default=0))
+    m = chains.shape[1]
 
     x_token = provider.embed(batch_ids)
     h_token = ad.matmul(x_token, params.w_token_in)
@@ -142,7 +141,7 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> Forwa
     # first layer, before any token-label edges (see above); one-hot label
     # inputs make I_n @ w_label_in the label rows' projection
     w_first = params.w_layer[0]
-    h_token = ad.activation(ad.matmul(propagate(h_token, None, lengths), w_first),
+    h_token = ad.activation(ad.matmul(propagate(h_token, None, chains), w_first),
                             cfg.activation)
     h_label = ad.activation(ad.matmul(params.w_label_in, w_first), cfg.activation)
     h = ad.concat_rows(h_token, h_label)
@@ -151,7 +150,7 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> Forwa
         edges = reconstruct_token_label(h, m)
         if cfg.detach_edges:
             edges = constant(edges.value)
-        h = ad.activation(ad.matmul(propagate(h, edges, lengths), w), cfg.activation)
+        h = ad.activation(ad.matmul(propagate(h, edges, chains), w), cfg.activation)
 
     final_edges = reconstruct_token_label(h, m)
     scores = ad.col_sums(final_edges)

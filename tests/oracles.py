@@ -117,7 +117,7 @@ class ReferenceSGD:
     def step(self) -> None:
         for p in self.params:
             p.value = p.value - self.lr * p.grad
-            p.zero_grad()
+            p.grad.fill(0.0)
 
 
 class ReferenceAdam:
@@ -143,7 +143,7 @@ class ReferenceAdam:
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
             p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+            p.grad.fill(0.0)
 
 
 def scatter_add_reference(table_shape, ids, g) -> np.ndarray:

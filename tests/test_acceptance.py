@@ -16,7 +16,7 @@ from hgcn import run as runmod
 from hgcn.autodiff import Tape, constant, parameter
 from hgcn.data import load_checkpoint, save_checkpoint
 from hgcn.encoder import TrainableLookup, tokenize
-from hgcn.graph import propagate, reconstruct_token_label
+from hgcn.graph import Chains, propagate, reconstruct_token_label
 from hgcn.metrics import decode_threshold, decode_topk, jaccard, micro_macro_f1
 from hgcn.model import ModelParams, batch_loss, build_target, forward
 from hgcn.run import RunConfig
@@ -125,7 +125,7 @@ def test_criterion_1_gradient_suite(capsys):
         check(lambda h, e: ad.mse_loss(propagate(
             elementwise_mul(h, constant(np.broadcast_to(pad, (2, 5, 3)))),
             elementwise_mul(e, elementwise_mul(e, constant(pad[:, :3, :1] * np.ones((2, 3, 2))))),
-            [3, 1]), target253), (2, 5, 3), (2, 3, 2), kind="batched")
+            Chains([3, 1], 3)), target253), (2, 5, 3), (2, 3, 2), kind="batched")
         check(lambda h: ad.mse_loss(ad.softmax_row(ad.col_sums(reconstruct_token_label(
             elementwise_mul(h, constant(np.broadcast_to(pad, (2, 5, 3)))), 3))), target2),
             (2, 5, 3), kind="batched")
@@ -137,7 +137,7 @@ def test_criterion_1_gradient_suite(capsys):
     # loops above for the same reason
     for _ in range(20):
         check(lambda h: ad.mse_loss(propagate(
-            elementwise_mul(h, constant(np.broadcast_to(pad[:, :3], (2, 3, 3)))), None, [3, 1]),
+            elementwise_mul(h, constant(np.broadcast_to(pad[:, :3], (2, 3, 3)))), None, Chains([3, 1], 3)),
             target253[:, :3]), (2, 3, 3), kind="batched")
 
     # end-to-end: loss through normalization, convolution and edge

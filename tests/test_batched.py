@@ -70,7 +70,7 @@ def per_sample_grads(batch, blocks, cfg, params, provider):
             tape.backward(loss)
     grads = [p.grad / len(batch) for p in trainable]
     for p in trainable:
-        p.zero_grad()
+        p.grad.fill(0.0)
     return grads
 
 
@@ -105,7 +105,7 @@ def test_forward_and_gradients_match_per_sample(activation, detach, encoder, mem
         tape.backward(batch_loss(batch, provider, params, cfg))
     grads = [p.grad.copy() for p in trainable]
     for p in trainable:
-        p.zero_grad()
+        p.grad.fill(0.0)
     for got, want in zip(grads, per_sample_grads(batch, blocks, cfg, params, provider)):
         assert_close(got, want)
 
@@ -146,7 +146,7 @@ def check_pad_row_is_inert(cfg, params, provider):
         tape.backward(batch_loss(batch, provider, params, cfg))
     grads = [p.grad.copy() for p in trainable]
     for p in trainable:
-        p.zero_grad()
+        p.grad.fill(0.0)
     for got, want in zip(grads, per_sample_grads(batch, blocks, cfg, params, provider)):
         assert_close(got, want)
     if provider.parameters():
@@ -163,7 +163,7 @@ class Recorder:
     def step(self):
         self.grads = [p.grad.copy() for p in self.params]
         for p in self.params:
-            p.zero_grad()
+            p.grad.fill(0.0)
 
 
 @pytest.mark.parametrize("budget,count", [(model.CHUNK_BUDGET, 1), (1, len(BATCH))],

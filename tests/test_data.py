@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -256,6 +257,23 @@ def test_checkpoint_restores_embedding_table(tmp_path, freeze):
     assert np.array_equal(lookup.table.value, provider.table.value)
     assert lookup.frozen is freeze
     assert lookup.parameters() == ([] if freeze else [lookup.table])
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_checkpoint_rejects_a_freeze_flag_that_is_no_bool(tmp_path, flag):
+    # "false" must not restore a frozen table; a missing flag means not frozen
+    cfg, params, _ = make_model()
+    provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(3))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, cfg, path, provider=provider)
+    meta, tensors = load_tensors(path)
+    del meta["format"]
+    save_tensors(path, tensors, {**meta, "embedding_frozen": flag}, "hgcn-checkpoint")
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: embedding_frozen must be a bool")):
+        load_checkpoint(path)
+    del meta["embedding_frozen"]
+    save_tensors(path, tensors, meta, "hgcn-checkpoint")
+    assert load_checkpoint(path)[4].frozen is False
 
 
 def test_checkpoint_without_provider_has_no_lookup(tmp_path):

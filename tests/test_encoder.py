@@ -6,12 +6,14 @@ import pytest
 from hgcn import autodiff as ad
 from hgcn.autodiff import Tape
 from hgcn.encoder import (
+    PAD,
     PrecomputedFile,
     SEQ_END,
     SEQ_START,
     TrainableLookup,
     UNKNOWN,
     Vocabulary,
+    pad_ids,
     tokenize,
 )
 from hgcn.data import Sample
@@ -84,6 +86,16 @@ def test_vocab_roundtrip(vocab):
 def test_vocab_from_dict_accepts_only_what_to_dict_writes(mapping):
     with pytest.raises(ValueError, match="vocabulary"):
         Vocabulary.from_dict(mapping)
+
+
+def test_pad_ids_fills_ragged_batches_with_pad():
+    for batch in ([[0, 7, 1], [0, 1], [0, 5, 6, 9, 1]], [range(4, 7), [0]], [[0, 1]]):
+        padded = pad_ids(batch)
+        m = max(len(ids) for ids in batch)
+        assert padded.dtype == np.intp
+        assert padded.shape == (len(batch), m)
+        for row, ids in zip(padded, batch):
+            assert row.tolist() == [*ids, *[PAD] * (m - len(ids))]
 
 
 def test_lookup_identical_ids_identical_rows():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import ShapeError, Tape, constant, parameter
-from hgcn.graph import propagate, reconstruct_token_label
+from hgcn.graph import Chains, propagate, reconstruct_token_label
 
 from oracles import (
     AdjacencyBlocks,
@@ -227,7 +227,8 @@ def edge_block(kind, m, n, rng):
 
 def propagate_batch_of_one(h, edges):
     """`propagate` on 3-D leaves holding one sample with all its rows real."""
-    return propagate(h, edges, [edges.value.shape[1]])
+    m = edges.value.shape[1]
+    return propagate(h, edges, Chains([m], m))
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=20),
@@ -295,7 +296,7 @@ def test_propagate_constant_edges_get_no_gradient():
 
 def test_propagate_row_count_mismatch():
     with pytest.raises(ShapeError, match="m \\+ n"):
-        propagate(constant(np.ones((1, 4, 2))), constant(np.zeros((1, 2, 3))), [2])
+        propagate(constant(np.ones((1, 4, 2))), constant(np.zeros((1, 2, 3))), Chains([2], 2))
 
 
 def ragged_batch(lengths, n, width, rng):
@@ -319,7 +320,7 @@ def test_propagate_ragged_batch_matches_dense_per_sample():
     t = rng.normal(size=h0.shape)
     h, e = parameter(h0), parameter(e0)
     with Tape() as tape:
-        out = propagate(h, e, lengths)
+        out = propagate(h, e, Chains(lengths, big))
         tape.backward(ad.mse_loss(out, t))
     for b, m in enumerate(lengths):
         hb, eb = parameter(hs[b]), parameter(es[b])
@@ -337,17 +338,36 @@ def test_propagate_ragged_batch_matches_dense_per_sample():
         assert np.max(np.abs(e.grad[b, :m] - eb.grad)) < 1e-12
 
 
-def test_propagate_rejects_bad_lengths():
-    # with a token-label block, and token rows alone
+def test_chains_reject_bad_lengths():
+    for lengths, m in [([0, 3], 3), ([4, 3], 3), ([], 3), ([1], 0), ([[1, 2]], 2)]:
+        with pytest.raises(ValueError, match="at least one token node"):
+            Chains(lengths, m)
+
+
+def test_chains_layer1_scales():
+    # the inverse root degree 1/sqrt(2 + chain neighbours + self-loop) of
+    # each real token row before any token-label edge, 0 on padded rows
+    chains = Chains([1, 4, 2], 4)
+    ends = np.array([[2, 0, 0, 0], [1, 0, 0, 1], [1, 1, 0, 0]])
+    real = np.array([[1, 0, 0, 0], [1, 1, 1, 1], [1, 1, 0, 0]])
+    assert chains.shape == (3, 4)
+    assert np.array_equal(chains.ends, ends)
+    assert np.array_equal(chains.real, real)
+    assert np.array_equal(chains.layer1_scales, real / np.sqrt(4.0 - ends))
+
+
+def test_propagate_rejects_chains_of_another_shape():
+    # with a token-label block, and token rows alone: a B or an M that
+    # differs from the rows' is a shape error
     for h, e in [((2, 5, 2), constant(np.zeros((2, 3, 2)))), ((2, 3, 2), None)]:
-        for lengths in ([0, 3], [4, 3], [3]):
-            with pytest.raises(ValueError):
-                propagate(constant(np.ones(h)), e, lengths)
+        for chains in (Chains([3], 3), Chains([3, 3, 3], 3), Chains([3, 2], 4), Chains([2, 2], 2)):
+            with pytest.raises(ShapeError, match="chains"):
+                propagate(constant(np.ones(h)), e, chains)
 
 
 def test_propagate_token_only_needs_batched_rows():
     with pytest.raises(ShapeError, match="B x M"):
-        propagate(constant(np.ones((3, 2))), None, [3])
+        propagate(constant(np.ones((3, 2))), None, Chains([3], 3))
 
 
 def test_propagate_without_edges_is_the_zero_block():
@@ -360,10 +380,10 @@ def test_propagate_without_edges_is_the_zero_block():
     t = rng.normal(size=h0.shape)
     full, tokens = parameter(h0), parameter(h0[:, :big])
     with Tape() as tape:
-        out = propagate(full, constant(np.zeros((len(lengths), big, n))), lengths)
+        out = propagate(full, constant(np.zeros((len(lengths), big, n))), Chains(lengths, big))
         tape.backward(ad.mse_loss(out, t))
     with Tape() as tape:
-        alone = propagate(tokens, None, lengths)
+        alone = propagate(tokens, None, Chains(lengths, big))
         tape.backward(ad.mse_loss(alone, t[:, :big]), big / (big + n))
     assert np.max(np.abs(alone.value - out.value[:, :big])) < 1e-12
     assert np.max(np.abs(tokens.grad - full.grad[:, :big])) < 1e-12

@@ -291,7 +291,7 @@ def test_trained_leaves_stay_views_into_the_optimizer_store(optimizer, monkeypat
     assert_views()
     assert not opt.grads.any()
     for p in trainable:
-        p.zero_grad()
+        p.grad.fill(0.0)
     with Tape() as tape:
         tape.backward(batch_loss([([0, 4, 1], build_target([1, 0]))], provider, params,
                                  cfg.model_config()))
