@@ -15,10 +15,10 @@ A batch pads every sample to the longest one's M token rows: node
 features are B x (M + n) x hidden, token rows over label rows, and the
 token-label blocks are B x M x n. This module is the one place that
 makes padded token rows inert: `Chains` marks them once per pass and
-`propagate` gives them a zero inverse root degree, so whatever finite features they hold (the lookup encoder
-repeats its PAD row there) scale to ±0, push ±0 gradients back, and mix
-with nothing. From the first `propagate` on they are zero, so they get
-zero edges too.
+`propagate` gives them a zero inverse root degree, so whatever finite
+features they hold (the lookup encoder repeats its PAD row there) scale
+to ±0, push ±0 gradients back, and mix with nothing. From the first
+`propagate` on they are zero, so they get zero edges too.
 """
 
 from __future__ import annotations

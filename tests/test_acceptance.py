@@ -137,7 +137,8 @@ def test_criterion_1_gradient_suite(capsys):
     # loops above for the same reason
     for _ in range(20):
         check(lambda h: ad.mse_loss(propagate(
-            elementwise_mul(h, constant(np.broadcast_to(pad[:, :3], (2, 3, 3)))), None, Chains([3, 1], 3)),
+            elementwise_mul(h, constant(np.broadcast_to(pad[:, :3], (2, 3, 3)))), None,
+            Chains([3, 1], 3)),
             target253[:, :3]), (2, 3, 3), kind="batched")
 
     # end-to-end: loss through normalization, convolution and edge

@@ -269,7 +269,8 @@ def test_checkpoint_rejects_a_freeze_flag_that_is_no_bool(tmp_path, flag):
     meta, tensors = load_tensors(path)
     del meta["format"]
     save_tensors(path, tensors, {**meta, "embedding_frozen": flag}, "hgcn-checkpoint")
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: embedding_frozen must be a bool")):
+    message = re.escape(f"{path}: embedding_frozen must be a bool")
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
     del meta["embedding_frozen"]
     save_tensors(path, tensors, meta, "hgcn-checkpoint")
