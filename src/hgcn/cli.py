@@ -19,13 +19,11 @@ from .analysis import render_heatmap
 from .data import (
     DatasetError,
     CheckpointError,
-    load_checkpoint,
     load_dataset,
     save_checkpoint,
     save_dataset,
     write_text,
 )
-from .model import ModelConfig
 from .run import ConfigError, RunConfig
 from .synth import generate_synthetic_corpus
 
@@ -79,27 +77,6 @@ def _require(cfg: RunConfig, attr: str, what: str) -> str:
     return path
 
 
-def _load_model(cfg: RunConfig):
-    """(params, vocab, provider) from `out_dir/model.ckpt`, checked against cfg."""
-    ckpt = Path(cfg.out_dir) / "model.ckpt"
-    params, model_cfg, vocab, label_names, lookup = load_checkpoint(ckpt)
-    if label_names and label_names != cfg.label_names:
-        raise ConfigError(
-            f"checkpoint label set {label_names} differs from config {cfg.label_names}")
-    run_model_cfg = cfg.model_config()
-    for f in fields(ModelConfig):
-        stored, wanted = getattr(model_cfg, f.name), getattr(run_model_cfg, f.name)
-        if stored != wanted:
-            raise ConfigError(f"checkpoint {f.name} {stored!r} differs from config {wanted!r}")
-    if vocab is None:
-        raise CheckpointError(f"{ckpt}: checkpoint has no vocabulary")
-    if cfg.encoder != "lookup":
-        return params, vocab, runmod.make_provider(cfg, vocab, rng=None)
-    if lookup is None:
-        raise CheckpointError(f"{ckpt}: checkpoint has no embedding table")
-    return params, vocab, lookup
-
-
 def cmd_train(cfg: RunConfig) -> int:
     train_samples = load_dataset(_require(cfg, "train_path", "train"), cfg.label_names)
     dev = load_dataset(cfg.dev_path, cfg.label_names) if cfg.dev_path else None
@@ -114,7 +91,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     samples = load_dataset(_require(cfg, "test_path", "eval"), cfg.label_names)
-    params, vocab, provider = _load_model(cfg)
+    params, provider, vocab = runmod.load_model(cfg)
     report = runmod.evaluate_model(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,7 +103,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_explain(cfg: RunConfig) -> int:
     samples = load_dataset(_require(cfg, "test_path", "explain"), cfg.label_names)
-    params, vocab, provider = _load_model(cfg)
+    params, provider, vocab = runmod.load_model(cfg)
     attributions, corpus_mse = runmod.explain_samples(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir) / "attributions"
     out.mkdir(parents=True, exist_ok=True)
@@ -141,7 +118,7 @@ def cmd_explain(cfg: RunConfig) -> int:
 
 def cmd_correlate(cfg: RunConfig) -> int:
     samples = load_dataset(_require(cfg, "test_path", "correlate"), cfg.label_names)
-    params, vocab, provider = _load_model(cfg)
+    params, provider, vocab = runmod.load_model(cfg)
     pearson, cosine = runmod.correlate(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

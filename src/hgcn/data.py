@@ -153,7 +153,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict, fmt: str) -> 
         "version": CONTAINER_VERSION,
         "meta": meta,
         "tensors": [
-            {"name": name, "shape": list(t.shape), "dtype": t.dtype.str}
+            {"name": name, "shape": list(t.shape), "dtype": t.dtype.newbyteorder("<").str}
             for name, t in tensors.items()
         ],
     }
@@ -176,9 +176,12 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         meta = {"format": header.get("format"), **header.get("meta", {})}
         specs = [(spec["name"], spec["shape"], np.dtype(spec["dtype"]))
                  for spec in header.get("tensors", [])]
-        for name, shape, _ in specs:  # `type(n) is int` rejects a JSON true
+        for name, shape, dtype in specs:  # `type(n) is int` rejects a JSON true
             if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
                 raise CheckpointError(f"{path}: corrupt container header: shape {shape!r}")
+            if dtype.kind != "f":
+                raise CheckpointError(f"{path}: tensor {name!r} has dtype {dtype.str}, "
+                                      f"not a float type")
     except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError,
             TypeError) as e:
         raise CheckpointError(f"{path}: corrupt container header") from e
@@ -198,20 +201,16 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 # --- checkpoints --------------------------------------------------------
 
-def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
-                    vocab: Vocabulary | None = None, label_names=None,
-                    provider=None) -> None:
-    """Write the weights and, for a `TrainableLookup` provider, its table.
+def save_checkpoint(params: ModelParams, cfg: ModelConfig, path, vocab: Vocabulary,
+                    label_names, provider=None) -> None:
+    """Write the weights, vocabulary, label names and, for a `TrainableLookup`
+    provider, its table.
 
     Precomputed vectors (the `PrecomputedFile` subclass) are rebuilt
     from their own file, so nothing of them is stored.
     """
-    meta = {"config": asdict(cfg)}
+    meta = {"config": asdict(cfg), "vocab": vocab.to_dict(), "label_names": list(label_names)}
     tensors = params.named_tensors()
-    if vocab is not None:
-        meta["vocab"] = vocab.to_dict()
-    if label_names is not None:
-        meta["label_names"] = list(label_names)
     if type(provider) is TrainableLookup:
         meta["embedding_frozen"] = provider.frozen
         tensors[EMBEDDING_TABLE] = provider.table.value
@@ -219,7 +218,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
 
 
 def load_checkpoint(path):
-    """Returns (params, cfg, vocab_or_None, label_names_or_None, lookup_or_None).
+    """Returns (params, cfg, vocab, label_names, lookup_or_None).
 
     The lookup is the stored `TrainableLookup` table with its freeze flag.
     """
@@ -236,21 +235,24 @@ def load_checkpoint(path):
     try:
         cfg = ModelConfig(**meta["config"])
         params = ModelParams.from_named_tensors(tensors, cfg)
-        vocab = Vocabulary.from_dict(meta["vocab"]) if "vocab" in meta else None
+        vocab = Vocabulary.from_dict(meta.get("vocab"))
+        label_names = meta.get("label_names")
+        if not (isinstance(label_names, list) and all(isinstance(n, str) for n in label_names)):
+            raise ValueError(f"label_names must be a list of strings, got {label_names!r}")
         frozen = meta.get("embedding_frozen", False)
         if type(frozen) is not bool:
             raise ValueError(f"embedding_frozen must be a bool, got {frozen!r}")
         lookup = None
         if EMBEDDING_TABLE in tensors:
-            table = tensors[EMBEDDING_TABLE]  # one row per vocabulary id, if there is one
-            shape = ((len(vocab),) if vocab is not None else table.shape[:1]) + (cfg.input_dim,)
+            table = tensors[EMBEDDING_TABLE]  # one row per vocabulary id
+            shape = (len(vocab), cfg.input_dim)
             if table.shape != shape:
                 raise ValueError(f"tensor {EMBEDDING_TABLE!r} has shape {table.shape}, "
                                  f"expected {shape}")
             lookup = TrainableLookup.from_table(table, freeze=frozen)
     except ValueError as e:
         raise CheckpointError(f"{path}: {e}") from e
-    return params, cfg, vocab, meta.get("label_names"), lookup
+    return params, cfg, vocab, label_names, lookup
 
 
 def save_embeddings(path, vectors: dict[str, np.ndarray]) -> None:

@@ -104,11 +104,11 @@ class ModelParams:
 
     @classmethod
     def from_named_tensors(cls, tensors: dict[str, np.ndarray], cfg: ModelConfig) -> "ModelParams":
-        """The weights `cfg` needs; a missing one is a KeyError, a misshapen one a ValueError."""
+        """The weights `cfg` needs; a missing or misshapen one is a ValueError."""
         shapes = cfg.weight_shapes()
         for name, shape in shapes.items():
             if name not in tensors:
-                raise KeyError(f"checkpoint missing tensor {name!r}")
+                raise ValueError(f"checkpoint missing tensor {name!r}")
             if tensors[name].shape != shape:
                 raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, "
                                  f"expected {shape}")

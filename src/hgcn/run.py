@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -17,7 +18,7 @@ from .analysis import (
     pearson_matrix,
 )
 from .autodiff import SGD, Adam
-from .data import load_embeddings
+from .data import load_checkpoint, load_embeddings
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
@@ -134,6 +135,32 @@ def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generato
                               f"but {path} holds {width}-wide vectors")
         return provider
     return TrainableLookup(len(vocab), run_cfg.input_dim, rng, freeze=run_cfg.freeze)
+
+
+def load_model(run_cfg: RunConfig):
+    """(params, provider, vocab) from `out_dir/model.ckpt`, as `train` returns them.
+
+    The label names, the architecture and the encoder must be the
+    config's, or it is a configuration error. A stored embedding table
+    means the `lookup` encoder and none means `file:` vectors, which are
+    loaded first, so their own errors come before this check.
+    """
+    path = Path(run_cfg.out_dir) / "model.ckpt"
+    params, model_cfg, vocab, label_names, lookup = load_checkpoint(path)
+    if label_names != run_cfg.label_names:
+        raise ConfigError(
+            f"checkpoint label set {label_names} differs from config {run_cfg.label_names}")
+    run_model_cfg = run_cfg.model_config()
+    for f in fields(ModelConfig):
+        stored, wanted = getattr(model_cfg, f.name), getattr(run_model_cfg, f.name)
+        if stored != wanted:
+            raise ConfigError(f"checkpoint {f.name} {stored!r} differs from config {wanted!r}")
+    lookup_wanted = run_cfg.encoder == "lookup"
+    provider = lookup if lookup_wanted else make_provider(run_cfg, vocab, rng=None)
+    if (lookup is not None) != lookup_wanted:
+        raise ConfigError(f"{path} was trained with the {'file:' if lookup is None else 'lookup'} "
+                          f"encoder, but encoder is {run_cfg.encoder!r}")
+    return params, provider, vocab
 
 
 def prepare(samples, run_cfg: RunConfig, vocab: Vocabulary, provider):

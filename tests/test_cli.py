@@ -164,6 +164,47 @@ def test_file_encoder_errors_come_before_any_output(trained, tmp_path, capsys, w
     assert [path.name for path in out.iterdir()] == ["model.ckpt"]
 
 
+def test_non_float_file_vectors_are_runtime_error(corpus, tmp_path, capsys):
+    root, label_names = corpus
+    samples = (load_dataset(root / "train.jsonl", label_names)
+               + load_dataset(root / "test.jsonl", label_names))
+    vectors = tmp_path / "vectors.bin"
+    save_embeddings(vectors, {s.id: np.ones((len(token_rows(s.tokens, 32)), 8), dtype=complex)
+                              for s in samples})
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", root, label_names, out)
+    assert main(["train", "--config", str(config), "--encoder", f"file:{vectors}"]) == 2
+    assert f"{vectors}: tensor '{samples[0].id}' has dtype <c16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encoder_differing_from_the_checkpoint_is_config_error(trained, tmp_path, capsys):
+    # a stored embedding table means the lookup encoder, none means file: vectors
+    root, label_names, trained_out, _ = trained
+    samples = (load_dataset(root / "train.jsonl", label_names)
+               + load_dataset(root / "test.jsonl", label_names))
+    rng = np.random.default_rng(0)
+    vectors = tmp_path / "vectors.bin"
+    save_embeddings(vectors, {s.id: rng.normal(size=(len(token_rows(s.tokens, 32)), 8))
+                              for s in samples})
+    file_flags = ["--encoder", f"file:{vectors}"]
+    file_out, lookup_out = tmp_path / "file", tmp_path / "lookup"
+    config = write_config(tmp_path / "c.json", root, label_names, file_out)
+    assert main(["train", "--config", str(config), *file_flags]) == 0
+    lookup_out.mkdir()
+    shutil.copy(trained_out / "model.ckpt", lookup_out / "model.ckpt")
+    capsys.readouterr()
+    for out, flags, trained_with, encoder in [
+            (lookup_out, file_flags, "lookup", f"file:{vectors}"),
+            (file_out, [], "file:", "lookup")]:
+        for command in ("eval", "explain", "correlate"):
+            assert main([command, "--config", str(config), "--out", str(out), *flags]) == 1
+            assert (f"{out / 'model.ckpt'} was trained with the {trained_with} encoder, "
+                    f"but encoder is {encoder!r}") in capsys.readouterr().err
+    assert [path.name for path in lookup_out.iterdir()] == ["model.ckpt"]
+    assert sorted(path.name for path in file_out.iterdir()) == ["model.ckpt", "train.log"]
+
+
 @pytest.mark.parametrize("flags, extra, field", [
     (["--layers", "1"], {}, "num_layers"),
     (["--layers", "3"], {}, "num_layers"),
@@ -207,11 +248,16 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
     (lambda meta, tensors: meta.update(vocab=["a"]), "vocabulary"),
     (lambda meta, tensors: meta.update(vocab={"a": "x"}), "vocabulary"),
     (lambda meta, tensors: meta.update(vocab={"foo": 0, "bar": 4}), "vocabulary"),
+    (lambda meta, tensors: meta.pop("vocab"), "vocabulary"),
+    (lambda meta, tensors: meta.pop("label_names"), "label_names must be a list of strings"),
+    (lambda meta, tensors: meta.update(label_names="L1"), "label_names must be a list of strings"),
+    (lambda meta, tensors: tensors.pop("w_layer_1"), "checkpoint missing tensor 'w_layer_1'"),
     (lambda meta, tensors: tensors.update(w_token_in=tensors["w_token_in"][:-1]),
      "'w_token_in' has shape (7, 8), expected (8, 8)"),
     (lambda meta, tensors: tensors.update(embedding_table=tensors["embedding_table"][:5]),
      "'embedding_table' has shape (5, 8)"),
-], ids=["vocab-list", "vocab-string-id", "vocab-sparse", "weight-shape", "table-rows"])
+], ids=["vocab-list", "vocab-string-id", "vocab-sparse", "vocab-missing", "labels-missing",
+        "labels-string", "weight-missing", "weight-shape", "table-rows"])
 def test_checkpoint_malformed_vocab_or_weight_is_runtime_error(trained, tmp_path, capsys,
                                                                edit, named):
     root, label_names, out, _ = trained

@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -167,6 +166,29 @@ def test_tensor_container_bit_exact_roundtrip(tmp_path):
             back[name].view(np.uint8), t.astype(t.dtype.newbyteorder("<")).view(np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [">f8", ">f4"])
+def test_tensor_container_big_endian_roundtrip(tmp_path, dtype):
+    # the payload is written little-endian, so the header must say so
+    tensor = np.array([0.0, 1.5, -2.25e30, 3.0e-20], dtype=dtype)
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"a": tensor}, {}, "hgcn-test")
+    _, back = load_tensors(path)
+    assert back["a"].dtype == tensor.dtype.newbyteorder("<")
+    assert np.array_equal(back["a"], tensor)
+
+
+@pytest.mark.parametrize("tensor", [
+    np.ones((2, 3), dtype=np.complex128),
+    np.array([["ab", "c"]]),
+    np.array([1.0, "x"], dtype=object),
+], ids=["complex", "unicode", "object"])
+def test_tensor_container_rejects_non_float_tensors(tmp_path, tensor):
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"w": np.ones(2), "a": tensor}, {}, "hgcn-test")
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: tensor 'a' has dtype")):
+        load_tensors(path)
+
+
 def test_tensor_container_truncation_detected(tmp_path):
     path = tmp_path / "t.bin"
     save_tensors(path, {"a": np.ones((2, 2))}, {}, "hgcn-test")
@@ -220,15 +242,18 @@ def make_model(seed=0):
     return cfg, params, provider
 
 
+VOCAB = Vocabulary(["a", "b", "c", "d"])  # 8 ids, the rows of make_model's table
+LABEL_NAMES = ["A", "B", "C"]
+
+
 def test_checkpoint_restores_bitwise_identical_forward(tmp_path):
     cfg, params, provider = make_model()
-    vocab = Vocabulary(["a", "b", "c", "d"])
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, cfg, path, vocab=vocab, label_names=["A", "B", "C"])
+    save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES)
     params2, cfg2, vocab2, label_names, _ = load_checkpoint(path)
     assert cfg2 == cfg
-    assert vocab2.to_dict() == vocab.to_dict()
-    assert label_names == ["A", "B", "C"]
+    assert vocab2.to_dict() == VOCAB.to_dict()
+    assert label_names == LABEL_NAMES
     ids = [0, 4, 5, 1]
     with Tape():
         before = forward([ids], provider, params, cfg)
@@ -241,7 +266,7 @@ def test_checkpoint_restores_bitwise_identical_forward(tmp_path):
 def test_checkpoint_header_config_is_the_architecture(tmp_path):
     cfg, params, _ = make_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, cfg, path)
+    save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES)
     meta, _ = load_tensors(path)
     assert meta["config"] == {"num_labels": 3, "num_layers": 2, "hidden": 6, "input_dim": 5,
                               "activation": "relu", "detach_edges": False}
@@ -252,7 +277,7 @@ def test_checkpoint_restores_embedding_table(tmp_path, freeze):
     cfg, params, _ = make_model()
     provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(3), freeze=freeze)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, cfg, path, provider=provider)
+    save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES, provider=provider)
     lookup = load_checkpoint(path)[4]
     assert np.array_equal(lookup.table.value, provider.table.value)
     assert lookup.frozen is freeze
@@ -265,7 +290,7 @@ def test_checkpoint_rejects_a_freeze_flag_that_is_no_bool(tmp_path, flag):
     cfg, params, _ = make_model()
     provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(3))
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, cfg, path, provider=provider)
+    save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES, provider=provider)
     meta, tensors = load_tensors(path)
     del meta["format"]
     save_tensors(path, tensors, {**meta, "embedding_frozen": flag}, "hgcn-checkpoint")
@@ -280,18 +305,19 @@ def test_checkpoint_rejects_a_freeze_flag_that_is_no_bool(tmp_path, flag):
 def test_checkpoint_without_provider_has_no_lookup(tmp_path):
     cfg, params, _ = make_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, cfg, path)
+    save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES)
     assert load_checkpoint(path)[4] is None
 
 
 def test_checkpoint_missing_tensor_reported(tmp_path):
     cfg, params, _ = make_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, cfg, path)
+    save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES)
     meta, tensors = load_tensors(path)
-    del tensors["w_token_in"]
-    save_tensors(path, tensors, {"config": asdict(cfg)}, "hgcn-checkpoint")
-    with pytest.raises(KeyError, match="w_token_in"):
+    del meta["format"], tensors["w_token_in"]
+    save_tensors(path, tensors, meta, "hgcn-checkpoint")
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: checkpoint missing tensor 'w_token_in'")):
         load_checkpoint(path)
 
 

@@ -4,8 +4,10 @@ tools/output_digest.py shows outputs byte-identical; tools/src_lines.py counts c
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
+import json
 import subprocess
 import sys
 import textwrap
@@ -22,12 +24,16 @@ def load_digest():
     return module
 
 
-def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
+def isolate_digest(monkeypatch):
     # main() prepends perfbench/ and src/ to sys.path, and importing
     # perfbench/run.py sets these variables; both are restored afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
+
+
+def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
+    isolate_digest(monkeypatch)
     digest = load_digest()
     runs = []
     for _ in range(2):
@@ -55,6 +61,19 @@ def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
         variant = {path[len(prefix):] for path in written[digest.EXTRA_RUN_WORKLOAD]
                    if path.startswith(prefix)}
         assert variant == expected, prefix
+
+
+def test_output_digest_dev_variant_logs_dev_metrics(monkeypatch, tmp_path):
+    # the benchmark runs have no dev set; `dev/` names the run's own test file
+    isolate_digest(monkeypatch)
+    digest = load_digest()
+    bench = digest.load_benchmark()
+    wl = dataclasses.replace(bench.WORKLOADS[digest.EXTRA_RUN_WORKLOAD], **digest.VARIANT_SIZE)
+    digest.digest_workload(wl, bench.run_config, tmp_path, overrides=digest.VARIANTS["dev/"])
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["dev_path"] == str(tmp_path / "test.jsonl")
+    log = (tmp_path / "out" / "train.log").read_text().splitlines()
+    assert len(log) == wl.epochs and all(" micro_f1 " in line for line in log)
 
 
 def outputs(test_samples) -> set[str]:

@@ -17,9 +17,10 @@ More runs of the short-chain shape follow, each printed under the
 
 - `file-encoder/` reads per-sample vectors drawn at a fixed seed through
   `--encoder file:PATH`;
-- one run per entry of VARIANTS sets the model knobs the benchmark
-  leaves at their defaults (layer count, `detach_edges`, `relu`, `sgd`,
-  `freeze`), on a corpus cut to VARIANT_SIZE to keep the runs short.
+- one run per entry of VARIANTS sets the knobs the benchmark leaves at
+  their defaults (layer count, `detach_edges`, `relu`, `sgd`, `freeze`,
+  the `topk` decoder, a `dev_path` whose metrics `train.log` records),
+  on a corpus cut to VARIANT_SIZE to keep the runs short.
 
 To show that a change leaves every output byte-identical, run it against
 both checkouts' sources and compare:
@@ -56,6 +57,8 @@ VARIANTS = {
     "sgd/": {"optimizer": "sgd", "lr": 0.5},
     "layers1/": {"num_layers": 1},
     "freeze/": {"freeze": True},
+    "topk/": {"decode": "topk", "topk": 2},
+    "dev/": {"dev_path": "test.jsonl"},
 }
 VARIANT_SIZE = {"train_samples": 40, "test_samples": 8, "epochs": 2}
 
@@ -75,7 +78,8 @@ def digest_workload(wl, run_config, work: Path, file_encoder=False,
 
     With `file_encoder`, the run reads one vector per token node of each
     sample from an embedding file instead of training a lookup table.
-    `overrides` replace entries of the workload's run configuration.
+    `overrides` replace entries of the workload's run configuration; a
+    `*_path` one is a file name under `work`.
     """
     from hgcn import cli, data, synth
     from hgcn.encoder import token_rows
@@ -90,7 +94,9 @@ def digest_workload(wl, run_config, work: Path, file_encoder=False,
     data.save_dataset(test, work / "test.jsonl")
     out = work / "out"
     config = work / "config.json"
-    values = run_config(wl, label_names, MODEL_SEED, work, out) | (overrides or {})
+    values = run_config(wl, label_names, MODEL_SEED, work, out)
+    values |= {key: str(work / value) if key.endswith("_path") else value
+               for key, value in (overrides or {}).items()}
     if file_encoder:
         rng = np.random.default_rng(EMBEDDING_SEED)
         data.save_embeddings(work / "vectors.bin", {
