@@ -220,23 +220,6 @@ def col_sums(a: Node) -> Node:
     return _result(out, "col_sums", (a,), push)
 
 
-def concat_rows(a: Node, b: Node) -> Node:
-    """The rows of 2-D `b` stacked under `a`, under every sample's rows if `a` is a batch."""
-    if b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[1]:
-        raise ShapeError(f"concat_rows: widths differ, {a.value.shape} vs {b.value.shape}")
-    lead = a.value.shape[:-2]
-    m = a.value.shape[-2]
-
-    def push(g):
-        if a.requires_grad:
-            a.accumulate(g[..., :m, :])
-        if b.requires_grad:
-            b.accumulate(g[..., m:, :].sum(axis=tuple(range(len(lead)))))
-
-    out = np.concatenate([a.value, np.broadcast_to(b.value, lead + b.value.shape)], axis=-2)
-    return _result(out, "concat_rows", (a, b), push)
-
-
 def gather_rows(table: Node, ids) -> Node:
     """Row lookup; backward scatter-adds into exactly the looked-up rows.
 

@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     except (ConfigError, DatasetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (CheckpointError, OSError, ValueError, KeyError) as e:
+    except (CheckpointError, OSError, ValueError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,9 @@ trainable embedding table or frozen per-sample vectors loaded from a
 tensor container file. Sequence boundary markers are real token nodes.
 
 A provider's `token_ids` turns a sample into row ids of its table, and
-`embed` gathers a batch of id sequences as B x M x dim features, M the
-longest sequence. The rows past a sequence's end read the PAD row, and
-`graph.propagate` makes them inert.
+`embed` gathers a batch of id sequences as B * M rows of dim features,
+M rows per sample, M the longest sequence. The rows past a sequence's
+end read the PAD row, and `graph.propagate` makes them inert.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class TrainableLookup:
         return tokenize(sample.tokens, vocab, max_len)
 
     def embed(self, batch_ids) -> Node:
-        return gather_rows(self.table, pad_ids(batch_ids))
+        return gather_rows(self.table, pad_ids(batch_ids).ravel())
 
     def parameters(self) -> list[Node]:
         return [] if self.frozen else [self.table]
@@ -111,12 +111,14 @@ class PrecomputedFile(TrainableLookup):
 
     The blocks are stacked into one constant table under len(RESERVED)
     zero rows, so PAD reads zeros. A sample's ids are its own block's
-    rows, checked against its token nodes when it is tokenized.
+    rows, checked against its token nodes when it is tokenized; errors
+    name the vectors by `source`, such as the file they came from.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
+    def __init__(self, vectors: dict[str, np.ndarray], source: str = "the given vectors"):
         if not vectors:
             raise ValueError("no precomputed vectors given")
+        self.source = source
         first = next(iter(vectors.values()))
         self.rows: dict[str, range] = {}
         start = len(RESERVED)
@@ -130,7 +132,7 @@ class PrecomputedFile(TrainableLookup):
 
     def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
         if sample.id not in self.rows:
-            raise KeyError(f"no precomputed embedding for sample {sample.id!r}")
+            raise ValueError(f"{self.source} holds no vector block for sample {sample.id!r}")
         rows, m = self.rows[sample.id], len(token_rows(sample.tokens, max_len))
         if len(rows) != m:
             raise ValueError(f"sample {sample.id!r}: {len(rows)} vectors for {m} tokens")

@@ -5,21 +5,23 @@ act(D^{-1/2} (A + I) D^{-1/2} H W), applied by `graph.propagate` from
 the token-label block alone. Layer 1 runs before any token-label edges
 exist: the token rows mix along their chains only, and each label row,
 whose only neighbour is itself, becomes act(w_label_in @ w_layer[0]).
-Those label rows are the same for every sample, so they are computed
-once per chunk and stacked under each sample's token rows after layer
-1. Later layers and the final prediction re-estimate the token-label
-block from the current node features.
+Those label rows are the same for every sample, so the first layer's
+node features hold them once, under the token rows of every sample.
+Later layers and the final prediction re-estimate the token-label
+block from the current node features, and each later layer gives each
+sample its own label rows.
 Label scores are column sums of the final token-label block, pushed
 through a softmax and trained against a target distribution with MSE.
 
 `forward` runs a whole batch of samples at once, padded to its longest
-sample (see `graph`); one sample is a batch of one. `chunks` cuts a
-sample list into runs whose padded node features stay under
-CHUNK_BUDGET values: short samples run about twenty to a chunk, long
-documents two at a time. A training step cuts its minibatch so, and
-runs one tape per chunk and one optimizer step per batch. Inference
-cuts the whole sample list, whatever the minibatch size, and records
-no tape.
+sample, in the layout `graph` describes: each layer's node features
+are one (rows, hidden) array, so its matmul and activation are single
+passes. One sample is a batch of one. `chunks` cuts a sample list into
+runs whose padded node features stay under CHUNK_BUDGET values: short
+samples run about twenty to a chunk, long documents two at a time. A
+training step cuts its minibatch so, and runs one tape per chunk and
+one optimizer step per batch. Inference cuts the whole sample list,
+sorted by length, whatever the minibatch size, and records no tape.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Node, Tape, constant, parameter
 from .graph import Chains, propagate, reconstruct_token_label
 
-# Most entries of a chunk's B x (M + n) x hidden padded node features:
+# Most entries of a chunk's padded node features, B x (M + n) x hidden:
 # twenty 11-token samples with 5 labels, or two 128-token documents with
 # 20 labels, at hidden 64; it bounds the memory one tape holds in training
 # and one chunk's arrays in inference. Whole batches of long documents
@@ -121,7 +123,8 @@ class ForwardTrace:
 
     probs: np.ndarray                  # B x n
     final_edges: np.ndarray            # B x M x n token-label blocks after the last layer
-    final_features: np.ndarray         # B x (M + n) x hidden, token rows over label rows
+    final_tokens: np.ndarray           # B x M x hidden token rows after the last layer
+    final_labels: np.ndarray           # B x n x hidden label rows (a read-only view if shared)
     probs_node: Node
 
 
@@ -129,34 +132,31 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> Forwa
     """Run the HGCN on a batch of token-id sequences; records on the active Tape, if any.
 
     Sample b's token rows are the first len(batch_ids[b]) of the M padded
-    ones; its padded rows of `final_edges` and `final_features` are zero.
+    ones; its padded rows of `final_edges` and `final_tokens` are zero.
     """
     lengths = [len(ids) for ids in batch_ids]
-    chains = Chains(lengths, max(lengths, default=0))
-    m = chains.shape[1]
+    chains = Chains(lengths, max(lengths, default=0), cfg.num_labels)
+    b, m = chains.shape
 
-    x_token = provider.embed(batch_ids)
-    h_token = ad.matmul(x_token, params.w_token_in)
-
+    h = ad.matmul(provider.embed(batch_ids), params.w_token_in)
     # first layer, before any token-label edges (see above); one-hot label
     # inputs make I_n @ w_label_in the label rows' projection
-    w_first = params.w_layer[0]
-    h_token = ad.activation(ad.matmul(propagate(h_token, None, chains), w_first),
-                            cfg.activation)
-    h_label = ad.activation(ad.matmul(params.w_label_in, w_first), cfg.activation)
-    h = ad.concat_rows(h_token, h_label)
-
+    h = ad.activation(ad.matmul(propagate(h, None, chains, params.w_label_in),
+                                params.w_layer[0]), cfg.activation)
     for w in params.w_layer[1:]:
-        edges = reconstruct_token_label(h, m)
+        edges = reconstruct_token_label(h, chains)
         if cfg.detach_edges:
             edges = constant(edges.value)
         h = ad.activation(ad.matmul(propagate(h, edges, chains), w), cfg.activation)
 
-    final_edges = reconstruct_token_label(h, m)
+    final_edges = reconstruct_token_label(h, chains)
     scores = ad.col_sums(final_edges)
     probs = ad.softmax_row(scores)
+    labels = chains.labels(h.value)
     return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
-                        final_features=h.value, probs_node=probs)
+                        final_tokens=h.value[:b * m].reshape(b, m, -1),
+                        final_labels=np.broadcast_to(labels, (b,) + labels.shape[1:]),
+                        probs_node=probs)
 
 
 def build_target(labels) -> np.ndarray:

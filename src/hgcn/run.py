@@ -128,7 +128,7 @@ def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generato
     """
     if run_cfg.encoder.startswith("file:"):
         path = run_cfg.encoder[len("file:"):]
-        provider = PrecomputedFile(load_embeddings(path))
+        provider = PrecomputedFile(load_embeddings(path), path)
         width = provider.table.value.shape[1]
         if width != run_cfg.input_dim:
             raise ConfigError(f"input_dim is {run_cfg.input_dim}, "
@@ -179,20 +179,26 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
 def _forward_samples(samples, params, provider, run_cfg, vocab):
     """Yield (sample, ids, probs, final edges, final label features) per sample, in order.
 
-    The whole list is cut into consecutive chunks by `model.chunks`, the
-    same CHUNK_BUDGET as in training; `batch_size` plays no part.
-    Inference records no tape. `probs` is the sample's row of n
-    probabilities, the edges are its m x n block.
+    The samples are sorted by length, stably, and cut into chunks by
+    `model.chunks`, the same CHUNK_BUDGET as in training, so a chunk pads
+    few rows; `batch_size` plays no part. Inference records no tape.
+    `probs` is the sample's row of n probabilities, the edges are its
+    m x n block, the label features its n x hidden rows: copies of its
+    own, so a sample held until its turn keeps no chunk's arrays alive.
     """
     cfg = run_cfg.model_config()
     all_ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
-    for part in chunks([len(ids) for ids in all_ids], cfg):
-        batch, batch_ids = samples[part], all_ids[part]
-        trace = forward(batch_ids, provider, params, cfg)
-        m = trace.final_edges.shape[1]
-        for b, (s, ids) in enumerate(zip(batch, batch_ids)):
-            yield (s, ids, trace.probs[b], trace.final_edges[b, :len(ids)],
-                   trace.final_features[b, m:])
+    order = sorted(range(len(all_ids)), key=lambda i: len(all_ids[i]))
+    done, turn = {}, 0
+    for part in chunks([len(all_ids[i]) for i in order], cfg):
+        members = order[part]
+        trace = forward([all_ids[i] for i in members], provider, params, cfg)
+        for b, i in enumerate(members):
+            done[i] = (trace.probs[b].copy(), trace.final_edges[b, :len(all_ids[i])].copy(),
+                       trace.final_labels[b].copy())
+        while turn in done:
+            yield (samples[turn], all_ids[turn], *done.pop(turn))
+            turn += 1
 
 
 def predict(samples, params, provider, run_cfg, vocab):
@@ -270,14 +276,11 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
 
 
 def correlate(samples, params, provider, run_cfg, vocab):
-    """Pearson over decoded predictions and cosine over mean final label features.
-
-    Only each sample's n x h final label features are kept, not its chunk's.
-    """
+    """Pearson over decoded predictions and cosine over mean final label features."""
     preds, label_feats = [], []
     for _, _, probs, _, labels in _forward_samples(samples, params, provider, run_cfg, vocab):
         preds.append(decode_probs(probs, run_cfg))
-        label_feats.append(labels.copy())
+        label_feats.append(labels)
     pearson = pearson_matrix(preds, len(run_cfg.label_names))
     cosine = label_cosine_matrix(np.mean(label_feats, axis=0))
     return pearson, cosine

@@ -108,6 +108,21 @@ def slice_rows(a: Node, start: int, stop: int) -> Node:
     return _result(a.value[start:stop].copy(), "slice_rows", (a,), push)
 
 
+def concat_rows(a: Node, b: Node) -> Node:
+    """The rows of 2-D `b` stacked under 2-D `a`: one sample's token rows over its label rows."""
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
+        raise ShapeError(f"concat_rows: widths differ, {a.value.shape} vs {b.value.shape}")
+    m = a.value.shape[0]
+
+    def push(g):
+        if a.requires_grad:
+            a.accumulate(g[:m])
+        if b.requires_grad:
+            b.accumulate(g[m:])
+
+    return _result(np.concatenate([a.value, b.value]), "concat_rows", (a, b), push)
+
+
 class ReferenceSGD:
     """`SGD` as a loop over the parameters, the reference for the flat store's step."""
 
@@ -366,11 +381,11 @@ def embed_one(provider, ids, block=None) -> Node:
 
 
 def forward_one(ids, provider, params, cfg, block=None) -> ForwardTrace:
-    """The HGCN on one sample: probs 1 x n, edges m x n, features (m + n) x hidden."""
+    """The HGCN on one sample: probs 1 x n, edges m x n, token and label rows m and n x hidden."""
     m = len(ids)
     n = cfg.num_labels
     h_token = ad.matmul(embed_one(provider, ids, block), params.w_token_in)
-    h = ad.concat_rows(h_token, params.w_label_in)
+    h = concat_rows(h_token, params.w_label_in)
     edges = constant(np.zeros((m, n)))
     for layer in range(cfg.num_layers):
         if layer > 0:
@@ -382,7 +397,7 @@ def forward_one(ids, provider, params, cfg, block=None) -> ForwardTrace:
     final_edges = reconstruct_one(h, m)
     probs = ad.softmax_row(ad.col_sums(final_edges))
     return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
-                        final_features=h.value, probs_node=probs)
+                        final_tokens=h.value[:m], final_labels=h.value[m:], probs_node=probs)
 
 
 def sample_loss_one(ids, target, provider, params, cfg, block=None) -> Node:

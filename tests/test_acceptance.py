@@ -108,38 +108,46 @@ def test_criterion_1_gradient_suite(capsys):
         check(lambda a: ad.mse_loss(ad.softmax_row(a), target23[:1]), (1, 3))
         check(lambda a: ad.mse_loss(
             normalize_adjacency_node(elementwise_mul(a, a)), np.eye(3)), (3, 3))
-        check(lambda h: ad.mse_loss(reconstruct_token_label(h, 2), target23), (5, 5))
+        check(lambda h: ad.mse_loss(reconstruct_token_label(h, Chains([2], 2, 3)),
+                                    target23[None]), (5, 5))
     # after the loop above, so the other ops keep their random draws;
     # squared edges: a token-label block is never negative
     for _ in range(20):
         check(lambda h, e: ad.mse_loss(propagate_one(h, elementwise_mul(e, e)),
                                        target53), (5, 3), (3, 2))
     # the batched forms, after the loops above for the same reason: a
-    # ragged batch of lengths 3 and 1 padded to 3 rows; padded feature rows
-    # and edges are zeroed as the model pads them
-    pad = np.ones((2, 5, 1))
-    pad[1, 1:3] = 0.0
+    # ragged batch of lengths 3 and 1 padded to 3 token rows, with 2 labels,
+    # whose node features are its 6 token rows over 2 label rows per sample
+    # (or 2 shared ones); padded rows and edges are zeroed as the model pads them
+    chains = Chains([3, 1], 3, 2)
+    pad = np.ones((10, 1))
+    pad[4:6] = 0.0
+    edge_pad = constant(chains.real[..., None] * np.ones((2, 3, 2)))
     target2 = rng.uniform(0, 1, (2, 2))
-    target253 = rng.uniform(0, 1, (2, 5, 3))
+    target10 = rng.uniform(0, 1, (10, 3))
+
+    def padded(h):
+        return elementwise_mul(h, constant(np.broadcast_to(pad[:len(h.value)], h.value.shape)))
+
+    def shared_layer(h):
+        # label rows the batch shares, as the second layer reads them
+        h = padded(h)
+        return ad.mse_loss(propagate(h, reconstruct_token_label(h, chains), chains), target10)
+
     for _ in range(20):
         check(lambda h, e: ad.mse_loss(propagate(
-            elementwise_mul(h, constant(np.broadcast_to(pad, (2, 5, 3)))),
-            elementwise_mul(e, elementwise_mul(e, constant(pad[:, :3, :1] * np.ones((2, 3, 2))))),
-            Chains([3, 1], 3)), target253), (2, 5, 3), (2, 3, 2), kind="batched")
+            padded(h), elementwise_mul(e, elementwise_mul(e, edge_pad)), chains), target10),
+            (10, 3), (2, 3, 2), kind="batched")
         check(lambda h: ad.mse_loss(ad.softmax_row(ad.col_sums(reconstruct_token_label(
-            elementwise_mul(h, constant(np.broadcast_to(pad, (2, 5, 3)))), 3))), target2),
-            (2, 5, 3), kind="batched")
-        check(lambda a, b: ad.mse_loss(ad.concat_rows(ad.matmul(a, b), b), target253),
-              (2, 2, 3), (3, 3), kind="batched")
+            padded(h), chains))), target2), (10, 3), kind="batched")
+        check(shared_layer, (8, 3), kind="batched")
         check(lambda t: ad.mse_loss(ad.gather_rows(t, [[4, 0, 4], [1, 3, 3]]),
-                                    target253[:, :3]), (5, 3), kind="batched")
-    # propagate over token rows alone, as the first layer runs it; after the
-    # loops above for the same reason
+                                    target10[:6].reshape(2, 3, 3)), (5, 3), kind="batched")
+    # propagate over token rows and the shared label rows, as the first
+    # layer runs it; after the loops above for the same reason
     for _ in range(20):
-        check(lambda h: ad.mse_loss(propagate(
-            elementwise_mul(h, constant(np.broadcast_to(pad[:, :3], (2, 3, 3)))), None,
-            Chains([3, 1], 3)),
-            target253[:, :3]), (2, 3, 3), kind="batched")
+        check(lambda h, labels: ad.mse_loss(propagate(padded(h), None, chains, labels),
+                                            target10[:8]), (6, 3), (2, 3), kind="batched")
 
     # end-to-end: loss through normalization, convolution and edge
     # reconstruction w.r.t. every parameter matrix
@@ -177,7 +185,7 @@ def test_criterion_2_structural_oracles(capsys):
     edges_ok = True
     for _ in range(100):
         with Tape():
-            out = reconstruct_token_label(constant(rng.normal(size=(7, 8))), 4)
+            out = reconstruct_token_label(constant(rng.normal(size=(7, 8))), Chains([4], 4, 3))
         edges_ok &= bool(np.all(out.value >= 0) and np.all(out.value <= 1))
     ok = counts_ok and norm_err < 1e-12 and edges_ok
     report(capsys, 2,

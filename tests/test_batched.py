@@ -87,7 +87,25 @@ CASES = [("tanh", False, "lookup"), ("relu", False, "lookup"), ("tanh", True, "l
 @pytest.mark.parametrize("members", [[0, 1, 2, 3], [1], [2, 0]], ids=["ragged", "one", "pair"])
 def test_forward_and_gradients_match_per_sample(activation, detach, encoder, members):
     cfg, params, provider = make_model(activation, detach, encoder)
-    batch, blocks = provider_batch(provider, members)
+    assert_matches_per_sample(*provider_batch(provider, members), cfg, params, provider)
+
+
+# full-length samples side by side, then a one-token sample after one: a
+# chain shift over the flat token rows crosses each sample boundary
+# between two real rows
+BOUNDARY = [[0, 4, 5, 6, 1], [0, 7, 7, 8, 1], [9], [0, 10, 11, 12, 1]]
+
+
+@pytest.mark.parametrize("activation,num_layers", [("tanh", 2), ("relu", 3)])
+def test_full_length_neighbours_match_per_sample(activation, num_layers):
+    cfg, params, provider = make_model(activation, num_layers=num_layers)
+    assert [len(ids) for ids in BOUNDARY] == [5, 5, 1, 5]
+    assert_matches_per_sample(list(zip(BOUNDARY, TARGETS)), [None] * len(BOUNDARY),
+                              cfg, params, provider)
+
+
+def assert_matches_per_sample(batch, blocks, cfg, params, provider):
+    """`forward`'s outputs and every parameter gradient against one tape per sample."""
     trace = forward([ids for ids, _ in batch], provider, params, cfg)
     big = max(len(ids) for ids, _ in batch)
     for b, ((ids, _), block) in enumerate(zip(batch, blocks)):
@@ -96,9 +114,9 @@ def test_forward_and_gradients_match_per_sample(activation, detach, encoder, mem
         assert_close(trace.probs[b:b + 1], ref.probs)
         assert_close(trace.final_edges[b, :m], ref.final_edges)
         assert not trace.final_edges[b, m:].any()
-        assert_close(trace.final_features[b, :m], ref.final_features[:m])
-        assert_close(trace.final_features[b, big:], ref.final_features[m:])
-        assert not trace.final_features[b, m:big].any()
+        assert_close(trace.final_tokens[b, :m], ref.final_tokens)
+        assert_close(trace.final_labels[b], ref.final_labels)
+        assert not trace.final_tokens[b, m:big].any()
 
     trainable = params.parameters() + provider.parameters()
     with Tape() as tape:
@@ -131,11 +149,10 @@ def check_pad_row_is_inert(cfg, params, provider):
     provider.table.value[PAD] = 1e3
     batch, blocks = provider_batch(provider, range(len(SAMPLES)))
     all_ids = [ids for ids, _ in batch]
-    out = provider.embed(all_ids)
-    assert out.value.shape == (4, 8, DIM)
+    out = provider.embed(all_ids).value.reshape(4, 8, DIM)
     for b, ids in enumerate(all_ids):
-        assert np.array_equal(out.value[b, :len(ids)], provider.table.value[ids])
-        assert (out.value[b, len(ids):] == 1e3).all()
+        assert np.array_equal(out[b, :len(ids)], provider.table.value[ids])
+        assert (out[b, len(ids):] == 1e3).all()
     trace = forward(all_ids, provider, params, cfg)
     for b, (ids, block) in enumerate(zip(all_ids, blocks)):
         ref = forward_one(ids, provider, params, cfg, block)
@@ -223,7 +240,7 @@ def test_inference_matches_per_sample(batch_size, monkeypatch):
         ref = forward_one(ids, provider, params, cfg)
         assert_close(probs, ref.probs[0])
         assert_close(edges, ref.final_edges)
-        assert_close(labels, ref.final_features[len(ids):])
+        assert_close(labels, ref.final_labels)
 
 
 # lengths 3, 16 (truncated), 2, 5, 7, 4 at max_len 16
@@ -238,9 +255,9 @@ def test_inference_ignores_batch_size(monkeypatch):
     samples = [Sample(id=f"s{i}", tokens=t, labels=["A", "C"][: i % 3],
                       annotations=[(0, "B", 1.0)] if t else [])
                for i, t in enumerate(MIXED)]
-    lengths = [len(tokenize(t, VOCABULARY, 16)) for t in MIXED]
-    assert (max(lengths) + 3) * 6 > model.CHUNK_BUDGET
-    parts = chunks(lengths, cfg)
+    by_length = sorted(len(tokenize(t, VOCABULARY, 16)) for t in MIXED)
+    assert (max(by_length) + 3) * 6 > model.CHUNK_BUDGET
+    parts = chunks(by_length, cfg)
     assert len(parts) < len(MIXED)
     calls = []
 
@@ -259,7 +276,7 @@ def test_inference_ignores_batch_size(monkeypatch):
             ref = forward_one(ids, provider, params, cfg)
             assert_close(probs, ref.probs[0])
             assert_close(edges, ref.final_edges)
-        assert calls == [lengths[part] for part in parts]
+        assert calls == [by_length[part] for part in parts]
         attributions, mse = runmod.explain_samples(*args)
         results.append((runmod.predict(*args), [a.values for _, a in attributions], mse,
                         *runmod.correlate(*args)))
@@ -269,6 +286,30 @@ def test_inference_ignores_batch_size(monkeypatch):
         assert preds == first[0] and mse == first[2]
         assert all(np.array_equal(a, b) for a, b in zip(values, first[1], strict=True))
         assert np.array_equal(pearson, first[3]) and np.array_equal(cosine, first[4])
+
+
+def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(monkeypatch):
+    # MIXED, then two samples as long as its first and last ones
+    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (6 + 3) * 2)
+    cfg, params, provider = make_model()
+    samples = [Sample(id=f"s{i}", tokens=t, labels=[])
+               for i, t in enumerate(MIXED + [["w5"], ["w6", "w8"]])]
+    all_ids = [tokenize(s.tokens, VOCABULARY, 16) for s in samples]
+    calls = []
+
+    def recording_forward(batch_ids, *args, **kwargs):
+        calls.append(batch_ids)
+        return forward(batch_ids, *args, **kwargs)
+
+    monkeypatch.setattr(runmod, "forward", recording_forward)
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=16)
+    seen = list(runmod._forward_samples(samples, params, provider, run_cfg, VOCABULARY))
+    assert [s.id for s, *_ in seen] == [s.id for s in samples]
+    # a stable sort: equal lengths keep their input order
+    assert len(calls) > 1
+    assert [ids for call in calls for ids in call] == sorted(all_ids, key=len)
+    for _, _, probs, edges, labels in seen:
+        assert probs.base is None and edges.base is None and labels.base is None
 
 
 @pytest.mark.parametrize("decode", ["topk", "threshold"])
@@ -319,9 +360,9 @@ def test_file_block_errors_come_at_tokenization(block, tmp_path, monkeypatch):
     monkeypatch.setattr(runmod, "forward", recording_forward)
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
                                max_len=8, epochs=1, encoder=f"file:{tmp_path / 'v.bin'}")
-    with pytest.raises((KeyError, ValueError), match="s3"):
+    with pytest.raises(ValueError, match="s3"):
         runmod.train(SAMPLES, run_cfg)
     params = make_model()[1]
-    with pytest.raises((KeyError, ValueError), match="s3"):
+    with pytest.raises(ValueError, match="s3"):
         runmod.predict(SAMPLES, params, PrecomputedFile(blocks), run_cfg, VOCABULARY)
     assert calls == []

@@ -178,6 +178,20 @@ def test_non_float_file_vectors_are_runtime_error(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_without_file_vectors_is_runtime_error_naming_the_file(corpus, tmp_path,
+                                                                      capsys):
+    root, label_names = corpus
+    samples = load_dataset(root / "train.jsonl", label_names)
+    vectors = tmp_path / "vectors.bin"
+    save_embeddings(vectors, {s.id: np.ones((len(token_rows(s.tokens, 32)), 8))
+                              for s in samples[1:]})
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", root, label_names, out)
+    assert main(["train", "--config", str(config), "--encoder", f"file:{vectors}"]) == 2
+    assert capsys.readouterr().err == (f"runtime error: {vectors} holds no vector block "
+                                       f"for sample {samples[0].id!r}\n")
+
+
 def test_encoder_differing_from_the_checkpoint_is_config_error(trained, tmp_path, capsys):
     # a stored embedding table means the lookup encoder, none means file: vectors
     root, label_names, trained_out, _ = trained

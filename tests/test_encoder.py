@@ -103,8 +103,8 @@ def test_lookup_identical_ids_identical_rows():
     lookup = TrainableLookup(10, 8, rng)
     with Tape():
         out = lookup.embed([[4, 4, 5]])
-    assert np.array_equal(out.value[0, 0], out.value[0, 1])
-    assert out.value.shape == (1, 3, 8)
+    assert np.array_equal(out.value[0], out.value[1])
+    assert out.value.shape == (3, 8)
 
 
 def test_lookup_gradient_reaches_only_batch_rows():
@@ -153,18 +153,18 @@ def test_precomputed_provider_frozen_and_keyed(vocab):
              for sid, v in reversed(vecs.items())]
     with Tape():
         out = provider.embed(batch)
-    assert out.value.shape == (2, 4, 6)
+    assert out.value.shape == (2 * 4, 6)
     # each sample reads its own block; its padded slot reads a zero row
-    assert np.array_equal(out.value[0, :3], vecs["s2"]) and not out.value[0, 3:].any()
-    assert np.array_equal(out.value[1], vecs["s1"])
+    assert np.array_equal(out.value[:3], vecs["s2"]) and not out.value[3].any()
+    assert np.array_equal(out.value[4:], vecs["s1"])
     assert not out.requires_grad
     assert provider.parameters() == []
     assert provider.table.grad is None
 
 
 def test_precomputed_missing_sample_names_id(vocab):
-    provider = PrecomputedFile({"s1": np.ones((2, 3))})
-    with pytest.raises(KeyError, match="s9"):
+    provider = PrecomputedFile({"s1": np.ones((2, 3))}, "v.bin")
+    with pytest.raises(ValueError, match="v.bin holds no vector block for sample 's9'"):
         provider.token_ids(Sample("s9", [], []), vocab, 17)
 
 

@@ -37,7 +37,8 @@ def test_forward_shapes_single_token_single_label():
         trace = forward([[0]], provider, params, cfg)
     assert trace.probs.shape == (1, 1)
     assert trace.final_edges.shape == (1, 1, 1)
-    assert trace.final_features.shape == (1, 2, cfg.hidden)
+    assert trace.final_tokens.shape == (1, 1, cfg.hidden)
+    assert trace.final_labels.shape == (1, 1, cfg.hidden)
     assert trace.probs_node.value is trace.probs
 
 
@@ -52,8 +53,9 @@ def test_first_layer_token_features_independent_of_label_params():
     with Tape():
         after = forward([ids], provider, params, cfg)
     m = len(ids)
-    assert np.array_equal(before.final_features[0, :m], after.final_features[0, :m])
-    assert not np.array_equal(before.final_features[0, m:], after.final_features[0, m:])
+    assert before.final_tokens.shape == (1, m, cfg.hidden)
+    assert np.array_equal(before.final_tokens, after.final_tokens)
+    assert not np.array_equal(before.final_labels, after.final_labels)
 
 
 def test_forward_without_tape_matches_taped_and_records_nothing():
@@ -65,7 +67,7 @@ def test_forward_without_tape_matches_taped_and_records_nothing():
     untaped = forward([ids], provider, params, cfg)
     assert len(tape.nodes) == recorded
     assert untaped.probs_node.grad is None
-    for field in ("probs", "final_edges", "final_features"):
+    for field in ("probs", "final_edges", "final_tokens", "final_labels"):
         assert np.array_equal(getattr(untaped, field), getattr(taped, field))
 
 
@@ -252,13 +254,12 @@ def test_model_config_is_the_architecture_without_defaults():
 
 def test_two_layer_sample_loss_tape_size():
     # per batch: embed, projection; per layer: propagate, matmul, activation
-    # (+ a reconstruction from the stacked rows after layer 1); after layer
-    # 1: the shared label rows' matmul and activation, concat; head:
-    # reconstruction, col_sums, softmax, mse
+    # (+ a reconstruction after layer 1), the first layer's label rows
+    # riding in its propagate; head: reconstruction, col_sums, softmax, mse
     cfg, params, provider = tiny_setup(num_layers=2)
     with Tape() as tape:
         batch_loss([([0, 4, 5, 1], build_target([1, 0, 0]))], provider, params, cfg)
-    assert len(tape.nodes) == 16
+    assert len(tape.nodes) == 13
     assert not any(node.op == "slice_rows" for node in tape.nodes)
     assert sum(node.op == "propagate" for node in tape.nodes) == 2
 

@@ -1,6 +1,7 @@
 """The tools behind a change's claims.
 
-tools/output_digest.py shows outputs byte-identical; tools/src_lines.py counts code lines.
+tools/output_digest.py shows outputs byte-identical; tools/src_lines.py counts code lines;
+tools/fidelity.py reads where the trained model's attributions land.
 """
 
 import contextlib
@@ -16,17 +17,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_digest():
-    spec = importlib.util.spec_from_file_location("output_digest",
-                                                  ROOT / "tools" / "output_digest.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def load_digest():
+    return load_tool("output_digest")
+
+
 def isolate_digest(monkeypatch):
     # main() prepends perfbench/ and src/ to sys.path, and importing
-    # perfbench/run.py sets these variables; both are restored afterwards
+    # perfbench/run.py (or tools/fidelity.py) sets these variables; both
+    # are restored afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
@@ -116,3 +121,32 @@ def test_src_lines_counts_code_not_comments_or_docstrings(tmp_path):
                              "--src", str(tmp_path)],
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines() == ["pkg/__init__.py 0", "pkg/mod.py 8", "total 8"]
+
+
+def test_fidelity_classifies_each_argmax_row(monkeypatch):
+    isolate_digest(monkeypatch)  # loading the tool pins BLAS threads
+    fidelity = load_tool("fidelity")
+    rows = ["<s>", "w1", "T1", "w2", "T2", "</s>"]
+    triggers = {"T1", "T2"}
+    assert [fidelity.classify(rows, r, "T1", triggers) for r in range(6)] == [
+        "marker", "neighbour", "trigger", "neighbour", "other", "marker"]
+    # a marker is a marker, next to the trigger or not
+    assert fidelity.classify(["<s>", "T2", "w1", "</s>"], 0, "T2", triggers) == "marker"
+    assert fidelity.classify(["<s>", "T2", "w1", "w3", "</s>"], 3, "T2", triggers) == "filler"
+
+
+def test_fidelity_counts_every_gold_label(monkeypatch):
+    from hgcn.run import RunConfig
+    from hgcn.synth import generate_synthetic_corpus
+    isolate_digest(monkeypatch)
+    fidelity = load_tool("fidelity")
+    train, label_names, trigger_map = generate_synthetic_corpus(3, 12, 12, seed=0)
+    test, _, _ = generate_synthetic_corpus(3, 12, 6, seed=1, id_prefix="te")
+    cfg = RunConfig(label_names=label_names, hidden=6, input_dim=6, epochs=2)
+    values = fidelity.fidelity(cfg, train, test, trigger_map)
+    assert set(values) == set(fidelity.COLUMNS)
+    assert sum(values[c] for c in fidelity.CLASSES) == sum(len(s.labels) for s in test)
+    assert 0 <= values["exact"] <= values["±1"] <= 1
+    assert values["±1"] >= (values["trigger"] + values["neighbour"]) / sum(
+        values[c] for c in fidelity.CLASSES)
+    assert all(0 <= values[f"edge {k}"] <= 1 for k in fidelity.ROW_KINDS)
