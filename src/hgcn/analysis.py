@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_text
+from .metrics import label_matrix
 
 
 @dataclass
@@ -82,10 +83,7 @@ def pearson_matrix(pred_sets, n: int) -> np.ndarray:
     """
     if not pred_sets:
         raise ValueError("empty prediction list")
-    indicators = np.zeros((n, len(pred_sets)))
-    for i, labels in enumerate(pred_sets):
-        for j in labels:
-            indicators[j, i] = 1.0
+    indicators = label_matrix(pred_sets, n).T.astype(float, order="C")
     return label_cosine_matrix(indicators - indicators.mean(axis=1, keepdims=True))
 
 

@@ -89,21 +89,18 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    samples = load_dataset(_require(cfg, "test_path", "eval"), cfg.label_names)
-    params, provider, vocab = runmod.load_model(cfg)
+def cmd_eval(cfg: RunConfig, samples, params, provider, vocab) -> int:
     report = runmod.evaluate_model(samples, params, provider, cfg, vocab)
+    text = report.render(cfg.label_names)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "eval.txt", report.render(cfg.label_names))
+    write_text(out / "eval.txt", text)
     write_text(out / "eval.json", json.dumps(asdict(report), indent=2))
-    print(report.render(cfg.label_names), end="")
+    print(text, end="")
     return 0
 
 
-def cmd_explain(cfg: RunConfig) -> int:
-    samples = load_dataset(_require(cfg, "test_path", "explain"), cfg.label_names)
-    params, provider, vocab = runmod.load_model(cfg)
+def cmd_explain(cfg: RunConfig, samples, params, provider, vocab) -> int:
     attributions, corpus_mse = runmod.explain_samples(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir) / "attributions"
     out.mkdir(parents=True, exist_ok=True)
@@ -116,9 +113,7 @@ def cmd_explain(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    samples = load_dataset(_require(cfg, "test_path", "correlate"), cfg.label_names)
-    params, provider, vocab = runmod.load_model(cfg)
+def cmd_correlate(cfg: RunConfig, samples, params, provider, vocab) -> int:
     pearson, cosine = runmod.correlate(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,6 +121,10 @@ def cmd_correlate(cfg: RunConfig) -> int:
     render_heatmap(cosine, cfg.label_names, cfg.label_names, out / "label_cosine")
     print(f"wrote pearson and label_cosine heatmaps to {out}")
     return 0
+
+
+# the commands that read the test set through a trained model
+MODEL_COMMANDS = {"eval": cmd_eval, "explain": cmd_explain, "correlate": cmd_correlate}
 
 
 def cmd_synth(args) -> int:
@@ -149,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="heterogeneous graph network for "
                                                  "multi-label text classification")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval", "explain", "correlate"):
+    for name in ("train", *MODEL_COMMANDS):
         # an override flag absent from the command line sets no config key
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", default=None, help="JSON run configuration")
@@ -183,11 +182,8 @@ def main(argv=None) -> int:
         cfg = _load_run_config(args)
         if args.command == "train":
             return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "explain":
-            return cmd_explain(cfg)
-        return cmd_correlate(cfg)
+        samples = load_dataset(_require(cfg, "test_path", args.command), cfg.label_names)
+        return MODEL_COMMANDS[args.command](cfg, samples, *runmod.load_model(cfg))
     except (ConfigError, DatasetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ payloads in header order, so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -188,7 +189,7 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
     tensors = {}
     offset = 0
     for name, shape, dtype in specs:
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload truncated for tensor {name!r}")
         tensors[name] = np.frombuffer(

@@ -59,11 +59,22 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _f1(tp, fp, fn) -> tuple[float, float, float]:
+def _f1(tp, fp, fn) -> dict[str, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def label_matrix(label_sets, n: int) -> np.ndarray:
+    """N x n bool matrix whose row i marks the label indices of set i."""
+    out = np.zeros((len(label_sets), n), dtype=bool)
+    for i, labels in enumerate(label_sets):
+        for j in labels:
+            if not 0 <= j < n:
+                raise ValueError(f"label index {j} out of range for n={n}")
+            out[i, j] = True
+    return out
 
 
 def micro_macro_f1(preds, golds, n: int) -> tuple[float, float, list[dict]]:
@@ -74,26 +85,11 @@ def micro_macro_f1(preds, golds, n: int) -> tuple[float, float, list[dict]]:
     """
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
-    tp = np.zeros(n, dtype=int)
-    fp = np.zeros(n, dtype=int)
-    fn = np.zeros(n, dtype=int)
-    for p, g in zip(preds, golds):
-        p, g = set(p), set(g)
-        for j in p | g:
-            if j >= n or j < 0:
-                raise ValueError(f"label index {j} out of range for n={n}")
-        for j in p & g:
-            tp[j] += 1
-        for j in p - g:
-            fp[j] += 1
-        for j in g - p:
-            fn[j] += 1
-    table = []
-    for j in range(n):
-        precision, recall, f1 = _f1(tp[j], fp[j], fn[j])
-        table.append({"label": j, "precision": precision, "recall": recall, "f1": f1,
-                      "tp": int(tp[j]), "fp": int(fp[j]), "fn": int(fn[j])})
-    _, _, micro = _f1(tp.sum(), fp.sum(), fn.sum())
+    p, g = label_matrix(preds, n), label_matrix(golds, n)
+    tp, fp, fn = (p & g).sum(axis=0), (p & ~g).sum(axis=0), (~p & g).sum(axis=0)
+    table = [{"label": j, **_f1(tp[j], fp[j], fn[j]),
+              "tp": int(tp[j]), "fp": int(fp[j]), "fn": int(fn[j])} for j in range(n)]
+    micro = _f1(tp.sum(), fp.sum(), fn.sum())["f1"]
     macro = float(np.mean([row["f1"] for row in table]))
     return micro, macro, table
 

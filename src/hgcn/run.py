@@ -176,39 +176,37 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
     return decode_threshold(probs, run_cfg.threshold)
 
 
-def _forward_samples(samples, params, provider, run_cfg, vocab):
-    """Yield (sample, ids, probs, final edges, final label features) per sample, in order.
+def _infer(samples, params, provider, run_cfg, vocab):
+    """(ids, probs, edges, labels) of every sample, indexed in input order.
 
     The samples are sorted by length, stably, and cut into chunks by
     `model.chunks`, the same CHUNK_BUDGET as in training, so a chunk pads
     few rows; `batch_size` plays no part. Inference records no tape.
-    `probs` is the sample's row of n probabilities, the edges are its
-    m x n block, the label features its n x hidden rows: copies of its
-    own, so a sample held until its turn keeps no chunk's arrays alive.
+    `ids` are the token ids, `probs` is N x n, `labels` the final label
+    rows, N x n x hidden, and `edges` each sample's own m x n final block,
+    a copy, so no chunk's arrays outlive its pass.
     """
     cfg = run_cfg.model_config()
-    all_ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
-    order = sorted(range(len(all_ids)), key=lambda i: len(all_ids[i]))
-    done, turn = {}, 0
-    for part in chunks([len(all_ids[i]) for i in order], cfg):
+    ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    probs = np.empty((len(ids), cfg.num_labels))
+    labels = np.empty((len(ids), cfg.num_labels, cfg.hidden))
+    edges = [None] * len(ids)
+    for part in chunks([len(ids[i]) for i in order], cfg):
         members = order[part]
-        trace = forward([all_ids[i] for i in members], provider, params, cfg)
+        trace = forward([ids[i] for i in members], provider, params, cfg)
+        probs[members], labels[members] = trace.probs, trace.final_labels
         for b, i in enumerate(members):
-            done[i] = (trace.probs[b].copy(), trace.final_edges[b, :len(all_ids[i])].copy(),
-                       trace.final_labels[b].copy())
-        while turn in done:
-            yield (samples[turn], all_ids[turn], *done.pop(turn))
-            turn += 1
+            edges[i] = trace.final_edges[b, :len(ids[i])].copy()
+    return ids, probs, edges, labels
 
 
 def predict(samples, params, provider, run_cfg, vocab):
     """Forward every sample; returns (pred_sets, gold_sets)."""
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
-    preds, golds = [], []
-    for s, _, probs, _, _ in _forward_samples(samples, params, provider, run_cfg, vocab):
-        preds.append(decode_probs(probs, run_cfg))
-        golds.append({index[name] for name in s.labels})
-    return preds, golds
+    _, probs, _, _ = _infer(samples, params, provider, run_cfg, vocab)
+    return ([decode_probs(p, run_cfg) for p in probs],
+            [{index[name] for name in s.labels} for s in samples])
 
 
 def evaluate_model(samples, params, provider, run_cfg, vocab) -> EvalReport:
@@ -242,6 +240,8 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
             batch = [prepared[i] for i in order[start:start + run_cfg.batch_size]]
             losses.append(train_step(batch, params, cfg, provider, optimizer))
         mean_loss = float(np.mean(losses))
+        if not math.isfinite(mean_loss):
+            raise ValueError(f"training diverged: epoch {epoch} mean loss is {mean_loss}")
         line = f"epoch {epoch} loss {mean_loss:.8f}"
         if dev_samples:
             report = evaluate_model(dev_samples, params, provider, run_cfg, vocab)
@@ -262,14 +262,14 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     attributions = []
     mses = []
-    for s, ids, _, edges, _ in _forward_samples(samples, params, provider, run_cfg, vocab):
-        attr = build_attribution(edges, token_rows(s.tokens, run_cfg.max_len),
+    for s, block in zip(samples, _infer(samples, params, provider, run_cfg, vocab)[2]):
+        attr = build_attribution(block, token_rows(s.tokens, run_cfg.max_len),
                                  run_cfg.label_names)
         attributions.append((s, attr))
         if s.annotations:
             golden = build_golden(
                 [(i, index[name], x) for i, name, x in s.annotations],
-                len(ids), len(run_cfg.label_names))
+                len(block), len(run_cfg.label_names))
             mses.append(attribution_mse(attr.values, golden))
     corpus_mse = float(np.mean(mses)) if mses else None
     return attributions, corpus_mse
@@ -277,10 +277,7 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
 
 def correlate(samples, params, provider, run_cfg, vocab):
     """Pearson over decoded predictions and cosine over mean final label features."""
-    preds, label_feats = [], []
-    for _, _, probs, _, labels in _forward_samples(samples, params, provider, run_cfg, vocab):
-        preds.append(decode_probs(probs, run_cfg))
-        label_feats.append(labels)
-    pearson = pearson_matrix(preds, len(run_cfg.label_names))
-    cosine = label_cosine_matrix(np.mean(label_feats, axis=0))
+    _, probs, _, labels = _infer(samples, params, provider, run_cfg, vocab)
+    pearson = pearson_matrix([decode_probs(p, run_cfg) for p in probs], len(run_cfg.label_names))
+    cosine = label_cosine_matrix(np.mean(labels, axis=0))
     return pearson, cosine

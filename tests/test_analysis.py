@@ -84,6 +84,13 @@ def test_pearson_constant_label_zeroed():
     assert corr[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_pearson_rejects_out_of_range_labels(label):
+    # -1 must not wrap around to the last label
+    with pytest.raises(ValueError, match=f"label index {label} out of range for n=2"):
+        pearson_matrix([{0}, {label}], 2)
+
+
 def test_pearson_hand_value():
     # x = (1,1,0,0), y = (1,0,1,0) -> r = 0; x vs (1,0,0,0): r = 1/sqrt(3)
     preds = [{0, 1, 2}, {0}, {1}, set()]

@@ -234,13 +234,16 @@ def test_inference_matches_per_sample(batch_size, monkeypatch):
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
                                max_len=8, batch_size=batch_size)
     samples = [Sample(id=f"s{i}", tokens=t, labels=[]) for i, t in enumerate(TOKENS)]
-    seen = list(runmod._forward_samples(samples, params, provider, run_cfg, VOCABULARY))
-    assert [s.id for s, *_ in seen] == [s.id for s in samples]
-    for s, ids, probs, edges, labels in seen:
-        ref = forward_one(ids, provider, params, cfg)
-        assert_close(probs, ref.probs[0])
-        assert_close(edges, ref.final_edges)
-        assert_close(labels, ref.final_labels)
+    ids, probs, edges, labels = runmod._infer(samples, params, provider, run_cfg, VOCABULARY)
+    # index i of every result is sample i: the ids are its own, and the oracle agrees
+    assert ids == [provider.token_ids(s, VOCABULARY, 8) for s in samples]
+    assert probs.shape == (len(samples), 3) and labels.shape == (len(samples), 3, 6)
+    assert len(edges) == len(samples)
+    for i, sample_ids in enumerate(ids):
+        ref = forward_one(sample_ids, provider, params, cfg)
+        assert_close(probs[i], ref.probs[0])
+        assert_close(edges[i], ref.final_edges)
+        assert_close(labels[i], ref.final_labels)
 
 
 # lengths 3, 16 (truncated), 2, 5, 7, 4 at max_len 16
@@ -272,10 +275,11 @@ def test_inference_ignores_batch_size(monkeypatch):
                                    max_len=16, batch_size=batch_size)
         args = (samples, params, provider, run_cfg, VOCABULARY)
         calls.clear()
-        for s, ids, probs, edges, _ in runmod._forward_samples(*args):
-            ref = forward_one(ids, provider, params, cfg)
-            assert_close(probs, ref.probs[0])
-            assert_close(edges, ref.final_edges)
+        ids, probs, edges, _ = runmod._infer(*args)
+        for i, sample_ids in enumerate(ids):
+            ref = forward_one(sample_ids, provider, params, cfg)
+            assert_close(probs[i], ref.probs[0])
+            assert_close(edges[i], ref.final_edges)
         assert calls == [by_length[part] for part in parts]
         attributions, mse = runmod.explain_samples(*args)
         results.append((runmod.predict(*args), [a.values for _, a in attributions], mse,
@@ -303,13 +307,19 @@ def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(mo
 
     monkeypatch.setattr(runmod, "forward", recording_forward)
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=16)
-    seen = list(runmod._forward_samples(samples, params, provider, run_cfg, VOCABULARY))
-    assert [s.id for s, *_ in seen] == [s.id for s in samples]
+    ids, probs, edges, labels = runmod._infer(samples, params, provider, run_cfg, VOCABULARY)
+    assert ids == all_ids
     # a stable sort: equal lengths keep their input order
     assert len(calls) > 1
     assert [ids for call in calls for ids in call] == sorted(all_ids, key=len)
-    for _, _, probs, edges, labels in seen:
-        assert probs.base is None and edges.base is None and labels.base is None
+    # results are written back in input order, samples of equal length included
+    for i, sample_ids in enumerate(all_ids):
+        ref = forward_one(sample_ids, provider, params, cfg)
+        assert_close(probs[i], ref.probs[0])
+        assert_close(edges[i], ref.final_edges)
+        assert_close(labels[i], ref.final_labels)
+    for array in (probs, labels, *edges):
+        assert array.base is None
 
 
 @pytest.mark.parametrize("decode", ["topk", "threshold"])

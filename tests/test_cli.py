@@ -100,6 +100,18 @@ def test_correlate_writes_heatmaps(trained):
         assert (out / f"{name}.svg").exists()
 
 
+def test_diverged_training_fails_before_writing(corpus, tmp_path, capsys):
+    # at this step size the weights overflow in epoch 0; a checkpoint of them could not load
+    root, label_names = corpus
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", root, label_names, out,
+                          optimizer="sgd", lr=1e300, epochs=2)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(config)]) == 2
+    assert "training diverged: epoch 0 mean loss is nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_eval_matches_in_process_evaluation(corpus, tmp_path):
     # the checkpoint must carry the trained embedding table, not a re-draw
     root, label_names = corpus

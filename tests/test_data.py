@@ -211,16 +211,23 @@ def _one_tensor(shape: str) -> bytes:
         shape.encode())
 
 
-@pytest.mark.parametrize("header", [
-    b"\xff\xfenot json", b"[1, 2]", b'{"version": 1, "tensors": 5}',
-    b'{"version": 1, "tensors": [{"name": "a", "shape": [1], "dtype": "foo"}]}',
-    _one_tensor('["2"]'), _one_tensor("[2.5]"), _one_tensor("[true]"), _one_tensor("[-1]"),
+CORRUPT = "corrupt container header"
+
+
+@pytest.mark.parametrize("header,message", [
+    (b"\xff\xfenot json", CORRUPT), (b"[1, 2]", CORRUPT),
+    (b'{"version": 1, "tensors": 5}', CORRUPT),
+    (b'{"version": 1, "tensors": [{"name": "a", "shape": [1], "dtype": "foo"}]}', CORRUPT),
+    (_one_tensor('["2"]'), CORRUPT), (_one_tensor("[2.5]"), CORRUPT),
+    (_one_tensor("[true]"), CORRUPT), (_one_tensor("[-1]"), CORRUPT),
+    # the element count, 2**64, wraps to 0 in int64 arithmetic
+    (_one_tensor(f"[{2**62}, 4]"), "payload truncated for tensor 'a'"),
 ], ids=["not-utf8", "array", "int-tensors", "bad-dtype",
-        "string-dim", "float-dim", "bool-dim", "negative-dim"])
-def test_tensor_container_corrupt_header(tmp_path, header):
+        "string-dim", "float-dim", "bool-dim", "negative-dim", "size-overflow"])
+def test_tensor_container_corrupt_header(tmp_path, header, message):
     path = tmp_path / "t.bin"
     path.write_bytes(header + b"\n" + bytes(24))
-    with pytest.raises(CheckpointError, match=f"{path}: corrupt container header"):
+    with pytest.raises(CheckpointError, match=f"{path}: {message}"):
         load_tensors(path)
 
 
