@@ -128,6 +128,13 @@ MODEL_COMMANDS = {"eval": cmd_eval, "explain": cmd_explain, "correlate": cmd_cor
 
 
 def cmd_synth(args) -> int:
+    # --vocab-size holds one trigger token per label and at least one filler token
+    for flag, value, least in [("--seed", args.seed, 0), ("--labels", args.labels, 1),
+                               ("--vocab-size", args.vocab_size, args.labels + 1),
+                               ("--train-samples", args.train_samples, 1),
+                               ("--test-samples", args.test_samples, 1)]:
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_samples, label_names, _ = generate_synthetic_corpus(

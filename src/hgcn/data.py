@@ -75,6 +75,8 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
         raise DatasetError(f"line {lineno}: expected a JSON object, got {obj!r}")
     if "id" not in obj:
         raise DatasetError(f"line {lineno}: missing 'id'")
+    if not (isinstance(obj["id"], str) or _is_number(obj["id"], (int, float))):
+        raise DatasetError(f"line {lineno}: 'id' must be a string or a number, got {obj['id']!r}")
     sample_id = str(obj["id"])
     # `explain` writes attributions/<id>.csv and .svg
     if sample_id in ("", ".", "..") or "/" in sample_id or "\0" in sample_id:
@@ -211,7 +213,8 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path, vocab: Vocabula
     from their own file, so nothing of them is stored.
     """
     meta = {"config": asdict(cfg), "vocab": vocab.to_dict(), "label_names": list(label_names)}
-    tensors = params.named_tensors()
+    tensors = {name: p.value
+               for name, p in zip(cfg.weight_shapes(), params.parameters(), strict=True)}
     if type(provider) is TrainableLookup:
         meta["embedding_frozen"] = provider.frozen
         tensors[EMBEDDING_TABLE] = provider.table.value
@@ -222,6 +225,8 @@ def load_checkpoint(path):
     """Returns (params, cfg, vocab, label_names, lookup_or_None).
 
     The lookup is the stored `TrainableLookup` table with its freeze flag.
+    The stored tensors must be the weights `ModelConfig.weight_shapes`
+    names, plus the table if any, each at its shape, and no other.
     """
     meta, tensors = load_tensors(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
@@ -235,22 +240,27 @@ def load_checkpoint(path):
             f"unexpected {sorted(stored - expected)}, missing {sorted(expected - stored)}")
     try:
         cfg = ModelConfig(**meta["config"])
-        params = ModelParams.from_named_tensors(tensors, cfg)
         vocab = Vocabulary.from_dict(meta.get("vocab"))
+        weights = cfg.weight_shapes()
+        table = {EMBEDDING_TABLE: (len(vocab), cfg.input_dim)}  # one row per vocabulary id
+        shapes = weights | table if EMBEDDING_TABLE in tensors else weights
+        for name in shapes | tensors:
+            if name not in shapes:
+                raise ValueError(f"unexpected tensor {name!r}")
+            if name not in tensors:
+                raise ValueError(f"checkpoint missing tensor {name!r}")
+            if tensors[name].shape != shapes[name]:
+                raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, "
+                                 f"expected {shapes[name]}")
+        params = ModelParams.from_values([tensors[name] for name in weights])
         label_names = meta.get("label_names")
         if not (isinstance(label_names, list) and all(isinstance(n, str) for n in label_names)):
             raise ValueError(f"label_names must be a list of strings, got {label_names!r}")
         frozen = meta.get("embedding_frozen", False)
         if type(frozen) is not bool:
             raise ValueError(f"embedding_frozen must be a bool, got {frozen!r}")
-        lookup = None
-        if EMBEDDING_TABLE in tensors:
-            table = tensors[EMBEDDING_TABLE]  # one row per vocabulary id
-            shape = (len(vocab), cfg.input_dim)
-            if table.shape != shape:
-                raise ValueError(f"tensor {EMBEDDING_TABLE!r} has shape {table.shape}, "
-                                 f"expected {shape}")
-            lookup = TrainableLookup.from_table(table, freeze=frozen)
+        lookup = (TrainableLookup.from_table(tensors[EMBEDDING_TABLE], freeze=frozen)
+                  if EMBEDDING_TABLE in shapes else None)
     except ValueError as e:
         raise CheckpointError(f"{path}: {e}") from e
     return params, cfg, vocab, label_names, lookup

@@ -89,32 +89,17 @@ class ModelParams:
     w_layer: list[Node]
 
     @classmethod
-    def _from_values(cls, values) -> "ModelParams":
+    def from_values(cls, values) -> "ModelParams":
+        """Weights from arrays in `ModelConfig.weight_shapes` order."""
         w_token_in, w_label_in, *w_layer = (parameter(v) for v in values)
         return cls(w_token_in, w_label_in, w_layer)
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        return cls._from_values([_glorot(rng, *shape) for shape in cfg.weight_shapes().values()])
+        return cls.from_values([_glorot(rng, *shape) for shape in cfg.weight_shapes().values()])
 
     def parameters(self) -> list[Node]:
         return [self.w_token_in, self.w_label_in, *self.w_layer]
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        names = ["w_token_in", "w_label_in", *(f"w_layer_{i}" for i in range(len(self.w_layer)))]
-        return {name: p.value for name, p in zip(names, self.parameters())}
-
-    @classmethod
-    def from_named_tensors(cls, tensors: dict[str, np.ndarray], cfg: ModelConfig) -> "ModelParams":
-        """The weights `cfg` needs; a missing or misshapen one is a ValueError."""
-        shapes = cfg.weight_shapes()
-        for name, shape in shapes.items():
-            if name not in tensors:
-                raise ValueError(f"checkpoint missing tensor {name!r}")
-            if tensors[name].shape != shape:
-                raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, "
-                                 f"expected {shape}")
-        return cls._from_values([tensors[name] for name in shapes])
 
 
 @dataclass

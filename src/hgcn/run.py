@@ -97,14 +97,9 @@ class RunConfig:
         return problems
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            num_labels=len(self.label_names),
-            num_layers=self.num_layers,
-            hidden=self.hidden,
-            input_dim=self.input_dim,
-            activation=self.activation,
-            detach_edges=self.detach_edges,
-        )
+        """`num_labels` counts `label_names`; each other architecture field is copied by name."""
+        return ModelConfig(num_labels=len(self.label_names), **{
+            f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "num_labels"})
 
 
 def _has_type(value, hint) -> bool:

@@ -15,10 +15,6 @@ import numpy as np
 from .data import Sample
 
 
-def default_trigger_map(label_names) -> dict[str, str]:
-    return {name: f"trig_{name.lower()}" for name in label_names}
-
-
 def _valid_label_sets(n_labels, always_together, never_together):
     together = [tuple(p) for p in always_together]
     apart = [tuple(sorted(p)) for p in never_together]
@@ -36,31 +32,22 @@ def _valid_label_sets(n_labels, always_together, never_together):
     return sets
 
 
-def generate_synthetic_corpus(n_labels, vocab_size, n_samples, trigger_map=None,
-                              seed=0, always_together=(), never_together=(),
+def generate_synthetic_corpus(n_labels, vocab_size, n_samples, seed=0,
+                              always_together=(), never_together=(),
                               min_fillers=5, max_fillers=9, id_prefix="s"):
     """Build a deterministic corpus; returns (samples, label_names, trigger_map).
 
     Each sample draws 1-3 labels (respecting any co-occurrence
-    constraints), then plants each label's trigger at a random position
-    among filler tokens. Filler vocabulary is whatever remains of
-    vocab_size after the triggers.
+    constraints), then plants each label's trigger, `trig_<name>` in
+    lower case, at a random position among filler tokens `w<i>`. Filler
+    vocabulary is whatever remains of vocab_size after the triggers.
     """
     label_names = [f"L{i + 1}" for i in range(n_labels)]
-    if trigger_map is None:
-        trigger_map = default_trigger_map(label_names)
-    missing = [name for name in label_names if name not in trigger_map]
-    if missing:
-        raise ValueError(f"labels without a trigger token: {missing}")
-    triggers = set(trigger_map.values())
-    if len(triggers) != n_labels:
-        raise ValueError("trigger tokens must be exclusive per label")
+    trigger_map = {name: f"trig_{name.lower()}" for name in label_names}
     n_fillers = vocab_size - n_labels
     if n_fillers < 1:
         raise ValueError(f"vocab_size {vocab_size} leaves no room for filler tokens")
     fillers = [f"w{i}" for i in range(n_fillers)]
-    if triggers & set(fillers):
-        raise ValueError("trigger and filler tokens overlap")
 
     label_sets = _valid_label_sets(n_labels, always_together, never_together)
     rng = np.random.default_rng(seed)

@@ -235,6 +235,9 @@ def test_encoder_differing_from_the_checkpoint_is_config_error(trained, tmp_path
     (["--layers", "1"], {}, "num_layers"),
     (["--layers", "3"], {}, "num_layers"),
     ([], {"activation": "relu"}, "activation"),
+    (["--hidden", "16"], {}, "checkpoint hidden 8 differs from config 16"),
+    ([], {"input_dim": 16}, "checkpoint input_dim 8 differs from config 16"),
+    ([], {"detach_edges": True}, "checkpoint detach_edges False differs from config True"),
 ])
 def test_architecture_mismatch_is_config_error(trained, tmp_path, capsys,
                                                flags, extra, field):
@@ -282,8 +285,12 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
      "'w_token_in' has shape (7, 8), expected (8, 8)"),
     (lambda meta, tensors: tensors.update(embedding_table=tensors["embedding_table"][:5]),
      "'embedding_table' has shape (5, 8)"),
+    # a third layer's weight on a 2-layer model, then a name no architecture has
+    (lambda meta, tensors: tensors.update(w_layer_2=tensors["w_layer_1"],
+                                          junk=tensors["w_layer_1"]),
+     "unexpected tensor 'w_layer_2'"),
 ], ids=["vocab-list", "vocab-string-id", "vocab-sparse", "vocab-missing", "labels-missing",
-        "labels-string", "weight-missing", "weight-shape", "table-rows"])
+        "labels-string", "weight-missing", "weight-shape", "table-rows", "extra-tensors"])
 def test_checkpoint_malformed_vocab_or_weight_is_runtime_error(trained, tmp_path, capsys,
                                                                edit, named):
     root, label_names, out, _ = trained
@@ -431,6 +438,22 @@ def test_synth_deterministic(tmp_path):
                      "--seed", "7", "--out", str(tmp_path / name)]) == 0
     assert ((tmp_path / "a" / "train.jsonl").read_bytes()
             == (tmp_path / "b" / "train.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--labels", "0"], "--labels must be >= 1, got 0"),
+    (["--labels", "-2"], "--labels must be >= 1, got -2"),
+    (["--vocab-size", "3", "--labels", "3"], "--vocab-size must be >= 4, got 3"),
+    (["--train-samples", "-2"], "--train-samples must be >= 1, got -2"),
+    (["--test-samples", "0"], "--test-samples must be >= 1, got 0"),
+], ids=["seed-negative", "labels-zero", "labels-negative", "vocab-no-filler",
+        "train-samples-negative", "test-samples-zero"])
+def test_synth_bad_flag_is_config_error(tmp_path, capsys, flags, named):
+    out = tmp_path / "synth"
+    assert main(["synth", *flags, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_rejects_model_flags(tmp_path, capsys):

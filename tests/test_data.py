@@ -92,9 +92,12 @@ NOT_STRINGS = "'labels' must be a list of strings"
     ('{"id": "sub/z", "tokens": ["a"]}', "id 'sub/z' is not a plain file name"),
     ('{"id": "/tmp", "tokens": ["a"]}', "id '/tmp' is not a plain file name"),
     ('{"id": "a\\u0000b", "tokens": ["a"]}', r"id 'a\\x00b' is not a plain file name"),
+    ('{"id": null, "tokens": ["a"]}', "'id' must be a string or a number, got None"),
+    ('{"id": true, "tokens": ["a"]}', "'id' must be a string or a number, got True"),
+    ('{"id": ["x"], "tokens": ["a"]}', r"'id' must be a string or a number, got \['x'\]"),
 ], ids=["number-line", "array-line", "int-labels", "string-labels", "nested-labels",
         "int-text", "repeated-id", "empty-id", "dot-id", "dotdot-id", "slash-id",
-        "absolute-id", "nul-id"])
+        "absolute-id", "nul-id", "null-id", "bool-id", "list-id"])
 def test_dataset_type_errors_name_the_line(tmp_path, capsys, line, match):
     path = write(tmp_path, GOOD_LINE + line + "\n")
     with pytest.raises(DatasetError, match=f"line 2: {match}"):

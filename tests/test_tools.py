@@ -59,6 +59,7 @@ def test_output_digest_is_deterministic_and_covers_every_output(monkeypatch):
         assert expected <= written[name], name
         if name == digest.EXTRA_RUN_WORKLOAD:
             assert {f"file-encoder/{path}" for path in expected} <= written[name]
+            assert {"synth/train.jsonl", "synth/test.jsonl"} <= written[name]
 
     # each model-knob variant of the short-chain shape covers every output too
     expected = outputs(digest.VARIANT_SIZE["test_samples"])

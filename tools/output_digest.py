@@ -20,7 +20,10 @@ More runs of the short-chain shape follow, each printed under the
 - one run per entry of VARIANTS sets the knobs the benchmark leaves at
   their defaults (layer count, `detach_edges`, `relu`, `sgd`, `freeze`,
   the `topk` decoder, a `dev_path` whose metrics `train.log` records),
-  on a corpus cut to VARIANT_SIZE to keep the runs short.
+  on a corpus cut to VARIANT_SIZE to keep the runs short;
+- `synth/` holds the two datasets `hgcn synth` writes at its default
+  flags (5 labels over 60 tokens, as in short-chain), so the generator
+  and the subcommand are pinned too.
 
 To show that a change leaves every output byte-identical, run it against
 both checkouts' sources and compare:
@@ -81,7 +84,7 @@ def digest_workload(wl, run_config, work: Path, file_encoder=False,
     `overrides` replace entries of the workload's run configuration; a
     `*_path` one is a file name under `work`.
     """
-    from hgcn import cli, data, synth
+    from hgcn import data, synth
     from hgcn.encoder import token_rows
     lo, hi = wl.fillers
     train, label_names, _ = synth.generate_synthetic_corpus(
@@ -105,10 +108,20 @@ def digest_workload(wl, run_config, work: Path, file_encoder=False,
         values["encoder"] = f"file:{work / 'vectors.bin'}"
     config.write_text(json.dumps(values), encoding="utf-8")
     for command in ("train", "eval", "explain", "correlate"):
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main([command, "--config", str(config)])
-        if rc != 0:
-            raise SystemExit(f"hgcn {command} exited {rc}")
+        run_cli([command, "--config", str(config)])
+    return digest_files(out)
+
+
+def run_cli(argv) -> None:
+    from hgcn import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"hgcn {argv[0]} exited {rc}")
+
+
+def digest_files(out: Path) -> list[tuple[str, str]]:
+    """(path under `out`, SHA-256) of every file below `out`, sorted by path."""
     return [(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
             for path in sorted(out.rglob("*")) if path.is_file()]
 
@@ -134,6 +147,10 @@ def main(argv=None) -> int:
             for rel, digest in digest_workload(wl, bench.run_config, Path(tmp), file_encoder,
                                                overrides):
                 print(f"{name} {prefix}{rel} {digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli(["synth", "--out", tmp])
+        for rel, digest in digest_files(Path(tmp)):
+            print(f"{EXTRA_RUN_WORKLOAD} synth/{rel} {digest}")
     return 0
 
 
