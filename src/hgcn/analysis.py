@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -103,13 +104,18 @@ _CELL = 24  # heatmap cell size in pixels
 # the text between a rect's y and its value, for each grey level
 _RECT_FILLS = [f'" width="{_CELL}" height="{_CELL}" fill="rgb({v},{v},{v})" data-value="'
                for v in range(256)]
+_NEEDS_QUOTES = frozenset(',"\r\n')  # `csv.writer` quotes a name holding any of these
 
 
 def _csv_fields(names) -> dict[str, str]:
-    """Each distinct string of `names` as one CSV field, quoted the way `csv.writer` quotes it."""
+    """Each distinct string of `names` as one CSV field, quoted the way `csv.writer` quotes it.
+
+    A non-empty name holding no comma, quote, CR or LF is its own field;
+    `csv.writer` quotes every other name.
+    """
+    fields = {name: name for name in names if name and _NEEDS_QUOTES.isdisjoint(name)}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    fields = {}
     for name in names:
         if name not in fields:
             buf.seek(0)
@@ -142,18 +148,14 @@ def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
     lo = min(0.0, float(matrix.min()))
     span = float(matrix.max()) - lo
     # the scalar arithmetic of 255 * (v - lo) / span, rounded half to even
-    levels = (np.rint(255 * (matrix - lo) / span).astype(int).tolist() if span > 0
-              else np.zeros(matrix.shape, dtype=int).tolist())
-    cell = _CELL
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{matrix.shape[1] * cell}" height="{matrix.shape[0] * cell}">'
-    ]
-    # the text of a rect minus its y, grey level and value, built once per column
-    x_open = [f'<rect x="{j * cell}" y="' for j in range(matrix.shape[1])]
-    for i, (row_levels, row_cells) in enumerate(zip(levels, cells)):
-        y = str(i * cell)
-        parts += [x + y + _RECT_FILLS[level] + text + '"/>'
-                  for x, level, text in zip(x_open, row_levels, row_cells)]
-    parts.append("</svg>")
-    write_text(path + ".svg", "\n".join(parts) + "\n")
+    levels = (np.rint(255 * (matrix - lo) / span).astype(int).ravel().tolist() if span > 0
+              else [0] * matrix.size)
+    rows, cols = matrix.shape
+    # each rect, row by row: its column's x, its row's y, its grey level's fill, its value
+    x_open = [f'<rect x="{j * _CELL}" y="' for j in range(cols)] * rows
+    ys = itertools.chain.from_iterable(itertools.repeat(str(i * _CELL), cols) for i in range(rows))
+    rects = zip(x_open, ys, map(_RECT_FILLS.__getitem__, levels),
+                itertools.chain.from_iterable(cells), itertools.repeat('"/>\n'))
+    write_text(path + ".svg", "".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * _CELL}" height="{rows * _CELL}">\n',
+        *itertools.chain.from_iterable(rects), "</svg>\n"]))

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import ctypes
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -104,9 +105,12 @@ def cmd_explain(cfg: RunConfig, samples, params, provider, vocab) -> int:
     attributions, corpus_mse = runmod.explain_samples(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir) / "attributions"
     out.mkdir(parents=True, exist_ok=True)
+    prefix = os.path.join(out, "")
     for sample, attr in attributions:
-        render_heatmap(attr.values, attr.tokens, attr.labels, out / sample.id)
-    if corpus_mse is not None:
+        render_heatmap(attr.values, attr.tokens, attr.labels, prefix + sample.id)
+    if corpus_mse is None:
+        (out / "mse.txt").unlink(missing_ok=True)  # no earlier run's figure is left behind
+    else:
         write_text(out / "mse.txt", f"attribution_mse {corpus_mse:.8f}\n")
         print(f"attribution_mse {corpus_mse:.8f}")
     print(f"wrote {len(attributions)} attribution matrices to {out}")

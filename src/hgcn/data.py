@@ -33,9 +33,14 @@ def write_bytes(path, data: bytes) -> None:
     sample that flush made `explain` into an existing output directory
     slow and erratic.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        f.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_text(path, text: str) -> None:

@@ -3,11 +3,13 @@
 The ops below record on the tape like `hgcn.autodiff`'s but serve only
 the tests. The dense adjacency code builds the sample graph as an
 explicit (m+n)^2 matrix; it is the reference for `hgcn.graph.propagate`.
+The per-cell heatmap writer is the reference for `hgcn.analysis.render_heatmap`.
 The per-sample model path (one graph, one tape per sample, no padding)
 is the reference for the batched `hgcn.model` path.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +178,37 @@ def parse_heatmap_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
     row_names = [r[0] for r in rows[1:]]
     values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     return values, row_names, col_names
+
+
+def render_heatmap_reference(matrix, row_names, col_names, path) -> None:
+    """`render_heatmap`'s files built one cell at a time, every name quoted by `csv.writer`."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    cells = [[repr(v) for v in row] for row in matrix.tolist()]
+
+    def field(name):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([name, ""])
+        return buf.getvalue()[:-2]
+
+    lines = [",".join([""] + [field(c) for c in col_names])]
+    lines += [",".join([field(name)] + row) for name, row in zip(row_names, cells)]
+    with open(f"{path}.csv", "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+    lo = min(0.0, float(matrix.min()))
+    span = float(matrix.max()) - lo
+    levels = (np.rint(255 * (matrix - lo) / span).astype(int) if span > 0
+              else np.zeros(matrix.shape, dtype=int))
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'width="{matrix.shape[1] * 24}" height="{matrix.shape[0] * 24}">']
+    for i, row in enumerate(cells):
+        for j, text in enumerate(row):
+            v = levels[i, j]
+            parts.append(f'<rect x="{j * 24}" y="{i * 24}" width="24" height="24" '
+                         f'fill="rgb({v},{v},{v})" data-value="{text}"/>')
+    parts.append("</svg>")
+    with open(f"{path}.svg", "wb") as f:
+        f.write(("\n".join(parts) + "\n").encode("utf-8"))
 
 
 # --- dense adjacency reference ------------------------------------------

@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgcn.analysis import (
+    _csv_fields,
     attribution_mse,
     build_attribution,
     build_golden,
@@ -14,7 +17,7 @@ from hgcn.analysis import (
     render_heatmap,
 )
 
-from oracles import parse_heatmap_csv
+from oracles import parse_heatmap_csv, render_heatmap_reference
 
 
 def test_attribution_normalizes_to_one():
@@ -126,16 +129,43 @@ def test_heatmap_csv_roundtrip_exact(tmp_path):
     assert cols == ["a", "b", "c", "d"]
 
 
-def test_heatmap_csv_quotes_names_as_csv_writer_does(tmp_path):
-    matrix = np.arange(8.0).reshape(4, 2) / 7
-    rows = ["a,b", 'say "hi"', "a,b", "plain"]
-    cols = ["line\nbreak", "plain"]
-    render_heatmap(matrix, rows, cols, tmp_path / "heat")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + cols)
-    writer.writerows([name] + [repr(v) for v in row] for name, row in zip(rows, matrix.tolist()))
-    assert (tmp_path / "heat.csv").read_bytes() == buf.getvalue().encode()
+@settings(max_examples=300)
+@given(st.lists(st.text(), min_size=1, max_size=6))
+def test_heatmap_csv_quotes_names_as_csv_writer_does(names):
+    fields = _csv_fields(names)
+    assert set(fields) == set(names)
+    for name in names:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([name, ""])
+        assert fields[name] == buf.getvalue()[:-2]
+
+
+# names csv.writer quotes (',', '"', CR, LF) next to ones it writes bare (empty, spaces, non-ASCII)
+_ODD_NAMES = ["a,b", 'say "hi"', "cr\rhere", "line\nbreak", "", "two words", " ", "é", "標籤",
+              "plain", "a,b", "\r\n"]
+
+
+def _names(prefix, k):
+    return [_ODD_NAMES[i] if i < len(_ODD_NAMES) else f"{prefix}{i}" for i in range(k)]
+
+
+_RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("matrix", [
+    _RNG.normal(size=(7, 5)),
+    np.zeros((4, 3)),
+    np.array([[0.25]]),
+    _RNG.normal(size=(1, 6)),
+    _RNG.random(size=(6, 1)),
+    _RNG.random(size=(130, 20)) / 1300,
+], ids=["normal", "all-zero", "1x1", "1xn", "mx1", "long-doc"])
+def test_heatmap_matches_per_cell_reference(tmp_path, matrix):
+    rows, cols = _names("r", matrix.shape[0]), _names("c", matrix.shape[1])[::-1]
+    render_heatmap(matrix, rows, cols, tmp_path / "fast")
+    render_heatmap_reference(matrix, rows, cols, tmp_path / "ref")
+    for ext in (".csv", ".svg"):
+        assert (tmp_path / f"fast{ext}").read_bytes() == (tmp_path / f"ref{ext}").read_bytes()
 
 
 def test_heatmap_svg_brightness_monotone(tmp_path):

@@ -90,6 +90,27 @@ def test_explain_writes_attributions_and_mse(trained):
     assert float(mse_line.split()[1]) >= 0.0
 
 
+def test_explain_without_annotations_removes_stale_mse(trained, tmp_path, capsys):
+    root, label_names, out, _ = trained
+    run_dir = tmp_path / "out"
+    run_dir.mkdir()
+    shutil.copy(out / "model.ckpt", run_dir / "model.ckpt")
+    samples = load_dataset(root / "test.jsonl", label_names)
+    assert any(s.annotations for s in samples)
+    config = write_config(tmp_path / "c.json", root, label_names, run_dir)
+    assert main(["explain", "--config", str(config)]) == 0
+    assert (run_dir / "attributions" / "mse.txt").exists()
+    for sample in samples:
+        sample.annotations = []
+    save_dataset(samples, tmp_path / "bare.jsonl")
+    config = write_config(tmp_path / "c.json", root, label_names, run_dir,
+                          test_path=str(tmp_path / "bare.jsonl"))
+    capsys.readouterr()
+    assert main(["explain", "--config", str(config)]) == 0
+    assert not (run_dir / "attributions" / "mse.txt").exists()
+    assert "attribution_mse" not in capsys.readouterr().out
+
+
 def test_correlate_writes_heatmaps(trained):
     _, label_names, out, config = trained
     assert main(["correlate", "--config", str(config)]) == 0

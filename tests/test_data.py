@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from hgcn.data import (
     save_dataset,
     save_embeddings,
     save_tensors,
+    write_bytes,
     write_text,
 )
 from hgcn.encoder import TrainableLookup, Vocabulary
@@ -412,3 +414,16 @@ def test_write_text_replaces_longer_file(tmp_path):
     write_text(path, "a much longer first text\n")
     write_text(path, "é\n")
     assert path.read_bytes() == "é\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("existing", [b"x" * 12000, None], ids=["over-longer", "new"])
+def test_write_bytes_writes_every_byte_of_short_writes(tmp_path, monkeypatch, existing):
+    # a descriptor write may take fewer bytes than it was given
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    payload = bytes(range(256)) * 40  # 10240 bytes
+    path = tmp_path / "out.bin"
+    if existing is not None:
+        path.write_bytes(existing)
+    write_bytes(path, payload)
+    assert path.read_bytes() == payload
