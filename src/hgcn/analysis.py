@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .data import write_text
 from .metrics import label_matrix
 
@@ -125,37 +126,98 @@ def _csv_fields(names) -> dict[str, str]:
     return fields
 
 
-def render_heatmap(matrix: np.ndarray, row_names, col_names, path) -> None:
-    """Write `<path>.csv` (exact values) and `<path>.svg` (brightness heatmap).
+def _groups(sizes) -> list[slice]:
+    """Consecutive runs of maps of at most `model.HEATMAP_BUDGET` cells; a larger map is alone."""
+    out, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > model.HEATMAP_BUDGET:
+            out.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    out.append(slice(start, len(sizes)))
+    return out
 
-    The SVG embeds each cell's value in a data-value attribute so tests
-    can read it back; fill brightness is linear in the value. Each
-    cell's `repr` is formatted once and shared by both files.
+
+def _grey_levels(group, sizes) -> bytes:
+    """Every cell's grey level, map after map, from one numpy pass over a group of maps.
+
+    A cell's level is 255 * (v - lo) / span with its own map's lo and
+    span, rounded half to even; a map whose span is 0 is level 0
+    throughout.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.shape != (len(row_names), len(col_names)):
-        raise ValueError(
-            f"matrix {matrix.shape} vs {len(row_names)} rows / {len(col_names)} cols")
+    flat = np.concatenate([m.ravel() for m in group])
+    starts = np.cumsum([0, *sizes[:-1]])
+    lo = np.minimum(np.minimum.reduceat(flat, starts), 0.0)
+    span = np.maximum.reduceat(flat, starts) - lo
+    # in place, so a group holds its values and one temporary; every cell of a map whose
+    # span is 0 equals its lo, so 255 * (v - lo) is 0 there and is left undivided
+    flat -= np.repeat(lo, sizes)
+    flat *= 255
+    np.divide(flat, np.repeat(span, sizes), out=flat, where=np.repeat(span > 0, sizes))
+    return np.rint(flat, out=flat).astype(np.uint8).tobytes()
 
-    # repr of a list of floats is the repr of each float, joined by ", "
-    cells = [repr(row)[1:-1].split(", ") for row in matrix.tolist()]
-    path = str(path)
-    fields = _csv_fields([*col_names, *row_names])
-    lines = [",".join([""] + [fields[c] for c in col_names])]
-    lines += [",".join([fields[name]] + row) for name, row in zip(row_names, cells)]
-    write_text(path + ".csv", "\n".join(lines) + "\n")
 
-    lo = min(0.0, float(matrix.min()))
-    span = float(matrix.max()) - lo
-    # the scalar arithmetic of 255 * (v - lo) / span, rounded half to even
-    levels = (np.rint(255 * (matrix - lo) / span).astype(int).ravel().tolist() if span > 0
-              else [0] * matrix.size)
-    rows, cols = matrix.shape
-    # each rect, row by row: its column's x, its row's y, its grey level's fill, its value
-    x_open = [f'<rect x="{j * _CELL}" y="' for j in range(cols)] * rows
-    ys = itertools.chain.from_iterable(itertools.repeat(str(i * _CELL), cols) for i in range(rows))
-    rects = zip(x_open, ys, map(_RECT_FILLS.__getitem__, levels),
-                itertools.chain.from_iterable(cells), itertools.repeat('"/>\n'))
-    write_text(path + ".svg", "".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * _CELL}" height="{rows * _CELL}">\n',
-        *itertools.chain.from_iterable(rects), "</svg>\n"]))
+def render_heatmap(matrices, row_names, col_names, paths) -> None:
+    """Write `<path>.csv` (exact values) and `<path>.svg` (brightness heatmap) for each map.
+
+    The maps share `col_names`; map k has the rows `row_names[k]` and is
+    written to `paths[k]`. The SVG embeds each cell's value in a
+    data-value attribute so tests can read it back; fill brightness is
+    linear in the value, from min(0, the map's min) to the map's max.
+    Each cell's `repr` is formatted once and shared by both files.
+
+    Names are quoted once per call and the rect openings are built once,
+    for the largest map. The maps run in groups of at most
+    `model.HEATMAP_BUDGET` cells, which bounds what a call holds at once
+    beside one map's text, and each group's grey levels are one numpy
+    pass.
+    """
+    matrices = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
+    if not len(matrices) == len(row_names) == len(paths):
+        raise ValueError(f"{len(matrices)} maps vs {len(row_names)} row name lists "
+                         f"/ {len(paths)} paths")
+    cols = len(col_names)
+    for m, rows in zip(matrices, row_names):
+        if m.shape != (len(rows), cols) or not m.size:
+            raise ValueError(f"matrix {m.shape} vs {len(rows)} rows / {cols} cols")
+    if not matrices:
+        return
+
+    fields = _csv_fields({*col_names, *itertools.chain.from_iterable(row_names)})
+    header = ",".join(["", *map(fields.__getitem__, col_names)])
+    row_opens = {name: f"\n{field}," for name, field in fields.items()}
+    # each rect's opening up to its y, after the close of the rect before it, and its y
+    most = max(map(len, row_names))
+    rect_opens = [f'"/>\n<rect x="{j * _CELL}" y="' for j in range(cols)] * most
+    rect_opens[0] = rect_opens[0][4:]
+    rect_ys = [y for y in map(str, range(0, most * _CELL, _CELL)) for _ in range(cols)]
+
+    sizes = [m.size for m in matrices]
+    for part in _groups(sizes):
+        group = matrices[part]
+        levels = _grey_levels(group, sizes[part])
+        start = 0
+        for m, rows, path in zip(group, row_names[part], paths[part]):
+            size = m.size
+            # repr of a list of floats is the repr of each float, joined by ", "
+            cells = repr(m.ravel().tolist())[1:-1].split(", ")
+            # each cell after its separator: a row's first after its row name, the rest after ","
+            parts = [","] * (2 * size + 2)
+            parts[0], parts[-1] = header, "\n"
+            parts[1:-1:2 * cols] = map(row_opens.__getitem__, rows)
+            parts[2:-1:2] = cells
+            write_text(f"{path}.csv", "".join(parts))
+            # each rect: its opening, its y, its grey level's fill, its value
+            parts = [None] * (4 * size + 2)
+            parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * _CELL}" '
+                        f'height="{len(rows) * _CELL}">\n')
+            parts[1:-1:4] = rect_opens[:size]
+            parts[2:-1:4] = rect_ys[:size]
+            parts[3:-1:4] = map(_RECT_FILLS.__getitem__, levels[start:start + size])
+            parts[4:-1:4] = cells
+            parts[-1] = '"/>\n</svg>\n'
+            svg = "".join(parts)
+            del parts, cells  # the text alone is held while it is encoded and written
+            write_text(f"{path}.svg", svg)
+            del svg
+            start += size

@@ -106,8 +106,14 @@ def cmd_explain(cfg: RunConfig, samples, params, provider, vocab) -> int:
     out = Path(cfg.out_dir) / "attributions"
     out.mkdir(parents=True, exist_ok=True)
     prefix = os.path.join(out, "")
-    for sample, attr in attributions:
-        render_heatmap(attr.values, attr.tokens, attr.labels, prefix + sample.id)
+    render_heatmap([attr.values for _, attr in attributions],
+                   [attr.tokens for _, attr in attributions], cfg.label_names,
+                   [prefix + sample.id for sample, _ in attributions])
+    # heatmaps of samples an earlier run explained would pass for this run's
+    written = {sample.id + ext for sample, _ in attributions for ext in (".csv", ".svg")}
+    for entry in os.scandir(out):
+        if entry.name.endswith((".csv", ".svg")) and entry.name not in written and entry.is_file():
+            os.unlink(entry.path)
     if corpus_mse is None:
         (out / "mse.txt").unlink(missing_ok=True)  # no earlier run's figure is left behind
     else:
@@ -121,8 +127,8 @@ def cmd_correlate(cfg: RunConfig, samples, params, provider, vocab) -> int:
     pearson, cosine = runmod.correlate(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    render_heatmap(pearson, cfg.label_names, cfg.label_names, out / "pearson")
-    render_heatmap(cosine, cfg.label_names, cfg.label_names, out / "label_cosine")
+    render_heatmap([pearson, cosine], [cfg.label_names] * 2, cfg.label_names,
+                   [out / "pearson", out / "label_cosine"])
     print(f"wrote pearson and label_cosine heatmaps to {out}")
     return 0
 
@@ -201,7 +207,3 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError, ValueError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

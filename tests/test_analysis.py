@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgcn import model
 from hgcn.analysis import (
     _csv_fields,
     attribution_mse,
@@ -122,7 +123,7 @@ def test_heatmap_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(3)
     matrix = rng.normal(size=(3, 4))
     path = tmp_path / "heat"
-    render_heatmap(matrix, ["r1", "r2", "r3"], ["a", "b", "c", "d"], path)
+    render_heatmap([matrix], [["r1", "r2", "r3"]], ["a", "b", "c", "d"], [path])
     values, rows, cols = parse_heatmap_csv(str(path) + ".csv")
     assert np.array_equal(values, matrix)  # repr round-trip is bit exact
     assert rows == ["r1", "r2", "r3"]
@@ -162,7 +163,7 @@ _RNG = np.random.default_rng(11)
 ], ids=["normal", "all-zero", "1x1", "1xn", "mx1", "long-doc"])
 def test_heatmap_matches_per_cell_reference(tmp_path, matrix):
     rows, cols = _names("r", matrix.shape[0]), _names("c", matrix.shape[1])[::-1]
-    render_heatmap(matrix, rows, cols, tmp_path / "fast")
+    render_heatmap([matrix], [rows], cols, [tmp_path / "fast"])
     render_heatmap_reference(matrix, rows, cols, tmp_path / "ref")
     for ext in (".csv", ".svg"):
         assert (tmp_path / f"fast{ext}").read_bytes() == (tmp_path / f"ref{ext}").read_bytes()
@@ -171,7 +172,7 @@ def test_heatmap_matches_per_cell_reference(tmp_path, matrix):
 def test_heatmap_svg_brightness_monotone(tmp_path):
     matrix = np.array([[0.0, 0.25], [0.5, 1.0]])
     path = tmp_path / "heat"
-    render_heatmap(matrix, ["r1", "r2"], ["a", "b"], path)
+    render_heatmap([matrix], [["r1", "r2"]], ["a", "b"], [path])
     svg = (tmp_path / "heat.svg").read_text()
     cells = re.findall(r'fill="rgb\((\d+),\d+,\d+\)" data-value="([^"]+)"', svg)
     assert len(cells) == 4
@@ -185,4 +186,42 @@ def test_heatmap_svg_brightness_monotone(tmp_path):
 
 def test_heatmap_rejects_mismatched_names(tmp_path):
     with pytest.raises(ValueError):
-        render_heatmap(np.zeros((2, 2)), ["r1"], ["a", "b"], tmp_path / "h")
+        render_heatmap([np.zeros((2, 2))], [["r1"]], ["a", "b"], [tmp_path / "h"])
+
+
+@pytest.mark.parametrize("budget", [model.HEATMAP_BUDGET, 60, 1],
+                         ids=["default", "small", "one"])
+def test_heatmap_batch_matches_per_cell_reference(tmp_path, monkeypatch, budget):
+    # 1 to 130 rows, an all-zero map, negative cells and the odd names shared by every map;
+    # a small bound splits the batch into groups, and the 130-row map is larger than it alone
+    monkeypatch.setattr(model, "HEATMAP_BUDGET", budget)
+    rng = np.random.default_rng(5)
+    matrices = [rng.random(size=(1, 4)), rng.random(size=(2, 4)) / 7, np.zeros((4, 4)),
+                rng.normal(size=(12, 4)), rng.random(size=(130, 4)) / 520,
+                -rng.random(size=(3, 4)), np.array([[0.0, 0.5, 1.0, 0.25]] * 5)]
+    rows = [_names("r", m.shape[0]) for m in matrices]
+    cols = _names("c", 4)[::-1]
+    render_heatmap(matrices, rows, cols, [tmp_path / f"fast{k}" for k in range(len(matrices))])
+    for k, (matrix, names) in enumerate(zip(matrices, rows)):
+        render_heatmap_reference(matrix, names, cols, tmp_path / f"ref{k}")
+        for ext in (".csv", ".svg"):
+            fast, ref = tmp_path / f"fast{k}{ext}", tmp_path / f"ref{k}{ext}"
+            assert fast.read_bytes() == ref.read_bytes()
+
+
+def test_heatmap_empty_batch_writes_nothing(tmp_path):
+    render_heatmap([], [], ["a", "b"], [])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("matrices,rows,paths", [
+    ([np.zeros((1, 2))] * 2, [["r"]], ["p", "q"]),
+    ([np.zeros((1, 2))], [["r"]], ["p", "q"]),
+    ([np.zeros((1, 2)), np.zeros((2, 2))], [["r"], ["r"]], ["p", "q"]),
+    ([np.zeros((1, 3))], [["r"]], ["p"]),
+    ([np.zeros((0, 2))], [[]], ["p"]),
+], ids=["rows-short", "paths-long", "second-shape", "cols", "empty-map"])
+def test_heatmap_batch_rejects_mismatches_before_writing(tmp_path, matrices, rows, paths):
+    with pytest.raises(ValueError):
+        render_heatmap(matrices, rows, ["a", "b"], [tmp_path / p for p in paths])
+    assert not any(tmp_path.iterdir())

@@ -1,12 +1,18 @@
 import ctypes
 import json
+import os
 import resource
 import shutil
+import subprocess
+import sys
+import tomllib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hgcn
 from hgcn import run as runmod
 from hgcn.cli import _load_run_config, build_parser, main
 from hgcn.data import load_dataset, load_tensors, save_dataset, save_embeddings, save_tensors
@@ -109,6 +115,22 @@ def test_explain_without_annotations_removes_stale_mse(trained, tmp_path, capsys
     assert main(["explain", "--config", str(config)]) == 0
     assert not (run_dir / "attributions" / "mse.txt").exists()
     assert "attribution_mse" not in capsys.readouterr().out
+
+
+def test_explain_removes_heatmaps_of_samples_it_did_not_explain(trained, tmp_path):
+    root, label_names, out, _ = trained
+    run_dir = tmp_path / "out"
+    run_dir.mkdir()
+    shutil.copy(out / "model.ckpt", run_dir / "model.ckpt")
+    samples = load_dataset(root / "test.jsonl", label_names)[:6]
+    assert all(s.annotations for s in samples)
+    for name, subset in [("six.jsonl", samples), ("two.jsonl", samples[:2])]:
+        save_dataset(subset, tmp_path / name)
+        config = write_config(tmp_path / "c.json", root, label_names, run_dir,
+                              test_path=str(tmp_path / name))
+        assert main(["explain", "--config", str(config)]) == 0
+    left = {p.name for p in (run_dir / "attributions").iterdir()}
+    assert left == {f"{s.id}{ext}" for s in samples[:2] for ext in (".csv", ".svg")} | {"mse.txt"}
 
 
 def test_correlate_writes_heatmaps(trained):
@@ -583,3 +605,38 @@ def test_training_keeps_the_heap_mapped_between_steps(tmp_path):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     steps = 3 * 300 // 10
     assert faults / steps < 5, f"{faults} minor page faults over {steps} steps"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads_after(statement, **preset):
+    """The BLAS thread variables a fresh interpreter holds after `statement`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(hgcn.__file__).parent.parent))
+    code = (f"import json, os; {statement}; "
+            f"print(json.dumps([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_entry_point_defaults_blas_threads_to_one():
+    assert _blas_threads_after("import hgcn.__main__") == ["1", "1", "1"]
+
+
+def test_entry_point_keeps_blas_threads_the_user_set():
+    assert _blas_threads_after("import hgcn.__main__", OMP_NUM_THREADS="2") == ["1", "2", "1"]
+
+
+def test_library_import_sets_no_blas_threads():
+    assert _blas_threads_after("import hgcn.cli") == [None, None, None]
+
+
+def test_hgcn_command_is_the_entry_point_module():
+    with open(Path(hgcn.__file__).parents[2] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"]["hgcn"] == "hgcn.__main__:main"
+    env = dict(os.environ, PYTHONPATH=str(Path(hgcn.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "hgcn", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and "usage: hgcn" in done.stdout
