@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -160,7 +161,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hgcn` argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="hgcn",
                                      description="heterogeneous graph network for "
                                                  "multi-label text classification")

@@ -70,9 +70,28 @@ class Sample:
         return obj
 
 
-def _is_number(value, kinds) -> bool:
-    """isinstance(value, kinds), except that a JSON true/false is no number."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+# `type(x) is int` and not `isinstance`: a JSON true/false is no number
+_NUMBER = (int, float)
+
+
+def _all_strings(items: list) -> bool:
+    """Whether every item is a str, checked in one C pass: `str.join` takes nothing else."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+def _label_error(labels, label_set) -> str:
+    """What is wrong with `labels`, found entry by entry as a per-name check meets it."""
+    if isinstance(labels, list):
+        for name in labels:
+            if not isinstance(name, str):
+                break
+            if label_set is not None and name not in label_set:
+                return f"unknown label {name!r}"
+    return "'labels' must be a list of strings"
 
 
 def _parse_sample(obj, label_set, lineno: int) -> Sample:
@@ -80,15 +99,18 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
         raise DatasetError(f"line {lineno}: expected a JSON object, got {obj!r}")
     if "id" not in obj:
         raise DatasetError(f"line {lineno}: missing 'id'")
-    if not (isinstance(obj["id"], str) or _is_number(obj["id"], (int, float))):
-        raise DatasetError(f"line {lineno}: 'id' must be a string or a number, got {obj['id']!r}")
-    sample_id = str(obj["id"])
+    sample_id = obj["id"]
+    if type(sample_id) is not str:
+        if type(sample_id) not in _NUMBER:
+            raise DatasetError(f"line {lineno}: 'id' must be a string or a number, "
+                               f"got {sample_id!r}")
+        sample_id = str(sample_id)
     # `explain` writes attributions/<id>.csv and .svg
     if sample_id in ("", ".", "..") or "/" in sample_id or "\0" in sample_id:
         raise DatasetError(f"line {lineno}: id {sample_id!r} is not a plain file name")
     if "tokens" in obj:
         tokens = obj["tokens"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        if not (isinstance(tokens, list) and _all_strings(tokens)):
             raise DatasetError(f"line {lineno}: 'tokens' must be a list of strings")
     elif "text" in obj:
         if not isinstance(obj["text"], str):
@@ -97,20 +119,16 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
     else:
         raise DatasetError(f"line {lineno}: need 'tokens' or 'text'")
     labels = obj.get("labels", [])
-    if not isinstance(labels, list):
-        raise DatasetError(f"line {lineno}: 'labels' must be a list of strings")
-    for name in labels:
-        if not isinstance(name, str):
-            raise DatasetError(f"line {lineno}: 'labels' must be a list of strings")
-        if label_set is not None and name not in label_set:
-            raise DatasetError(f"line {lineno}: unknown label {name!r}")
+    if not (isinstance(labels, list) and _all_strings(labels)
+            and (label_set is None or label_set.issuperset(labels))):
+        raise DatasetError(f"line {lineno}: {_label_error(labels, label_set)}")
     entries = obj.get("annotations", [])
     if not isinstance(entries, list):
         raise DatasetError(f"line {lineno}: 'annotations' must be a list")
     annotations = []
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_number(entry[0], int)
-                and isinstance(entry[1], str) and _is_number(entry[2], (int, float))):
+        if not (type(entry) is list and len(entry) == 3 and type(entry[0]) is int
+                and type(entry[1]) is str and type(entry[2]) in _NUMBER):
             raise DatasetError(f"line {lineno}: malformed annotation {entry!r}, expected "
                                f"[token index, label name, intensity]")
         idx, name, intensity = entry
@@ -121,13 +139,18 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
         if not 0.0 <= intensity <= 1.0:
             raise DatasetError(f"line {lineno}: intensity {intensity} outside [0, 1]")
         annotations.append((idx, name, float(intensity)))
-    return Sample(id=sample_id, tokens=list(tokens), labels=list(labels),
-                  annotations=annotations)
+    # the lists are the decoded line's own, so the sample takes them uncopied
+    return Sample(sample_id, tokens, labels, annotations)
 
 
 def load_dataset(path, label_names=None) -> list[Sample]:
-    """Parse a JSON-lines dataset; labels must be declared, ids unique plain file names."""
+    """Parse a JSON-lines dataset; labels must be declared, ids unique plain file names.
+
+    Each line is decoded alone: a line must hold exactly one JSON value,
+    which one parse of the joined lines would not check.
+    """
     label_set = set(label_names) if label_names is not None else None
+    decode = json.JSONDecoder().raw_decode
     samples = []
     first_line = {}  # sample id -> line it was first seen on
     with open(path, encoding="utf-8") as f:
@@ -136,9 +159,14 @@ def load_dataset(path, label_names=None) -> list[Sample]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {lineno}: malformed JSON ({e.msg})") from e
+                obj, end = decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads raises the line's own error
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DatasetError(f"line {lineno}: malformed JSON ({e.msg})") from e
             sample = _parse_sample(obj, label_set, lineno)
             if sample.id in first_line:
                 raise DatasetError(f"line {lineno}: id {sample.id!r} repeats line "

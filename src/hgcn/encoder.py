@@ -12,6 +12,8 @@ end read the PAD row, and `graph.propagate` makes them inert.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .autodiff import Node, constant, gather_rows, parameter
@@ -28,6 +30,8 @@ class Vocabulary:
 
     def __init__(self, tokens=()):
         self._token_to_id = {t: i for i, t in enumerate(dict.fromkeys([*RESERVED, *tokens]))}
+        # the content tokens alone: `tokenize` maps a reserved spelling to UNKNOWN
+        self._content = {t: i for t, i in self._token_to_id.items() if i >= len(RESERVED)}
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNKNOWN)
@@ -52,11 +56,16 @@ class Vocabulary:
         return vocab
 
 
-def token_rows(tokens, max_len: int) -> list[str]:
-    """A sample's token nodes: <s>, the tokens truncated to max_len - 2, </s>."""
+def _truncated(tokens, max_len: int):
+    """The content tokens that fit between the two markers."""
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
-    return [RESERVED[SEQ_START], *tokens[: max_len - 2], RESERVED[SEQ_END]]
+    return tokens[: max_len - 2]
+
+
+def token_rows(tokens, max_len: int) -> list[str]:
+    """A sample's token nodes: <s>, the tokens truncated to max_len - 2, </s>."""
+    return [RESERVED[SEQ_START], *_truncated(tokens, max_len), RESERVED[SEQ_END]]
 
 
 def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
@@ -64,8 +73,8 @@ def tokenize(tokens, vocab: Vocabulary, max_len: int) -> list[int]:
     content token that is out of vocabulary or spelled like a reserved
     marker gets UNKNOWN, so data text never shares a marker's or PAD's row.
     """
-    content = (vocab.id_of(t) for t in token_rows(tokens, max_len)[1:-1])
-    return [SEQ_START, *(i if i >= len(RESERVED) else UNKNOWN for i in content), SEQ_END]
+    content = map(vocab._content.get, _truncated(tokens, max_len), repeat(UNKNOWN))
+    return [SEQ_START, *content, SEQ_END]
 
 
 def pad_ids(batch_ids) -> np.ndarray:

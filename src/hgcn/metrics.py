@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -11,31 +14,31 @@ def decode_topk(probs, k: int) -> set[int]:
     """The min(k, n) highest-probability labels; ties go to the lower index."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    probs = np.asarray(probs, dtype=float).ravel()
-    order = sorted(range(len(probs)), key=lambda j: (-probs[j], j))
-    return set(order[: min(k, len(probs))])
+    order = np.argsort(-np.asarray(probs, dtype=float).ravel(), kind="stable")
+    return set(order[:k].tolist())
 
 
 def decode_threshold(probs, t: float) -> set[int]:
     """All labels with probability >= t; may be empty."""
     if not (0.0 < t <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {t}")
-    probs = np.asarray(probs, dtype=float).ravel()
-    return {j for j in range(len(probs)) if probs[j] >= t}
+    return {j for j, p in enumerate(np.asarray(probs, dtype=float).ravel().tolist()) if p >= t}
 
 
 def jaccard(preds, golds) -> float:
-    """Mean per-sample |Y ∩ Ŷ| / |Y ∪ Ŷ|. Both-empty counts as agreement (1)."""
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
-    if not preds:
+    """Mean per-sample |Y ∩ Ŷ| / |Y ∪ Ŷ| of label-index sets; both-empty is agreement (1)."""
+    n = 1 + max(chain(*preds, *golds), default=-1)
+    return _jaccard(*_label_matrices(preds, golds, n))
+
+
+def _jaccard(p: np.ndarray, g: np.ndarray) -> float:
+    """`jaccard` of the prediction and gold label matrices."""
+    if not len(p):
         raise ValueError("empty evaluation set")
-    total = 0.0
-    for p, g in zip(preds, golds):
-        p, g = set(p), set(g)
-        union = p | g
-        total += len(p & g) / len(union) if union else 1.0
-    return total / len(preds)
+    union = (p | g).sum(axis=1)
+    ratios = np.divide((p & g).sum(axis=1), union, out=np.ones(len(p)), where=union > 0)
+    # added in sample order, one Python float at a time, as a per-sample loop adds them
+    return reduce(add, ratios.tolist(), 0.0) / len(p)
 
 
 @dataclass
@@ -68,13 +71,20 @@ def _f1(tp, fp, fn) -> dict[str, float]:
 
 def label_matrix(label_sets, n: int) -> np.ndarray:
     """N x n bool matrix whose row i marks the label indices of set i."""
+    sizes = list(map(len, label_sets))
+    cols = np.fromiter(chain.from_iterable(label_sets), dtype=np.intp, count=sum(sizes))
+    bad = (cols < 0) | (cols >= n)
+    if bad.any():
+        raise ValueError(f"label index {cols[bad.argmax()]} out of range for n={n}")
     out = np.zeros((len(label_sets), n), dtype=bool)
-    for i, labels in enumerate(label_sets):
-        for j in labels:
-            if not 0 <= j < n:
-                raise ValueError(f"label index {j} out of range for n={n}")
-            out[i, j] = True
+    out[np.repeat(np.arange(len(label_sets)), sizes), cols] = True
     return out
+
+
+def _label_matrices(preds, golds, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if len(preds) != len(golds):
+        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
+    return label_matrix(preds, n), label_matrix(golds, n)
 
 
 def micro_macro_f1(preds, golds, n: int) -> tuple[float, float, list[dict]]:
@@ -83,9 +93,12 @@ def micro_macro_f1(preds, golds, n: int) -> tuple[float, float, list[dict]]:
     A label with a zero denominator scores 0 and still enters the macro
     average.
     """
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
-    p, g = label_matrix(preds, n), label_matrix(golds, n)
+    return _f1_table(*_label_matrices(preds, golds, n))
+
+
+def _f1_table(p: np.ndarray, g: np.ndarray) -> tuple[float, float, list[dict]]:
+    """`micro_macro_f1` of the prediction and gold label matrices."""
+    n = p.shape[1]
     tp, fp, fn = (p & g).sum(axis=0), (p & ~g).sum(axis=0), (~p & g).sum(axis=0)
     table = [{"label": j, **_f1(tp[j], fp[j], fn[j]),
               "tp": int(tp[j]), "fp": int(fp[j]), "fn": int(fn[j])} for j in range(n)]
@@ -95,6 +108,6 @@ def micro_macro_f1(preds, golds, n: int) -> tuple[float, float, list[dict]]:
 
 
 def evaluate(preds, golds, n: int) -> EvalReport:
-    micro, macro, table = micro_macro_f1(preds, golds, n)
-    return EvalReport(micro_f1=micro, macro_f1=macro,
-                      jaccard=jaccard(preds, golds), per_label=table)
+    p, g = _label_matrices(preds, golds, n)
+    micro, macro, table = _f1_table(p, g)
+    return EvalReport(micro_f1=micro, macro_f1=macro, jaccard=_jaccard(p, g), per_label=table)

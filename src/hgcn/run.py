@@ -58,9 +58,8 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> list[str]:
-        hints = get_type_hints(RunConfig)
         problems = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
-                    for f in fields(self) if not _has_type(getattr(self, f.name), hints[f.name])]
+                    for f in fields(self) if not _has_type(getattr(self, f.name), _HINTS[f.name])]
         if problems:  # the range checks below assume the right types
             return problems
         if not self.label_names:
@@ -100,6 +99,9 @@ class RunConfig:
         """`num_labels` counts `label_names`; each other architecture field is copied by name."""
         return ModelConfig(num_labels=len(self.label_names), **{
             f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "num_labels"})
+
+
+_HINTS = get_type_hints(RunConfig)  # each field's annotation, resolved once
 
 
 def _has_type(value, hint) -> bool:

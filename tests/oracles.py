@@ -5,7 +5,9 @@ the tests. The dense adjacency code builds the sample graph as an
 explicit (m+n)^2 matrix; it is the reference for `hgcn.graph.propagate`.
 The per-cell heatmap writer is the reference for `hgcn.analysis.render_heatmap`.
 The per-sample model path (one graph, one tape per sample, no padding)
-is the reference for the batched `hgcn.model` path.
+is the reference for the batched `hgcn.model` path. The per-token and
+per-sample loops are the references for `hgcn.encoder.tokenize` and
+`hgcn.metrics.jaccard`.
 """
 
 import csv
@@ -16,6 +18,7 @@ import numpy as np
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import Node, ShapeError, Tape, _result, constant, gather_rows
+from hgcn.encoder import RESERVED, SEQ_END, SEQ_START, UNKNOWN, token_rows
 from hgcn.model import ForwardTrace
 
 
@@ -59,6 +62,22 @@ def brute_force_threshold(probs, t):
         if p >= t:
             out.add(j)
     return out
+
+
+def tokenize_reference(tokens, vocab, max_len):
+    """Each content token's vocabulary id, or UNKNOWN for a reserved id, between the markers."""
+    content = (vocab.id_of(t) for t in token_rows(tokens, max_len)[1:-1])
+    return [SEQ_START, *(i if i >= len(RESERVED) else UNKNOWN for i in content), SEQ_END]
+
+
+def jaccard_reference(preds, golds):
+    """Mean per-sample |Y ∩ Ŷ| / |Y ∪ Ŷ|, both-empty 1, added up sample by sample."""
+    total = 0.0
+    for p, g in zip(preds, golds):
+        p, g = set(p), set(g)
+        union = p | g
+        total += len(p & g) / len(union) if union else 1.0
+    return total / len(preds)
 
 
 # --- test-only ops -----------------------------------------------------

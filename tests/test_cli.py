@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hgcn
+from hgcn import cli
 from hgcn import run as runmod
 from hgcn.cli import _load_run_config, build_parser, main
 from hgcn.data import load_dataset, load_tensors, save_dataset, save_embeddings, save_tensors
@@ -539,6 +540,32 @@ def test_override_flags_set_their_config_keys(tmp_path):
         encoder="file:v.bin", freeze=True, out_dir="o")
     # absent flags leave the file's values and the defaults alone
     assert load() == RunConfig(label_names=["A"], seed=1, out_dir="x")
+
+
+def test_main_calls_in_one_process_share_no_options(tmp_path, monkeypatch):
+    # the parser is built once per process; each call's flags must be its own
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"label_names": ["A"], "seed": 1, "out_dir": "x"}),
+                      encoding="utf-8")
+    loaded = []
+
+    def record(args):
+        loaded.append(_load_run_config(args))
+        raise runmod.ConfigError("recorded")
+    monkeypatch.setattr(cli, "_load_run_config", record)
+    assert main(["eval", "--config", str(config), "--seed", "3", "--freeze",
+                 "--decode", "thr:0.25", "--out", "o"]) == 1
+    assert main(["correlate", "--config", str(config)]) == 1
+    assert main(["train", "--config", str(config), "--hidden", "9"]) == 1
+    assert main(["eval", "--config", str(config)]) == 1
+    assert loaded == [
+        RunConfig(label_names=["A"], seed=3, freeze=True, decode="threshold", threshold=0.25,
+                  out_dir="o"),
+        RunConfig(label_names=["A"], seed=1, out_dir="x"),
+        RunConfig(label_names=["A"], seed=1, hidden=9, out_dir="x"),
+        RunConfig(label_names=["A"], seed=1, out_dir="x"),
+    ]
+    assert build_parser() is build_parser()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -97,9 +97,21 @@ NOT_STRINGS = "'labels' must be a list of strings"
     ('{"id": null, "tokens": ["a"]}', "'id' must be a string or a number, got None"),
     ('{"id": true, "tokens": ["a"]}', "'id' must be a string or a number, got True"),
     ('{"id": ["x"], "tokens": ["a"]}', r"'id' must be a string or a number, got \['x'\]"),
+    # each line is one JSON value on its own, never part of a parse of joined lines
+    ('{"id": "s2", "tokens": ["a"]} {"id": "s3", "tokens": ["a"]}',
+     r"malformed JSON \(Extra data\)"),
+    ('{"id": "s2", "tokens": ["a"]} trailing', r"malformed JSON \(Extra data\)"),
+    ('{"id": "s2", "tokens": ["a"]\n"labels": []}\n'
+     '{"id": "s3", "tokens": ["a"]},{"id": "s4", "tokens": ["a"]}',
+     r"malformed JSON \(Expecting ',' delimiter\)"),
+    ('\ufeff{"id": "s2", "tokens": ["a"]}', r"malformed JSON \(Unexpected UTF-8 BOM"),
+    ('{"id": "s2", "tokens": ["a"], "labels": ["Z", 5]}', "unknown label 'Z'"),
+    ('{"id": "s2", "tokens": ["a"], "labels": [5, "Z"]}', NOT_STRINGS),
 ], ids=["number-line", "array-line", "int-labels", "string-labels", "nested-labels",
         "int-text", "repeated-id", "empty-id", "dot-id", "dotdot-id", "slash-id",
-        "absolute-id", "nul-id", "null-id", "bool-id", "list-id"])
+        "absolute-id", "nul-id", "null-id", "bool-id", "list-id", "two-objects",
+        "trailing-text", "object-split-across-lines", "byte-order-mark",
+        "unknown-before-non-string", "non-string-before-unknown"])
 def test_dataset_type_errors_name_the_line(tmp_path, capsys, line, match):
     path = write(tmp_path, GOOD_LINE + line + "\n")
     with pytest.raises(DatasetError, match=f"line 2: {match}"):
@@ -135,13 +147,14 @@ MALFORMED = "malformed annotation"
     ('[[0, "A", 0.5, 1]]', MALFORMED),
     ('[[true, "A", 0.5]]', MALFORMED),
     ('[[0, "A", false]]', MALFORMED),
+    ('[[0, "A", true]]', MALFORMED),
     ('[[0.0, "A", 0.5]]', MALFORMED),
     ('[[0, 1, 0.5]]', MALFORMED),
     ('[{"0": "A"}]', MALFORMED),
     ('{"0": "A"}', "must be a list"),
 ], ids=["index-out-of-range", "intensity-above-1", "string-index", "string-intensity",
-        "two-elements", "four-elements", "bool-index", "bool-intensity", "float-index",
-        "int-label", "object-entry", "object-annotations"])
+        "two-elements", "four-elements", "bool-index", "bool-intensity", "true-intensity",
+        "float-index", "int-label", "object-entry", "object-annotations"])
 def test_dataset_annotation_validation(tmp_path, annotations, match):
     path = write(tmp_path, '{"id": "s1", "tokens": ["a", "b"], "labels": ["A"], '
                            f'"annotations": {annotations}}}\n')

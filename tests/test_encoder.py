@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import Tape
 from hgcn.encoder import (
     PAD,
+    RESERVED,
     PrecomputedFile,
     SEQ_END,
     SEQ_START,
@@ -18,7 +21,7 @@ from hgcn.encoder import (
 )
 from hgcn.data import Sample
 
-from oracles import total_sum
+from oracles import tokenize_reference, total_sum
 
 
 @pytest.fixture
@@ -64,6 +67,18 @@ def test_tokenize_empty(vocab):
 def test_tokenize_rejects_small_max_len(vocab):
     with pytest.raises(ValueError):
         tokenize(["a"], vocab, 2)
+
+
+# content and reserved spellings, some of them never in the vocabulary
+SPELLINGS = st.sampled_from([*RESERVED, "a", "b", "c", "zzz", "<S>", ""])
+
+
+@given(st.lists(SPELLINGS, max_size=8), st.lists(SPELLINGS, max_size=20),
+       st.integers(min_value=3, max_value=12))
+@settings(max_examples=300)
+def test_tokenize_matches_per_token_reference(vocab_tokens, tokens, max_len):
+    vocab = Vocabulary(vocab_tokens)
+    assert tokenize(tokens, vocab, max_len) == tokenize_reference(tokens, vocab, max_len)
 
 
 def test_tokenize_length_bounds(vocab):

@@ -8,10 +8,11 @@ from hgcn.metrics import (
     decode_topk,
     evaluate,
     jaccard,
+    label_matrix,
     micro_macro_f1,
 )
 
-from oracles import brute_force_threshold, brute_force_topk
+from oracles import brute_force_threshold, brute_force_topk, jaccard_reference
 
 
 def test_topk_basic():
@@ -60,6 +61,13 @@ def test_decoders_match_brute_force_on_random_vectors():
         assert decode_threshold(probs, t) == brute_force_threshold(probs, t)
 
 
+@given(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=1, max_size=12),
+       st.integers(min_value=1, max_value=15))
+@settings(max_examples=200)
+def test_topk_ties_go_to_the_lower_index(probs, k):
+    assert decode_topk(probs, k) == brute_force_topk(probs, k)
+
+
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=12),
        st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=200)
@@ -94,6 +102,36 @@ def test_jaccard_both_empty_counts_as_agreement():
 def test_jaccard_length_mismatch():
     with pytest.raises(ValueError):
         jaccard([{0}], [{0}, {1}])
+
+
+def test_jaccard_empty_evaluation_set():
+    with pytest.raises(ValueError, match="empty evaluation set"):
+        jaccard([], [])
+    with pytest.raises(ValueError, match="empty evaluation set"):
+        evaluate([], [], 3)
+
+
+LABEL_SET = st.sets(st.integers(min_value=0, max_value=5), max_size=6)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_jaccard_matches_per_sample_sum_bitwise(data):
+    preds = data.draw(st.lists(LABEL_SET, min_size=1, max_size=40))
+    golds = data.draw(st.lists(LABEL_SET, min_size=len(preds), max_size=len(preds)))
+    # the same float, summed sample by sample: eval.json must not change in its last bit
+    expected = jaccard_reference(preds, golds)
+    assert jaccard(preds, golds) == expected
+    assert evaluate(preds, golds, 6).jaccard == expected
+
+
+def test_label_matrix_names_the_first_index_out_of_range():
+    assert label_matrix([{0, 2}, set(), {1}], 3).tolist() == [
+        [True, False, True], [False, False, False], [False, True, False]]
+    with pytest.raises(ValueError, match="label index 7 out of range for n=3"):
+        label_matrix([{1}, {7}, {-1}], 3)
+    with pytest.raises(ValueError, match="label index -1 out of range for n=3"):
+        label_matrix([{1}, {-1}, {7}], 3)
 
 
 def test_f1_perfect():
