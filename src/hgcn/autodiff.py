@@ -133,9 +133,9 @@ def _result(value, op, parents, backward_fn) -> Node:
 
     So the push of a one-parent op needs no `requires_grad` check, and
     outside a tape no closure holds the parents or the forward's
-    intermediate arrays alive.
+    intermediate arrays alive. An op has one parent or two.
     """
-    requires = any(p.requires_grad for p in parents)
+    requires = parents[0].requires_grad or parents[-1].requires_grad
     keep = requires and _current_tape is not None
     return Node(value, requires_grad=requires, op=op, backward_fn=backward_fn if keep else None)
 
@@ -182,13 +182,13 @@ def softmax_row(a: Node) -> Node:
         raise ShapeError(f"softmax_row expects a BxN matrix, got {a.value.shape}")
     if a.value.shape[1] == 0:
         raise ShapeError("softmax_row: empty vector")
-    shifted = a.value - np.max(a.value, axis=1, keepdims=True)
+    shifted = a.value - np.maximum.reduce(a.value, axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=1, keepdims=True)
+    out = e / np.add.reduce(e, axis=1, keepdims=True)
 
     def push(g):
         # per row, J^T g with J = diag(s) - s s^T
-        dot = np.sum(g * out, axis=1, keepdims=True)
+        dot = np.add.reduce(g * out, axis=1, keepdims=True)
         a.accumulate(out * (g - dot))
 
     return _result(out, "softmax_row", (a,), push)
@@ -201,7 +201,7 @@ def mse_loss(pred: Node, target) -> Node:
         raise ShapeError(f"mse_loss: shapes differ, {pred.value.shape} vs {target.shape}")
     diff = pred.value - target
     count = diff.size
-    out = np.array([[np.sum(diff * diff) / count]])
+    out = np.array([[np.add.reduce(diff * diff, axis=None) / count]])
 
     def push(g):
         pred.accumulate(g[0, 0] * 2.0 * diff / count)
@@ -212,10 +212,10 @@ def mse_loss(pred: Node, target) -> Node:
 def col_sums(a: Node) -> Node:
     """Column sums of each m x N sample as one row: 1 x N, or B x N for a batch."""
     shape = a.value.shape
-    out = np.sum(a.value, axis=-2).reshape(-1, shape[-1])
+    out = np.add.reduce(a.value, axis=-2).reshape(-1, shape[-1])
 
     def push(g):
-        a.accumulate(np.broadcast_to(g.reshape(shape[:-2] + (1, shape[-1])), shape))
+        a.accumulate(np.repeat(g.reshape(shape[:-2] + (1, shape[-1])), shape[-2], axis=-2))
 
     return _result(out, "col_sums", (a,), push)
 

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import run as runmod
@@ -97,7 +97,7 @@ def cmd_eval(cfg: RunConfig, samples, params, provider, vocab) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "eval.txt", text)
-    write_text(out / "eval.json", json.dumps(asdict(report), indent=2))
+    write_text(out / "eval.json", json.dumps(vars(report), indent=2))
     print(text, end="")
     return 0
 

@@ -25,20 +25,21 @@ EMBEDDING_TABLE = "embedding_table"
 
 
 def write_bytes(path, data: bytes) -> None:
-    """Write `data` to `path`, over an existing file's bytes, then cut it to length.
+    """Write `data` to `path`, over an existing file's bytes, then cut a longer file to length.
 
     Every output file is written so. The file is not truncated to zero
     first: on ext4 a file truncated to zero and written again is flushed
     to disk as soon as it is closed, and with two heatmap files per
     sample that flush made `explain` into an existing output directory
-    slow and erratic.
+    slow and erratic. A file no longer than `data` needs no cut.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 

@@ -165,10 +165,10 @@ def propagate(h: Node, edges: Node | None, chains: Chains, labels: Node | None =
     # for token rows, 2 + sum_i E_ij for each sample's label rows
     d = np.empty(t + b * n)
     d_t, d_l = d[:t].reshape(b, m), d[t:].reshape(b, n)
-    np.sum(e, axis=2, out=d_t)
+    np.add.reduce(e, axis=2, out=d_t)
     d_t += 4.0
     d_t -= chains.ends
-    np.sum(e, axis=1, out=d_l)
+    np.add.reduce(e, axis=1, out=d_l)
     d_l += 2.0
     if d.min() <= 0:
         raise ValueError("adjacency row degree must be positive after self-loops")
@@ -194,14 +194,14 @@ def propagate(h: Node, edges: Node | None, chains: Chains, labels: Node | None =
             p[:t] += x[:t] * dh[:t]
             p_l = p[t:].reshape(b, n, -1)
             p_l += x_l * dh_l
-            r = -0.5 * s ** 2 * np.sum(p, axis=1)
+            r = -0.5 * s ** 2 * np.add.reduce(p, axis=1)
             ge += r[:t].reshape(b, m, 1) + r[t:].reshape(b, 1, n)
             edges.accumulate(ge)
         if h.requires_grad:
             if len(x_l) < b:
                 # shared label rows collect every sample's share, written
                 # over the first sample's so the token rows are not copied
-                dh[t:t + n] = dh_l.sum(axis=0)
+                dh[t:t + n] = np.add.reduce(dh_l, axis=0)
                 dh = dh[:t + n]
             h.accumulate(dh)
 
@@ -224,7 +224,7 @@ def reconstruct_token_label(h: Node, chains: Chains) -> Node:
     xl = chains.labels(x)
     groups = len(xl)
     xt = x[:t].reshape(groups, -1, x.shape[1])  # the token rows that meet each group
-    norm = np.sqrt(np.sum(x * x, axis=1))
+    norm = np.sqrt(np.add.reduce(x * x, axis=1))
     live_row = norm > 0.0
     inv = np.divide(1.0, norm, out=np.zeros(norm.shape), where=live_row)
     inv_t, inv_l = inv[:t].reshape(groups, -1, 1), inv[t:].reshape(groups, 1, n)
@@ -246,8 +246,8 @@ def reconstruct_token_label(h: Node, chains: Chains) -> Node:
         # d cos_ij / d xt_i = xl_j/(|xt_i||xl_j|) - cos_ij xt_i/|xt_i|^2, and
         # the same for xl_j; c holds each row's sum_j ge cos / |row|^2
         c = np.empty(norm.shape)
-        np.sum(gc, axis=2, out=c[:t].reshape(groups, -1))
-        np.sum(gc, axis=1, out=c[t:].reshape(groups, n))
+        np.add.reduce(gc, axis=2, out=c[:t].reshape(groups, -1))
+        np.add.reduce(gc, axis=1, out=c[t:].reshape(groups, n))
         c *= inv ** 2
         dh -= c[:, None] * x
         h.accumulate(dh)

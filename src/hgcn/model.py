@@ -144,10 +144,11 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> Forwa
     scores = ad.col_sums(final_edges)
     probs = ad.softmax_row(scores)
     labels = chains.labels(h.value)
+    if len(labels) < b:  # a 1-layer model's label rows, shared by the batch
+        labels = np.broadcast_to(labels, (b,) + labels.shape[1:])
     return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
                         final_tokens=h.value[:b * m].reshape(b, m, -1),
-                        final_labels=np.broadcast_to(labels, (b,) + labels.shape[1:]),
-                        probs_node=probs)
+                        final_labels=labels, probs_node=probs)
 
 
 def build_target(labels) -> np.ndarray:

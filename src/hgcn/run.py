@@ -173,35 +173,41 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
     return decode_threshold(probs, run_cfg.threshold)
 
 
-def _infer(samples, params, provider, run_cfg, vocab):
-    """(ids, probs, edges, labels) of every sample, indexed in input order.
+def _infer(samples, params, provider, run_cfg, vocab, *outputs):
+    """The named `outputs` of every sample, in the order named, each indexed in input order.
 
     The samples are sorted by length, stably, and cut into chunks by
     `model.chunks`, the same CHUNK_BUDGET as in training, so a chunk pads
     few rows; `batch_size` plays no part. Inference records no tape.
-    `ids` are the token ids, `probs` is N x n, `labels` the final label
-    rows, N x n x hidden, and `edges` each sample's own m x n final block,
-    a copy, so no chunk's arrays outlive its pass.
+    The outputs are "ids", the token ids; "probs", N x n; "labels", the
+    final label rows, N x n x hidden; and "edges", each sample's own
+    m x n final block, a copy, so no chunk's arrays outlive its pass.
+    Only the outputs named are built: a command asks for what it reads.
     """
     cfg = run_cfg.model_config()
     ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
     order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
-    probs = np.empty((len(ids), cfg.num_labels))
-    labels = np.empty((len(ids), cfg.num_labels, cfg.hidden))
-    edges = [None] * len(ids)
+    probs = np.empty((len(ids), cfg.num_labels)) if "probs" in outputs else None
+    labels = np.empty((len(ids), cfg.num_labels, cfg.hidden)) if "labels" in outputs else None
+    edges = [None] * len(ids) if "edges" in outputs else None
     for part in chunks([len(ids[i]) for i in order], cfg):
         members = order[part]
         trace = forward([ids[i] for i in members], provider, params, cfg)
-        probs[members], labels[members] = trace.probs, trace.final_labels
-        for b, i in enumerate(members):
-            edges[i] = trace.final_edges[b, :len(ids[i])].copy()
-    return ids, probs, edges, labels
+        if probs is not None:
+            probs[members] = trace.probs
+        if labels is not None:
+            labels[members] = trace.final_labels
+        if edges is not None:
+            for b, i in enumerate(members):
+                edges[i] = trace.final_edges[b, :len(ids[i])].copy()
+    built = {"ids": ids, "probs": probs, "labels": labels, "edges": edges}
+    return tuple(built[name] for name in outputs)
 
 
 def predict(samples, params, provider, run_cfg, vocab):
     """Forward every sample; returns (pred_sets, gold_sets)."""
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
-    _, probs, _, _ = _infer(samples, params, provider, run_cfg, vocab)
+    (probs,) = _infer(samples, params, provider, run_cfg, vocab, "probs")
     return ([decode_probs(p, run_cfg) for p in probs],
             [{index[name] for name in s.labels} for s in samples])
 
@@ -259,7 +265,8 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     attributions = []
     mses = []
-    for s, block in zip(samples, _infer(samples, params, provider, run_cfg, vocab)[2]):
+    (edges,) = _infer(samples, params, provider, run_cfg, vocab, "edges")
+    for s, block in zip(samples, edges):
         attr = build_attribution(block, token_rows(s.tokens, run_cfg.max_len),
                                  run_cfg.label_names)
         attributions.append((s, attr))
@@ -274,7 +281,7 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
 
 def correlate(samples, params, provider, run_cfg, vocab):
     """Pearson over decoded predictions and cosine over mean final label features."""
-    _, probs, _, labels = _infer(samples, params, provider, run_cfg, vocab)
+    probs, labels = _infer(samples, params, provider, run_cfg, vocab, "probs", "labels")
     pearson = pearson_matrix([decode_probs(p, run_cfg) for p in probs], len(run_cfg.label_names))
     cosine = label_cosine_matrix(np.mean(labels, axis=0))
     return pearson, cosine

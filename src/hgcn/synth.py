@@ -9,25 +9,57 @@ constraints let tests shape label correlations.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .data import Sample
 
 
+class _SmallSets:
+    """Every set of 1-3 of n labels, as sorted tuples, in `_valid_label_sets`' order.
+
+    The sets of one size follow `itertools.combinations`, smaller sizes
+    first. A set is unranked when first asked for and then kept, so the
+    memory grows with the sets drawn, not as n^3.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.counts, self.known = n, [comb(n, k) for k in (1, 2, 3)], {}
+
+    def __len__(self) -> int:
+        return sum(self.counts)
+
+    def __getitem__(self, rank):
+        key = rank
+        if key in self.known:
+            return self.known[key]
+        for k, count in enumerate(self.counts, 1):
+            if rank < count:
+                break
+            rank -= count
+        else:
+            raise IndexError("label set index out of range")
+        out, first = [], 0
+        for left in range(k, 0, -1):
+            # skip each first element whose sets all rank below `rank`
+            while rank >= (count := comb(self.n - first - 1, left - 1)):
+                rank -= count
+                first += 1
+            out.append(first)
+            first += 1
+        self.known[key] = out = tuple(out)
+        return out
+
+
 def _valid_label_sets(n_labels, always_together, never_together):
-    together = [tuple(p) for p in always_together]
-    apart = [tuple(sorted(p)) for p in never_together]
-    sets = []
-    for k in (1, 2, 3):
-        for combo in combinations(range(n_labels), k):
-            s = set(combo)
-            if any((a in s) != (b in s) for a, b in together):
-                continue
-            if any(a in s and b in s for a, b in apart):
-                continue
-            sets.append(tuple(sorted(s)))
-    if not sets:
+    if always_together or never_together:
+        sets = [combo for k in (1, 2, 3) for combo in combinations(range(n_labels), k)
+                if all((a in combo) == (b in combo) for a, b in always_together)
+                and not any(a in combo and b in combo for a, b in never_together)]
+    else:
+        sets = _SmallSets(n_labels)
+    if not len(sets):
         raise ValueError("co-occurrence constraints leave no valid label set")
     return sets
 

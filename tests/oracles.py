@@ -7,12 +7,14 @@ The per-cell heatmap writer is the reference for `hgcn.analysis.render_heatmap`.
 The per-sample model path (one graph, one tape per sample, no padding)
 is the reference for the batched `hgcn.model` path. The per-token and
 per-sample loops are the references for `hgcn.encoder.tokenize` and
-`hgcn.metrics.jaccard`.
+`hgcn.metrics.jaccard`, and the full enumeration of label sets is the
+reference for `hgcn.synth`'s draw.
 """
 
 import csv
 import io
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -68,6 +70,13 @@ def tokenize_reference(tokens, vocab, max_len):
     """Each content token's vocabulary id, or UNKNOWN for a reserved id, between the markers."""
     content = (vocab.id_of(t) for t in token_rows(tokens, max_len)[1:-1])
     return [SEQ_START, *(i if i >= len(RESERVED) else UNKNOWN for i in content), SEQ_END]
+
+
+def label_sets_reference(n_labels, always_together=(), never_together=()):
+    """Every set of 1-3 labels that meets the constraints, smaller sets first, as sorted tuples."""
+    return [combo for k in (1, 2, 3) for combo in combinations(range(n_labels), k)
+            if all((a in combo) == (b in combo) for a, b in always_together)
+            and not any(a in combo and b in combo for a, b in never_together)]
 
 
 def jaccard_reference(preds, golds):

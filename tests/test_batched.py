@@ -96,7 +96,7 @@ def test_forward_and_gradients_match_per_sample(activation, detach, encoder, mem
 BOUNDARY = [[0, 4, 5, 6, 1], [0, 7, 7, 8, 1], [9], [0, 10, 11, 12, 1]]
 
 
-@pytest.mark.parametrize("activation,num_layers", [("tanh", 2), ("relu", 3)])
+@pytest.mark.parametrize("activation,num_layers", [("tanh", 2), ("relu", 3), ("tanh", 1)])
 def test_full_length_neighbours_match_per_sample(activation, num_layers):
     cfg, params, provider = make_model(activation, num_layers=num_layers)
     assert [len(ids) for ids in BOUNDARY] == [5, 5, 1, 5]
@@ -227,14 +227,41 @@ def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
     assert chunks([], cfg) == []
 
 
+# every output `run._infer` builds, and what each command asks it for:
+# predict, correlate, explain
+OUTPUTS = ("ids", "probs", "edges", "labels")
+CALLER_OUTPUTS = [("probs",), ("probs", "labels"), ("edges",)]
+
+
+def infer_checked(args):
+    """Every output of `run._infer(*args)`, once what each command asks for is checked against them.
+
+    Each command's outputs must equal the full build's bitwise.
+    """
+    full = runmod._infer(*args, *OUTPUTS)
+    for asked in CALLER_OUTPUTS:
+        for name, got in zip(asked, runmod._infer(*args, *asked), strict=True):
+            want = full[OUTPUTS.index(name)]
+            if name == "edges":
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            else:
+                assert type(got) is type(want) and np.array_equal(got, want)
+    return full
+
+
 @pytest.mark.parametrize("batch_size", [1, 3, 10])
 def test_inference_matches_per_sample(batch_size, monkeypatch):
     monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (8 + 3) * 2)  # splits the batch of 3
-    cfg, params, provider = make_model()
+    for num_layers in (2, 1):  # own label rows per sample, and rows the batch shares
+        assert_inference_matches_per_sample(batch_size, num_layers)
+
+
+def assert_inference_matches_per_sample(batch_size, num_layers):
+    cfg, params, provider = make_model(num_layers=num_layers)
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
-                               max_len=8, batch_size=batch_size)
+                               max_len=8, batch_size=batch_size, num_layers=num_layers)
     samples = [Sample(id=f"s{i}", tokens=t, labels=[]) for i, t in enumerate(TOKENS)]
-    ids, probs, edges, labels = runmod._infer(samples, params, provider, run_cfg, VOCABULARY)
+    ids, probs, edges, labels = infer_checked((samples, params, provider, run_cfg, VOCABULARY))
     # index i of every result is sample i: the ids are its own, and the oracle agrees
     assert ids == [provider.token_ids(s, VOCABULARY, 8) for s in samples]
     assert probs.shape == (len(samples), 3) and labels.shape == (len(samples), 3, 6)
@@ -244,6 +271,24 @@ def test_inference_matches_per_sample(batch_size, monkeypatch):
         assert_close(probs[i], ref.probs[0])
         assert_close(edges[i], ref.final_edges)
         assert_close(labels[i], ref.final_labels)
+
+
+def test_each_command_asks_inference_for_what_it_reads(monkeypatch):
+    cfg, params, provider = make_model()
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=8)
+    asked = []
+    real_infer = runmod._infer
+
+    def recording_infer(*args):
+        asked.append(args[5:])
+        return real_infer(*args)
+
+    monkeypatch.setattr(runmod, "_infer", recording_infer)
+    args = (SAMPLES, params, provider, run_cfg, VOCABULARY)
+    runmod.predict(*args)
+    runmod.correlate(*args)
+    runmod.explain_samples(*args)
+    assert asked == CALLER_OUTPUTS
 
 
 # lengths 3, 16 (truncated), 2, 5, 7, 4 at max_len 16
@@ -275,12 +320,13 @@ def test_inference_ignores_batch_size(monkeypatch):
                                    max_len=16, batch_size=batch_size)
         args = (samples, params, provider, run_cfg, VOCABULARY)
         calls.clear()
-        ids, probs, edges, _ = runmod._infer(*args)
+        ids, probs, edges, _ = infer_checked(args)
         for i, sample_ids in enumerate(ids):
             ref = forward_one(sample_ids, provider, params, cfg)
             assert_close(probs[i], ref.probs[0])
             assert_close(edges[i], ref.final_edges)
-        assert calls == [by_length[part] for part in parts]
+        # the full build, then each command's
+        assert calls == [by_length[part] for part in parts] * (1 + len(CALLER_OUTPUTS))
         attributions, mse = runmod.explain_samples(*args)
         results.append((runmod.predict(*args), [a.values for _, a in attributions], mse,
                         *runmod.correlate(*args)))
@@ -307,7 +353,11 @@ def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(mo
 
     monkeypatch.setattr(runmod, "forward", recording_forward)
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=16)
-    ids, probs, edges, labels = runmod._infer(samples, params, provider, run_cfg, VOCABULARY)
+    ids, probs, edges, labels = infer_checked((samples, params, provider, run_cfg, VOCABULARY))
+    # each command's build ran the full build's chunks
+    builds = 1 + len(CALLER_OUTPUTS)
+    assert calls == calls[:len(calls) // builds] * builds
+    calls = calls[:len(calls) // builds]
     assert ids == all_ids
     # a stable sort: equal lengths keep their input order
     assert len(calls) > 1

@@ -169,6 +169,22 @@ def test_cli_eval_matches_in_process_evaluation(corpus, tmp_path):
     assert json.loads((tmp_path / "eval.json").read_text()) == asdict(report)
 
 
+def test_eval_json_is_the_dump_of_the_report_as_a_dict(tmp_path, monkeypatch, capsys):
+    # per-label rates from numpy counts are numpy scalars; the file is written from
+    # the report's own fields, and its bytes are those of a deep-copied dict's dump
+    tp, fp, fn = np.int64(3), np.int64(1), np.int64(0)
+    rows = [{"label": j, "precision": tp / (tp + fp) / (j + 1), "recall": tp / (tp + fn),
+             "f1": np.float64(6 / 7) / (j + 1), "tp": 3, "fp": 1, "fn": 0} for j in range(2)]
+    report = runmod.EvalReport(micro_f1=np.float64(0.1) + 0.2, macro_f1=2 / 3, jaccard=1.0,
+                               per_label=rows)
+    assert all(isinstance(row[k], np.float64) for row in rows for k in ("precision", "f1"))
+    monkeypatch.setattr(runmod, "evaluate_model", lambda *args: report)
+    cfg = RunConfig(label_names=["A", "B"], out_dir=str(tmp_path))
+    assert cli.cmd_eval(cfg, [], None, None, None) == 0
+    want = json.dumps(asdict(report), indent=2).encode("utf-8")
+    assert (tmp_path / "eval.json").read_bytes() == want
+
+
 def test_file_encoder_end_to_end(corpus, tmp_path, capsys):
     root, label_names = corpus
     samples = (load_dataset(root / "train.jsonl", label_names)

@@ -1,10 +1,12 @@
 import json
 import os
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
 
+from hgcn import synth
 from hgcn.autodiff import Tape
 from hgcn.cli import main
 from hgcn.data import (
@@ -24,6 +26,8 @@ from hgcn.data import (
 from hgcn.encoder import TrainableLookup, Vocabulary
 from hgcn.model import ModelConfig, ModelParams, forward
 from hgcn.synth import generate_synthetic_corpus
+
+from oracles import label_sets_reference
 
 
 LABELS = ["A", "B"]
@@ -410,6 +414,34 @@ def test_synth_unsatisfiable_constraints():
                                   never_together=[(0, 1)])
 
 
+# no constraint, a pair kept together, a pair kept apart, and both
+CONSTRAINTS = [((), ()), ([(0, 1)], ()), ((), [(2, 0)]), ([(1, 3)], [(0, 1), (2, 4)])]
+
+
+@pytest.mark.parametrize("together,apart", CONSTRAINTS)
+def test_synth_label_sets_match_the_enumeration(together, apart):
+    for n in range(1, 13):
+        if max(chain(*together, *apart), default=-1) >= n:
+            continue
+        want = label_sets_reference(n, together, apart)
+        sets = synth._valid_label_sets(n, together, apart)
+        assert len(sets) == len(want)
+        assert [sets[i] for i in range(len(want))] == want
+
+
+@pytest.mark.parametrize("together,apart", CONSTRAINTS)
+def test_synth_corpus_matches_the_enumerated_draw(tmp_path, monkeypatch, together, apart):
+    def corpus(name):
+        samples = generate_synthetic_corpus(6, 30, 200, seed=3, always_together=together,
+                                            never_together=apart)[0]
+        save_dataset(samples, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    drawn = corpus("drawn.jsonl")
+    monkeypatch.setattr(synth, "_valid_label_sets", label_sets_reference)
+    assert drawn == corpus("enumerated.jsonl")
+
+
 def test_synth_vocab_too_small():
     with pytest.raises(ValueError):
         generate_synthetic_corpus(3, 3, 5)
@@ -427,6 +459,26 @@ def test_write_text_replaces_longer_file(tmp_path):
     write_text(path, "a much longer first text\n")
     write_text(path, "é\n")
     assert path.read_bytes() == "é\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("old, new, cuts", [
+    (b"a much longer first text\n", b"short\n", 1),
+    (b"short\n", b"a much longer second text\n", 0),
+    (b"same size\n", b"SAME SIZE\n", 0),
+    (None, b"new file\n", 0),
+    (b"non-empty", b"", 1),
+], ids=["shorter", "longer", "same-length", "new", "empty"])
+def test_write_bytes_cuts_only_a_longer_file(tmp_path, monkeypatch, old, new, cuts):
+    calls = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, size: (calls.append(size),
+                                                           real_ftruncate(fd, size)))
+    path = tmp_path / "out.bin"
+    if old is not None:
+        path.write_bytes(old)
+    write_bytes(path, new)
+    assert path.read_bytes() == new
+    assert calls == [len(new)] * cuts
 
 
 @pytest.mark.parametrize("existing", [b"x" * 12000, None], ids=["over-longer", "new"])
