@@ -224,7 +224,7 @@ def reconstruct_token_label(h: Node, chains: Chains) -> Node:
     xl = chains.labels(x)
     groups = len(xl)
     xt = x[:t].reshape(groups, -1, x.shape[1])  # the token rows that meet each group
-    norm = np.sqrt(np.add.reduce(x * x, axis=1))
+    norm = np.sqrt(np.add.reduce(np.square(x), axis=1))
     live_row = norm > 0.0
     inv = np.divide(1.0, norm, out=np.zeros(norm.shape), where=live_row)
     inv_t, inv_l = inv[:t].reshape(groups, -1, 1), inv[t:].reshape(groups, 1, n)

@@ -22,6 +22,9 @@ samples run about twenty to a chunk, long documents two at a time. A
 training step cuts its minibatch so, and runs one tape per chunk and
 one optimizer step per batch. Inference cuts the whole sample list,
 sorted by length, whatever the minibatch size, and records no tape.
+When the provider's table has no more rows than the pass has token ids,
+inference also projects the whole table through `w_token_in` once and
+each chunk gathers its first token rows from that product.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape, constant, parameter
+from .autodiff import Node, Tape, constant, gather_rows, parameter
+from .encoder import pad_ids
 from .graph import Chains, propagate, reconstruct_token_label
 
 # Most entries of a chunk's padded node features, B x (M + n) x hidden:
@@ -119,17 +123,25 @@ class ForwardTrace:
     probs_node: Node
 
 
-def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig) -> ForwardTrace:
+def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
+            projected: Node | None = None) -> ForwardTrace:
     """Run the HGCN on a batch of token-id sequences; records on the active Tape, if any.
 
     Sample b's token rows are the first len(batch_ids[b]) of the M padded
     ones; its padded rows of `final_edges` and `final_tokens` are zero.
+    `projected`, if given, is `provider`'s table times `w_token_in`, made
+    once for an inference pass, and the first token rows are gathered
+    from it instead of projected here. No gradient reaches the table
+    through it.
     """
     lengths = [len(ids) for ids in batch_ids]
     chains = Chains(lengths, max(lengths, default=0), cfg.num_labels)
     b, m = chains.shape
 
-    h = ad.matmul(provider.embed(batch_ids), params.w_token_in)
+    if projected is None:
+        h = ad.matmul(provider.embed(batch_ids), params.w_token_in)
+    else:
+        h = gather_rows(projected, pad_ids(batch_ids).ravel())
     # first layer, before any token-label edges (see above); one-hot label
     # inputs make I_n @ w_label_in the label rows' projection
     h = ad.activation(ad.matmul(propagate(h, None, chains, params.w_label_in),

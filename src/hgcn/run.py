@@ -17,7 +17,7 @@ from .analysis import (
     label_cosine_matrix,
     pearson_matrix,
 )
-from .autodiff import SGD, Adam
+from .autodiff import SGD, Adam, Node
 from .data import load_checkpoint, load_embeddings
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
@@ -183,16 +183,19 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
     final label rows, N x n x hidden; and "edges", each sample's own
     m x n final block, a copy, so no chunk's arrays outlive its pass.
     Only the outputs named are built: a command asks for what it reads.
+    The chunks gather their first token rows from `_projected_table`'s
+    product when there is one.
     """
     cfg = run_cfg.model_config()
     ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
+    projected = _projected_table(provider, params, ids)
     order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
     probs = np.empty((len(ids), cfg.num_labels)) if "probs" in outputs else None
     labels = np.empty((len(ids), cfg.num_labels, cfg.hidden)) if "labels" in outputs else None
     edges = [None] * len(ids) if "edges" in outputs else None
     for part in chunks([len(ids[i]) for i in order], cfg):
         members = order[part]
-        trace = forward([ids[i] for i in members], provider, params, cfg)
+        trace = forward([ids[i] for i in members], provider, params, cfg, projected)
         if probs is not None:
             probs[members] = trace.probs
         if labels is not None:
@@ -202,6 +205,21 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
                 edges[i] = trace.final_edges[b, :len(ids[i])].copy()
     built = {"ids": ids, "probs": probs, "labels": labels, "edges": edges}
     return tuple(built[name] for name in outputs)
+
+
+def _projected_table(provider, params, ids) -> Node | None:
+    """`provider`'s table times `w_token_in`, or None if the table has more rows than `ids` hold.
+
+    Nothing moves the table or the weights during an inference pass, so
+    one product of the whole table serves every chunk, in place of each
+    chunk projecting its own padded token rows. It is made only when the
+    table is the smaller side: not for a `file:` table that holds every
+    split's vectors, or a large vocabulary over a small test set.
+    """
+    table = provider.table.value
+    if len(table) > sum(map(len, ids)):
+        return None
+    return Node(table @ params.w_token_in.value)
 
 
 def predict(samples, params, provider, run_cfg, vocab):

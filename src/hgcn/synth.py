@@ -82,10 +82,11 @@ def generate_synthetic_corpus(n_labels, vocab_size, n_samples, seed=0,
     fillers = [f"w{i}" for i in range(n_fillers)]
 
     label_sets = _valid_label_sets(n_labels, always_together, never_together)
+    n_sets = len(label_sets)  # a Python-level sum on `_SmallSets`, so taken once
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n_samples):
-        chosen = label_sets[rng.integers(len(label_sets))]
+        chosen = label_sets[rng.integers(n_sets)]
         count = int(rng.integers(min_fillers, max_fillers + 1))
         tokens = [fillers[j] for j in rng.integers(n_fillers, size=count)]
         for li in chosen:

@@ -3,6 +3,9 @@
 A batch pads its samples to the longest one; these tests check that the
 padding changes nothing: probabilities, final edges and every parameter
 gradient agree with one graph and one tape per sample to within 1e-12.
+Inference that gathers its token rows from one projected table is
+checked against inference that projects them per chunk, bitwise at a
+64-wide shape.
 """
 
 import sys
@@ -294,6 +297,93 @@ def test_each_command_asks_inference_for_what_it_reads(monkeypatch):
 # lengths 3, 16 (truncated), 2, 5, 7, 4 at max_len 16
 MIXED = [["w0"], [f"w{i % 10}" for i in range(20)], [], ["w3", "w9", "w1"],
          ["w2"] * 5, ["w4", "w7"]]
+
+
+def test_blas_computes_each_row_of_a_64_wide_product_alone():
+    # the projected inference path is bitwise the per-chunk one only if a
+    # row of X @ W does not depend on how many rows X has
+    rng = np.random.default_rng(5)
+    table, w = rng.normal(size=(600, 64)), rng.normal(size=(64, 64))
+    whole = table @ w
+    differ = [rows for rows in range(2, 601)
+              if not np.array_equal(whole[ids := rng.integers(600, size=rows)], table[ids] @ w)]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert not differ, (f"{blas.get('name')} {blas.get('version')}: rows of a gathered "
+                        f"64 x 64 product differ from the whole table's at {differ[:5]}... rows")
+
+
+def wide_model():
+    """A 64-wide model and 40 samples of 1-30 tokens over a 40-token vocabulary."""
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C", "D", "E"], max_len=32)
+    cfg = run_cfg.model_config()
+    rng = np.random.default_rng(6)
+    params = ModelParams.init(cfg, rng)
+    vocab = Vocabulary([f"w{i}" for i in range(36)])
+    provider = TrainableLookup(len(vocab), cfg.input_dim, rng)
+    samples = [Sample(id=f"s{i}", tokens=[f"w{j}" for j in rng.integers(36, size=k)], labels=[])
+               for i, k in enumerate(rng.integers(1, 31, size=40))]
+    return run_cfg, params, provider, vocab, samples
+
+
+def small_model():
+    """`make_model`'s small shapes over MIXED at max_len 16."""
+    _, params, provider = make_model()
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=16)
+    samples = [Sample(id=f"s{i}", tokens=t, labels=[]) for i, t in enumerate(MIXED)]
+    return run_cfg, params, provider, VOCABULARY, samples
+
+
+@pytest.mark.parametrize("shape,tol", [("wide", 0.0), ("small", TOL)])
+def test_projected_inference_matches_per_chunk_inference(shape, tol, monkeypatch):
+    run_cfg, params, provider, vocab, samples = {"wide": wide_model, "small": small_model}[shape]()
+    args = (samples, params, provider, run_cfg, vocab)
+    made = []
+    real_projected_table = runmod._projected_table
+
+    def recording(*projected_args):
+        made.append(real_projected_table(*projected_args))
+        return made[-1]
+
+    monkeypatch.setattr(runmod, "_projected_table", recording)
+    projected = [runmod._infer(*args, *asked) for asked in CALLER_OUTPUTS]
+    assert len(made) == len(CALLER_OUTPUTS) and all(p is not None for p in made)
+    monkeypatch.setattr(runmod, "_projected_table", lambda *projected_args: None)
+    per_chunk = [runmod._infer(*args, *asked) for asked in CALLER_OUTPUTS]
+    for got, want in zip(projected, per_chunk, strict=True):
+        for a, b in zip(got, want, strict=True):
+            # an array output, or the list of edge blocks
+            for x, y in [(a, b)] if isinstance(a, np.ndarray) else zip(a, b, strict=True):
+                assert x.shape == y.shape
+                if tol:
+                    assert np.max(np.abs(x - y), initial=0.0) <= tol
+                else:
+                    assert x.tobytes() == y.tobytes()
+
+
+def test_projection_is_made_only_when_the_table_is_the_smaller_side(monkeypatch):
+    cfg, params, lookup = make_model()
+    # the lookup table's 14 rows against 14 and 13 token ids
+    made = runmod._projected_table(lookup, params, [[0] * 9, [1] * 5])
+    assert np.array_equal(made.value, lookup.table.value @ params.w_token_in.value)
+    assert runmod._projected_table(lookup, params, [[0] * 8, [1] * 5]) is None
+    calls = []
+
+    def recording_forward(batch_ids, provider, params, cfg, projected=None):
+        calls.append(projected)
+        return forward(batch_ids, provider, params, cfg, projected)
+
+    monkeypatch.setattr(runmod, "forward", recording_forward)
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=8)
+    # a file table holds its reserved rows and every sample's vectors
+    runmod.predict(SAMPLES, params, PrecomputedFile(BLOCKS), run_cfg, VOCABULARY)
+    assert calls and all(p is None for p in calls)
+    calls.clear()
+    runmod.predict(SAMPLES, params, lookup, run_cfg, VOCABULARY)
+    assert calls and all(p is calls[0] and p is not None for p in calls)
+    calls.clear()
+    (probs,) = runmod._infer([], params, lookup, run_cfg, VOCABULARY, "probs")
+    assert probs.shape == (0, 3) and calls == []
+    assert runmod._projected_table(lookup, params, []) is None
 
 
 def test_inference_ignores_batch_size(monkeypatch):

@@ -442,6 +442,20 @@ def test_synth_corpus_matches_the_enumerated_draw(tmp_path, monkeypatch, togethe
     assert drawn == corpus("enumerated.jsonl")
 
 
+def test_synth_draw_counts_the_label_sets_once(monkeypatch):
+    counted = []
+    real_len = synth._SmallSets.__len__
+
+    def counting_len(self):
+        counted.append(self)
+        return real_len(self)
+
+    monkeypatch.setattr(synth._SmallSets, "__len__", counting_len)
+    generate_synthetic_corpus(5, 30, 50, seed=1)
+    # one check that some set is valid, one count for the whole draw
+    assert len(counted) == 2
+
+
 def test_synth_vocab_too_small():
     with pytest.raises(ValueError):
         generate_synthetic_corpus(3, 3, 5)
