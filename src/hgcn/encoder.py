@@ -108,8 +108,9 @@ class TrainableLookup:
     def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
         return tokenize(sample.tokens, vocab, max_len)
 
-    def embed(self, batch_ids) -> Node:
-        return gather_rows(self.table, pad_ids(batch_ids).ravel())
+    def embed(self, batch_ids, table: Node | None = None) -> Node:
+        """`batch_ids`' rows of the table, or of `table`: the same rows in order, e.g. projected."""
+        return gather_rows(self.table if table is None else table, pad_ids(batch_ids).ravel())
 
     def parameters(self) -> list[Node]:
         return [] if self.frozen else [self.table]

@@ -22,9 +22,10 @@ samples run about twenty to a chunk, long documents two at a time. A
 training step cuts its minibatch so, and runs one tape per chunk and
 one optimizer step per batch. Inference cuts the whole sample list,
 sorted by length, whatever the minibatch size, and records no tape.
-When the provider's table has no more rows than the pass has token ids,
-inference also projects the whole table through `w_token_in` once and
-each chunk gathers its first token rows from that product.
+When the chunks' padded token rows are at least `run.PROJECT_RATIO`
+times the provider's table rows, inference also projects the whole
+table through `w_token_in` once and each chunk gathers its first token
+rows from that product.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape, constant, gather_rows, parameter
-from .encoder import pad_ids
+from .autodiff import Node, Tape, constant, parameter
 from .graph import Chains, propagate, reconstruct_token_label
 
 # Most entries of a chunk's padded node features, B x (M + n) x hidden:
@@ -141,7 +141,7 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
     if projected is None:
         h = ad.matmul(provider.embed(batch_ids), params.w_token_in)
     else:
-        h = gather_rows(projected, pad_ids(batch_ids).ravel())
+        h = provider.embed(batch_ids, projected)
     # first layer, before any token-label edges (see above); one-hot label
     # inputs make I_n @ w_label_in the label rows' projection
     h = ad.activation(ad.matmul(propagate(h, None, chains, params.w_label_in),

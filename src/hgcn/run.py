@@ -24,6 +24,11 @@ from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
 
 OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+# `_infer` projects the whole embedding table once only when its chunks
+# would multiply at least this many padded token rows per table row; at
+# fewer, the whole-table product measured no faster at the long-doc and
+# serve shapes (tools/projection_crossover.py)
+PROJECT_RATIO = 4
 
 
 class ConfigError(ValueError):
@@ -188,12 +193,16 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
     """
     cfg = run_cfg.model_config()
     ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
-    projected = _projected_table(provider, params, ids)
     order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    lengths = [len(ids[i]) for i in order]
+    parts = chunks(lengths, cfg)
+    # a chunk pads its samples to its last, the longest
+    projected = _projected_table(provider, params,
+                                 sum((p.stop - p.start) * lengths[p.stop - 1] for p in parts))
     probs = np.empty((len(ids), cfg.num_labels)) if "probs" in outputs else None
     labels = np.empty((len(ids), cfg.num_labels, cfg.hidden)) if "labels" in outputs else None
     edges = [None] * len(ids) if "edges" in outputs else None
-    for part in chunks([len(ids[i]) for i in order], cfg):
+    for part in parts:
         members = order[part]
         trace = forward([ids[i] for i in members], provider, params, cfg, projected)
         if probs is not None:
@@ -207,17 +216,17 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
     return tuple(built[name] for name in outputs)
 
 
-def _projected_table(provider, params, ids) -> Node | None:
-    """`provider`'s table times `w_token_in`, or None if the table has more rows than `ids` hold.
+def _projected_table(provider, params, padded_rows: int) -> Node | None:
+    """`provider`'s table times `w_token_in`, or None if `padded_rows` are too few to pay for it.
 
     Nothing moves the table or the weights during an inference pass, so
-    one product of the whole table serves every chunk, in place of each
-    chunk projecting its own padded token rows. It is made only when the
-    table is the smaller side: not for a `file:` table that holds every
-    split's vectors, or a large vocabulary over a small test set.
+    one product of the whole table can serve every chunk. Without it the
+    chunks multiply their `padded_rows` token rows, padding included. It
+    is made only when those are at least PROJECT_RATIO times the table's
+    rows.
     """
     table = provider.table.value
-    if len(table) > sum(map(len, ids)):
+    if PROJECT_RATIO * len(table) > padded_rows:
         return None
     return Node(table @ params.w_token_in.value)
 

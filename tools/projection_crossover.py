@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Inference time with the embedding table projected once per pass, against once per chunk.
+
+    python3 tools/projection_crossover.py [--src DIR] [--rounds N] [--ratios R,R,...]
+
+`hgcn.run._infer` multiplies the provider's whole table by `w_token_in`
+once when the table has at most a share of the rows the pass's chunks
+would multiply, padding included (`run.PROJECT_SHARE`). This measures
+where that pays. For the long-doc and serve workloads of
+perfbench/run.py (corpus shape and RunConfig, imported read-only) it
+generates the test corpus at a fixed seed, reads the pass's padded token
+rows, and builds lookup tables with each `--ratios` multiple of those
+rows. Per table, each round times one `_infer(..., "probs")` pass with
+the projection forced on and one with it forced off, in alternating
+order. It prints one JSON object: per workload, the padded rows and, per
+table size, the median times, the rounds the projection won and the
+median of the rounds' time ratios (projected over per chunk).
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+from output_digest import load_benchmark
+
+ROOT = Path(__file__).resolve().parent.parent
+TEST_SEED, MODEL_SEED = 1, 0
+WORKLOADS = ("long-doc", "serve")
+
+
+def crossover(bench, name, ratios, rounds) -> dict:
+    from hgcn import run, synth
+    from hgcn.encoder import TrainableLookup, Vocabulary
+    from hgcn.model import ModelParams
+    wl = bench.WORKLOADS[name]
+    lo, hi = wl.fillers
+    test, label_names, _ = synth.generate_synthetic_corpus(
+        wl.labels, wl.vocab, wl.test_samples, seed=TEST_SEED,
+        min_fillers=lo, max_fillers=hi, id_prefix="te")
+    values = bench.run_config(wl, label_names, MODEL_SEED, ROOT, ROOT)
+    run_cfg = run.RunConfig(**{k: v for k, v in values.items()
+                               if not k.endswith(("_path", "_dir"))})
+    rng = np.random.default_rng(MODEL_SEED)
+    params = ModelParams.init(run_cfg.model_config(), rng)
+    vocab = Vocabulary([t for s in test for t in s.tokens])
+    real = run._projected_table
+    asked = []
+
+    def probe(provider, params, padded_rows):
+        asked.append(padded_rows)
+        return None
+
+    def projected(provider, params, padded_rows):
+        return run.Node(provider.table.value @ params.w_token_in.value)
+
+    def per_chunk(provider, params, padded_rows):
+        return None
+
+    try:
+        run._projected_table = probe
+        run._infer(test, params, TrainableLookup(len(vocab), run_cfg.input_dim, rng),
+                   run_cfg, vocab, "probs")
+        out = {"padded_rows": asked[0], "tables": []}
+        for ratio in ratios:
+            provider = TrainableLookup(max(len(vocab), round(ratio * asked[0])),
+                                       run_cfg.input_dim, rng)
+            times = {projected: [], per_chunk: []}
+            for r in range(rounds + 1):
+                for side in (projected, per_chunk) if r % 2 else (per_chunk, projected):
+                    run._projected_table = side
+                    start = perf_counter()
+                    run._infer(test, params, provider, run_cfg, vocab, "probs")
+                    if r:  # round 0 warms up
+                        times[side].append(perf_counter() - start)
+            pair = np.divide(times[projected], times[per_chunk])
+            out["tables"].append({
+                "rows": len(provider.table.value), "ratio": ratio, "rounds": rounds,
+                "projected_ms": 1e3 * float(np.median(times[projected])),
+                "per_chunk_ms": 1e3 * float(np.median(times[per_chunk])),
+                "projected_wins": int(np.sum(pair < 1.0)),
+                "median_pair_ratio": float(np.median(pair))})
+            print(name, json.dumps(out["tables"][-1]), file=sys.stderr, flush=True)
+    finally:
+        run._projected_table = real
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the hgcn package (default: this checkout's src)")
+    parser.add_argument("--rounds", type=int, default=41)
+    parser.add_argument("--ratios", default="0.05,0.1,0.25,0.5,1,1.5",
+                        help="table rows as multiples of the pass's padded token rows")
+    args = parser.parse_args(argv)
+    bench = load_benchmark()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    ratios = [float(r) for r in args.ratios.split(",")]
+    print(json.dumps({name: crossover(bench, name, ratios, args.rounds) for name in WORKLOADS},
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
