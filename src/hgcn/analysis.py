@@ -17,9 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
 from .data import write_text
 from .metrics import label_matrix
+
+# Most heatmap cells one group of `render_heatmap` holds at once: about
+# seventy 11 x 5 maps, or one 130 x 20 map on its own. A group's float
+# arrays stay at 32 KB, under glibc's 128 KiB mmap threshold; at
+# `model.CHUNK_BUDGET` cells a 400-map serve explain held 0.37 MB more at
+# its peak than a writer of one map at a time, and these groups are no
+# slower.
+HEATMAP_BUDGET = 4096
 
 
 @dataclass
@@ -127,10 +134,10 @@ def _csv_fields(names) -> dict[str, str]:
 
 
 def _groups(sizes) -> list[slice]:
-    """Consecutive runs of maps of at most `model.HEATMAP_BUDGET` cells; a larger map is alone."""
+    """Consecutive runs of maps of at most `HEATMAP_BUDGET` cells; a larger map is alone."""
     out, start, total = [], 0, 0
     for i, size in enumerate(sizes):
-        if i > start and total + size > model.HEATMAP_BUDGET:
+        if i > start and total + size > HEATMAP_BUDGET:
             out.append(slice(start, i))
             start, total = i, 0
         total += size
@@ -168,7 +175,7 @@ def render_heatmap(matrices, row_names, col_names, paths) -> None:
 
     Names are quoted once per call and the rect openings are built once,
     for the largest map. The maps run in groups of at most
-    `model.HEATMAP_BUDGET` cells, which bounds what a call holds at once
+    `HEATMAP_BUDGET` cells, which bounds what a call holds at once
     beside one map's text, and each group's grey levels are one numpy
     pass.
     """

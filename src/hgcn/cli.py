@@ -65,11 +65,7 @@ def _load_run_config(args) -> RunConfig:
 
     if "label_names" not in values:
         raise ConfigError("config must declare label_names")
-    cfg = RunConfig(**values)
-    problems = cfg.validate()
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    return RunConfig(**values)
 
 
 def _require(cfg: RunConfig, attr: str, what: str) -> str:

@@ -213,7 +213,11 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         meta = {"format": header.get("format"), **header.get("meta", {})}
         specs = [(spec["name"], spec["shape"], np.dtype(spec["dtype"]))
                  for spec in header.get("tensors", [])]
+        names = set()
         for name, shape, dtype in specs:  # `type(n) is int` rejects a JSON true
+            if name in names:  # a later block would replace the first, read for nothing
+                raise CheckpointError(f"{path}: tensor {name!r} is named twice")
+            names.add(name)
             if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
                 raise CheckpointError(f"{path}: corrupt container header: shape {shape!r}")
             if dtype.kind != "f":

@@ -12,7 +12,7 @@ end read the PAD row, and `graph.propagate` makes them inert.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -29,18 +29,17 @@ class Vocabulary:
     """Dense token -> id map: the reserved ids 0..3, then each new token in first-seen order."""
 
     def __init__(self, tokens=()):
-        self._token_to_id = {t: i for i, t in enumerate(dict.fromkeys([*RESERVED, *tokens]))}
-        # the content tokens alone: `tokenize` maps a reserved spelling to UNKNOWN
-        self._content = {t: i for t, i in self._token_to_id.items() if i >= len(RESERVED)}
-
-    def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, UNKNOWN)
+        # the content tokens alone, after the reserved ids: `tokenize` maps a reserved
+        # spelling to UNKNOWN
+        new = dict.fromkeys(t for t in tokens if t not in RESERVED)
+        self._content = dict(zip(new, count(len(RESERVED))))
 
     def __len__(self) -> int:
-        return len(self._token_to_id)
+        return len(RESERVED) + len(self._content)
 
     def to_dict(self) -> dict[str, int]:
-        return dict(self._token_to_id)
+        """Every token's id, in id order."""
+        return {t: i for i, t in enumerate(RESERVED)} | self._content
 
     @classmethod
     def from_dict(cls, mapping) -> "Vocabulary":
@@ -92,18 +91,19 @@ class TrainableLookup:
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator, freeze=False):
         scale = 1.0 / np.sqrt(dim)
-        self._set_table(rng.uniform(-scale, scale, size=(vocab_size, dim)), freeze)
+        self.table = (constant if freeze else parameter)(
+            rng.uniform(-scale, scale, size=(vocab_size, dim)))
 
     @classmethod
     def from_table(cls, table: np.ndarray, freeze=False) -> "TrainableLookup":
         """A lookup over an existing table, e.g. one restored from a checkpoint."""
         lookup = cls.__new__(cls)
-        lookup._set_table(table, freeze)
+        lookup.table = (constant if freeze else parameter)(table)
         return lookup
 
-    def _set_table(self, table: np.ndarray, freeze: bool) -> None:
-        self.table = parameter(table) if not freeze else constant(table)
-        self.frozen = freeze
+    @property
+    def frozen(self) -> bool:
+        return not self.table.requires_grad
 
     def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
         return tokenize(sample.tokens, vocab, max_len)
@@ -113,7 +113,7 @@ class TrainableLookup:
         return gather_rows(self.table if table is None else table, pad_ids(batch_ids).ravel())
 
     def parameters(self) -> list[Node]:
-        return [] if self.frozen else [self.table]
+        return [self.table] if self.table.requires_grad else []
 
 
 class PrecomputedFile(TrainableLookup):
@@ -138,12 +138,12 @@ class PrecomputedFile(TrainableLookup):
             self.rows[sid] = range(start, start + len(v))
             start += len(v)
         reserved = np.zeros((len(RESERVED), first.shape[1]))
-        self._set_table(np.concatenate([reserved, *vectors.values()]), freeze=True)
+        self.table = constant(np.concatenate([reserved, *vectors.values()]))
 
     def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
         if sample.id not in self.rows:
             raise ValueError(f"{self.source} holds no vector block for sample {sample.id!r}")
-        rows, m = self.rows[sample.id], len(token_rows(sample.tokens, max_len))
+        rows, m = self.rows[sample.id], len(_truncated(sample.tokens, max_len)) + 2
         if len(rows) != m:
             raise ValueError(f"sample {sample.id!r}: {len(rows)} vectors for {m} tokens")
         return list(rows)

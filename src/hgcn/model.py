@@ -46,15 +46,9 @@ from .graph import Chains, propagate, reconstruct_token_label
 # budget for inference alone ran eval about 7% faster but raised serve's
 # peak RSS 3.5% (both in CHANGES.md).
 CHUNK_BUDGET = 20480
-# Most heatmap cells one group of `analysis.render_heatmap` holds at once:
-# about seventy 11 x 5 maps, or one 130 x 20 map on its own. A group's
-# float arrays stay at 32 KB, under glibc's 128 KiB mmap threshold; at
-# CHUNK_BUDGET cells a 400-map serve explain held 0.37 MB more at its peak
-# than a writer of one map at a time, and these groups are no slower.
-HEATMAP_BUDGET = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """The architecture a checkpoint needs to rebuild the network, and nothing else."""
 

@@ -35,9 +35,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Every run setting and its default; `model_config()` is the checkpointed part."""
+    """Every run setting and its default; `model_config()` is the checkpointed part.
+
+    A config checks itself when it is built: each problem found is
+    joined into one ConfigError, types first, since the range checks
+    assume the right types.
+    """
 
     label_names: list[str]
     train_path: str | None = None
@@ -62,11 +67,11 @@ class RunConfig:
     max_len: int = 32
     out_dir: str = "out"
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         problems = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
                     for f in fields(self) if not _has_type(getattr(self, f.name), _HINTS[f.name])]
         if problems:  # the range checks below assume the right types
-            return problems
+            raise ConfigError("; ".join(problems))
         if not self.label_names:
             problems.append("label_names must be nonempty")
         if len(set(self.label_names)) != len(self.label_names):
@@ -98,7 +103,8 @@ class RunConfig:
             problems.append("epochs must be >= 1")
         if self.batch_size < 1:
             problems.append("batch_size must be >= 1")
-        return problems
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def model_config(self) -> ModelConfig:
         """`num_labels` counts `label_names`; each other architecture field is copied by name."""

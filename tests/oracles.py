@@ -68,7 +68,8 @@ def brute_force_threshold(probs, t):
 
 def tokenize_reference(tokens, vocab, max_len):
     """Each content token's vocabulary id, or UNKNOWN for a reserved id, between the markers."""
-    content = (vocab.id_of(t) for t in token_rows(tokens, max_len)[1:-1])
+    ids = vocab.to_dict()
+    content = (ids.get(t, UNKNOWN) for t in token_rows(tokens, max_len)[1:-1])
     return [SEQ_START, *(i if i >= len(RESERVED) else UNKNOWN for i in content), SEQ_END]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgcn import model
+from hgcn import analysis
 from hgcn.analysis import (
     _csv_fields,
     attribution_mse,
@@ -189,12 +189,12 @@ def test_heatmap_rejects_mismatched_names(tmp_path):
         render_heatmap([np.zeros((2, 2))], [["r1"]], ["a", "b"], [tmp_path / "h"])
 
 
-@pytest.mark.parametrize("budget", [model.HEATMAP_BUDGET, 60, 1],
+@pytest.mark.parametrize("budget", [analysis.HEATMAP_BUDGET, 60, 1],
                          ids=["default", "small", "one"])
 def test_heatmap_batch_matches_per_cell_reference(tmp_path, monkeypatch, budget):
     # 1 to 130 rows, an all-zero map, negative cells and the odd names shared by every map;
     # a small bound splits the batch into groups, and the 130-row map is larger than it alone
-    monkeypatch.setattr(model, "HEATMAP_BUDGET", budget)
+    monkeypatch.setattr(analysis, "HEATMAP_BUDGET", budget)
     rng = np.random.default_rng(5)
     matrices = [rng.random(size=(1, 4)), rng.random(size=(2, 4)) / 7, np.zeros((4, 4)),
                 rng.normal(size=(12, 4)), rng.random(size=(130, 4)) / 520,

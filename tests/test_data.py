@@ -244,8 +244,13 @@ CORRUPT = "corrupt container header"
     (_one_tensor("[true]"), CORRUPT), (_one_tensor("[-1]"), CORRUPT),
     # the element count, 2**64, wraps to 0 in int64 arithmetic
     (_one_tensor(f"[{2**62}, 4]"), "payload truncated for tensor 'a'"),
+    # 8 + 16 bytes, the whole payload: the second block would replace the first
+    (b'{"version": 1, "tensors": [{"name": "a", "shape": [1], "dtype": "<f8"}, '
+     b'{"name": "a", "shape": [2], "dtype": "<f8"}]}', "tensor 'a' is named twice"),
+    (b'{"version": 1, "tensors": [{"name": ["a"], "shape": [3], "dtype": "<f8"}]}', CORRUPT),
 ], ids=["not-utf8", "array", "int-tensors", "bad-dtype",
-        "string-dim", "float-dim", "bool-dim", "negative-dim", "size-overflow"])
+        "string-dim", "float-dim", "bool-dim", "negative-dim", "size-overflow",
+        "repeated-name", "list-name"])
 def test_tensor_container_corrupt_header(tmp_path, header, message):
     path = tmp_path / "t.bin"
     path.write_bytes(header + b"\n" + bytes(24))

@@ -30,14 +30,15 @@ def vocab():
 
 
 def test_reserved_ids_fixed(vocab):
-    assert vocab.id_of("<s>") == SEQ_START == 0
-    assert vocab.id_of("</s>") == SEQ_END == 1
-    assert vocab.id_of("<unk>") == UNKNOWN == 2
+    ids = vocab.to_dict()
+    assert ids["<s>"] == SEQ_START == 0
+    assert ids["</s>"] == SEQ_END == 1
+    assert ids["<unk>"] == UNKNOWN == 2
 
 
 def test_tokenize_structure(vocab):
     ids = tokenize(["a", "b"], vocab, 17)
-    assert ids == [SEQ_START, vocab.id_of("a"), vocab.id_of("b"), SEQ_END]
+    assert ids == [SEQ_START, vocab.to_dict()["a"], vocab.to_dict()["b"], SEQ_END]
 
 
 def test_tokenize_oov(vocab):
@@ -50,6 +51,8 @@ def test_tokenize_places_markers_by_position_only():
     tokens = ["x", "<s>", "<pad>", "</s>"]
     vocab = Vocabulary(tokens)
     assert len(vocab) == 5
+    # in id order, as the checkpoint header stores it
+    assert list(vocab.to_dict().items()) == [*zip(RESERVED, range(4)), ("x", 4)]
     assert tokenize(tokens, vocab, 17) == [SEQ_START, 4, UNKNOWN, UNKNOWN, UNKNOWN, SEQ_END]
 
 

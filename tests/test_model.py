@@ -1,4 +1,4 @@
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -243,6 +243,37 @@ def test_model_config_validation():
         ModelConfig(**{**arch, "num_layers": 0})
     with pytest.raises(ValueError):
         ModelConfig(**{**arch, "hidden": 0})
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"decode": "thresh"}, "decode"), ({"encoder": "File:v.bin"}, "encoder"),
+    ({"precision": "float32"}, "precision"), ({"optimizer": "Adam"}, "optimizer"),
+    ({"hidden": "8"}, "hidden"),
+], ids=["decode", "encoder", "precision", "optimizer", "hidden-string"])
+def test_run_config_checks_itself_when_built(values, key):
+    # in process, with no CLI in between: a bad value cannot reach training
+    with pytest.raises(run.ConfigError, match=f"^{key} must be"):
+        run.RunConfig(label_names=["x"], **values)
+
+
+def test_run_config_joins_its_problems_after_the_type_pass():
+    with pytest.raises(run.ConfigError) as bad_ranges:
+        run.RunConfig(label_names=[], epochs=0)
+    assert str(bad_ranges.value) == "label_names must be nonempty; epochs must be >= 1"
+    # the range checks assume the right types, so a type problem is reported alone
+    with pytest.raises(run.ConfigError) as bad_type:
+        run.RunConfig(label_names=["x"], hidden="8", epochs=0)
+    assert str(bad_type.value) == "hidden must be int, got '8'"
+    assert not hasattr(run.RunConfig, "validate")
+
+
+def test_configs_are_frozen():
+    cfg = run.RunConfig(label_names=["x"])
+    with pytest.raises(FrozenInstanceError):
+        cfg.decode = "thresh"
+    with pytest.raises(FrozenInstanceError):
+        cfg.model_config().hidden = 0
+    assert cfg.decode == "topk" and cfg.model_config().hidden == 64
 
 
 def test_model_config_is_the_architecture_without_defaults():

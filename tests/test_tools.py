@@ -1,7 +1,8 @@
 """The tools behind a change's claims.
 
 tools/output_digest.py shows outputs byte-identical; tools/src_lines.py counts code lines;
-tools/fidelity.py reads where the trained model's attributions land.
+tools/fidelity.py reads where the trained model's attributions land;
+tools/projection_crossover.py times `run.PROJECT_RATIO`'s two sides.
 """
 
 import contextlib
@@ -151,3 +152,22 @@ def test_fidelity_counts_every_gold_label(monkeypatch):
     assert values["±1"] >= (values["trigger"] + values["neighbour"]) / sum(
         values[c] for c in fidelity.CLASSES)
     assert all(0 <= values[f"edge {k}"] <= 1 for k in fidelity.ROW_KINDS)
+
+
+def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
+    from hgcn import run
+    isolate_digest(monkeypatch)
+    sys.path.insert(0, str(ROOT / "tools"))  # the tool imports output_digest by name
+    crossover = load_tool("projection_crossover")
+    real = run._projected_table
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert crossover.main(["--rounds", "1", "--ratios", "0.5"]) == 0
+    result = json.loads(out.getvalue())
+    assert set(result) == set(crossover.WORKLOADS)
+    for name, entry in result.items():
+        assert entry["padded_rows"] > 0, name
+        (table,) = entry["tables"]
+        assert table["ratio"] == 0.5 and table["rounds"] == 1, name
+        assert table["rows"] >= round(0.5 * entry["padded_rows"]), name
+    assert run._projected_table is real

@@ -4,17 +4,21 @@
     python3 tools/projection_crossover.py [--src DIR] [--rounds N] [--ratios R,R,...]
 
 `hgcn.run._infer` multiplies the provider's whole table by `w_token_in`
-once when the table has at most a share of the rows the pass's chunks
-would multiply, padding included (`run.PROJECT_SHARE`). This measures
-where that pays. For the long-doc and serve workloads of
-perfbench/run.py (corpus shape and RunConfig, imported read-only) it
-generates the test corpus at a fixed seed, reads the pass's padded token
-rows, and builds lookup tables with each `--ratios` multiple of those
-rows. Per table, each round times one `_infer(..., "probs")` pass with
+once when the token rows the pass's chunks would multiply, padding
+included, are at least `run.PROJECT_RATIO` (4) times the table's rows;
+otherwise each chunk multiplies its own. This measures where that pays.
+For the long-doc and serve workloads of perfbench/run.py (corpus shape
+and RunConfig, imported read-only) it generates the test corpus at a
+fixed seed, reads the pass's padded token rows, and builds lookup tables
+with each `--ratios` multiple of those rows. Per table, each round times one `_infer(..., "probs")` pass with
 the projection forced on and one with it forced off, in alternating
 order. It prints one JSON object: per workload, the padded rows and, per
 table size, the median times, the rounds the projection won and the
 median of the rounds' time ratios (projected over per chunk).
+
+`--src` is the directory holding the `hgcn` package to import (default:
+`src/` of this checkout). The workloads always come from this checkout's
+`perfbench/`.
 """
 
 import argparse
@@ -98,7 +102,11 @@ def main(argv=None) -> int:
                         help="table rows as multiples of the pass's padded token rows")
     args = parser.parse_args(argv)
     bench = load_benchmark()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import hgcn
+    if Path(hgcn.__file__).resolve().parent != src / "hgcn":
+        raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
     ratios = [float(r) for r in args.ratios.split(",")]
     print(json.dumps({name: crossover(bench, name, ratios, args.rounds) for name in WORKLOADS},
                      indent=1))
