@@ -253,20 +253,6 @@ def _flat_store(params):
     return params, values, grads
 
 
-class SGD:
-    """Plain gradient descent: p <- p - lr * grad, then zero grads."""
-
-    def __init__(self, params, lr):
-        if lr < 0:
-            raise ValueError(f"lr must be >= 0, got {lr}")
-        self.params, self.values, self.grads = _flat_store(params)
-        self.lr = lr
-
-    def step(self) -> None:
-        self.values -= self.lr * self.grads
-        self.grads.fill(0.0)
-
-
 class Adam:
     """Adaptive-moment optimizer with the usual hyperparameters."""
 

@@ -43,6 +43,11 @@ def _load_run_config(args) -> RunConfig:
         if not isinstance(values, dict):
             raise ConfigError(f"config {args.config}: top level must be a JSON object, "
                               f"got {json.dumps(values)}")
+    for key, kept in runmod.RETIRED.items():
+        value = values.pop(key, kept)
+        if type(value) is not type(kept) or value != kept:  # 0 is not false
+            raise ConfigError(f"{key} is retired: its only accepted value is "
+                              f"{json.dumps(kept)}, got {json.dumps(value)}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(values) - known
     if unknown:

@@ -271,6 +271,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: not a model checkpoint")
     if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path}: checkpoint header has no config object")
+    if type(meta["config"].get("detach_edges")) is bool:
+        # stored before that knob was deleted; it never changed the forward pass
+        del meta["config"]["detach_edges"]
     stored, expected = set(meta["config"]), {f.name for f in fields(ModelConfig)}
     if stored != expected:
         raise CheckpointError(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape, constant, parameter
+from .autodiff import Node, Tape, parameter
 from .graph import Chains, propagate, reconstruct_token_label
 
 # Most entries of a chunk's padded node features, B x (M + n) x hidden:
@@ -57,7 +57,6 @@ class ModelConfig:
     hidden: int
     input_dim: int
     activation: str
-    detach_edges: bool
 
     def __post_init__(self):
         for name in ("num_labels", "num_layers", "hidden", "input_dim"):
@@ -69,8 +68,6 @@ class ModelConfig:
         if not (isinstance(self.activation, str) and self.activation in ad.ACTIVATIONS):
             raise ValueError(f"activation must be one of {sorted(ad.ACTIVATIONS)}, "
                              f"got {self.activation!r}")
-        if type(self.detach_edges) is not bool:
-            raise ValueError(f"detach_edges must be a bool, got {self.detach_edges!r}")
 
     def weight_shapes(self) -> dict[str, tuple[int, int]]:
         """Each learned weight's checkpoint name and shape, in `ModelParams.parameters` order."""
@@ -142,8 +139,6 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
                                 params.w_layer[0]), cfg.activation)
     for w in params.w_layer[1:]:
         edges = reconstruct_token_label(h, chains)
-        if cfg.detach_edges:
-            edges = constant(edges.value)
         h = ad.activation(ad.matmul(propagate(h, edges, chains), w), cfg.activation)
 
     final_edges = reconstruct_token_label(h, chains)
@@ -196,7 +191,7 @@ def chunks(lengths, cfg: ModelConfig) -> list[slice]:
 
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
-               optimizer: ad.Adam | ad.SGD) -> float:
+               optimizer: ad.Adam) -> float:
     """One optimizer step on a batch of (ids, target) pairs.
 
     Loss is the mean per-sample MSE. Each chunk's backward is seeded with

@@ -17,13 +17,12 @@ from .analysis import (
     label_cosine_matrix,
     pearson_matrix,
 )
-from .autodiff import SGD, Adam, Node
+from .autodiff import Adam, Node
 from .data import load_checkpoint, load_embeddings
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
 
-OPTIMIZERS = {"adam": Adam, "sgd": SGD}
 # `_infer` projects the whole embedding table once only when its chunks
 # would multiply at least this many padded token rows per table row; at
 # fewer, the whole-table product measured no faster at the long-doc and
@@ -35,6 +34,11 @@ class ConfigError(ValueError):
     pass
 
 
+# deleted knobs a config file may still name, each at the one value it held by
+# default: training runs Adam in float64 with gradients through every edge
+RETIRED = {"detach_edges": False, "optimizer": "adam", "precision": "float64"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every run setting and its default; `model_config()` is the checkpointed part.
@@ -44,7 +48,7 @@ class RunConfig:
     assume the right types.
     """
 
-    label_names: list[str]
+    label_names: tuple[str, ...]  # a list is accepted and stored as a tuple
     train_path: str | None = None
     dev_path: str | None = None
     test_path: str | None = None
@@ -52,11 +56,8 @@ class RunConfig:
     hidden: int = 64
     input_dim: int = 64
     activation: str = "tanh"
-    detach_edges: bool = False
-    optimizer: str = "adam"
     lr: float = 0.01
     seed: int = 0
-    precision: str = "float64"  # the only valid value; kept so existing configs load
     decode: str = "topk"       # "topk" or "threshold"
     topk: int = 1
     threshold: float = 0.5
@@ -72,10 +73,11 @@ class RunConfig:
                     for f in fields(self) if not _has_type(getattr(self, f.name), _HINTS[f.name])]
         if problems:  # the range checks below assume the right types
             raise ConfigError("; ".join(problems))
+        object.__setattr__(self, "label_names", tuple(self.label_names))
         if not self.label_names:
             problems.append("label_names must be nonempty")
         if len(set(self.label_names)) != len(self.label_names):
-            problems.append(f"label_names must not repeat a name, got {self.label_names}")
+            problems.append(f"label_names must not repeat a name, got {list(self.label_names)}")
         if self.decode not in ("topk", "threshold"):
             problems.append(f"decode must be topk or threshold, got {self.decode!r}")
         if self.decode == "topk" and self.topk < 1:
@@ -84,15 +86,10 @@ class RunConfig:
             problems.append(f"threshold must be in (0, 1], got {self.threshold}")
         if not (self.encoder == "lookup" or self.encoder.startswith("file:")):
             problems.append(f"encoder must be 'lookup' or 'file:PATH', got {self.encoder!r}")
-        if self.optimizer not in OPTIMIZERS:
-            problems.append(f"optimizer must be one of {sorted(OPTIMIZERS)}, "
-                            f"got {self.optimizer!r}")
         if not math.isfinite(self.lr) or self.lr <= 0:
             problems.append(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
-        if self.precision != "float64":
-            problems.append(f"precision must be float64, got {self.precision!r}")
         try:
             self.model_config()
         except ValueError as e:
@@ -119,9 +116,9 @@ def _has_type(value, hint) -> bool:
     """isinstance against a field annotation; a bool is not an int, an int is a float."""
     if isinstance(hint, UnionType):
         return any(_has_type(value, h) for h in get_args(hint))
-    if get_origin(hint) is list:
-        (item,) = get_args(hint)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if get_origin(hint) is tuple:  # tuple[X, ...], given as a list or a tuple
+        item = get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
@@ -155,9 +152,9 @@ def load_model(run_cfg: RunConfig):
     """
     path = Path(run_cfg.out_dir) / "model.ckpt"
     params, model_cfg, vocab, label_names, lookup = load_checkpoint(path)
-    if label_names != run_cfg.label_names:
+    if tuple(label_names) != run_cfg.label_names:
         raise ConfigError(
-            f"checkpoint label set {label_names} differs from config {run_cfg.label_names}")
+            f"checkpoint label set {label_names} differs from config {list(run_cfg.label_names)}")
     run_model_cfg = run_cfg.model_config()
     for f in fields(ModelConfig):
         stored, wanted = getattr(model_cfg, f.name), getattr(run_model_cfg, f.name)
@@ -264,8 +261,7 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
     rng = np.random.default_rng(run_cfg.seed)
     params = ModelParams.init(cfg, rng)
     provider = make_provider(run_cfg, vocab, rng)
-    trainable = params.parameters() + provider.parameters()
-    optimizer = OPTIMIZERS[run_cfg.optimizer](trainable, run_cfg.lr)
+    optimizer = Adam(params.parameters() + provider.parameters(), run_cfg.lr)
 
     prepared = prepare(train_samples, run_cfg, vocab, provider)
     lines = []

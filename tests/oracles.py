@@ -155,7 +155,10 @@ def concat_rows(a: Node, b: Node) -> Node:
 
 
 class ReferenceSGD:
-    """`SGD` as a loop over the parameters, the reference for the flat store's step."""
+    """Plain gradient descent, p <- p - lr * grad, as a loop over the parameters.
+
+    Tests step with it where only the gradients matter, not Adam's moments.
+    """
 
     def __init__(self, params, lr):
         self.params, self.lr = list(params), lr
@@ -452,8 +455,6 @@ def forward_one(ids, provider, params, cfg, block=None) -> ForwardTrace:
     for layer in range(cfg.num_layers):
         if layer > 0:
             edges = reconstruct_one(h, m)
-            if cfg.detach_edges:
-                edges = constant(edges.value)
         h = ad.activation(ad.matmul(propagate_one(h, edges), params.w_layer[layer]),
                           cfg.activation)
     final_edges = reconstruct_one(h, m)

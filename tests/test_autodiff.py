@@ -5,7 +5,6 @@ import pytest
 
 from hgcn import autodiff as ad
 from hgcn.autodiff import (
-    SGD,
     Adam,
     Node,
     ShapeError,
@@ -16,7 +15,6 @@ from hgcn.autodiff import (
 
 from oracles import (
     ReferenceAdam,
-    ReferenceSGD,
     add,
     concat_rows,
     elementwise_mul,
@@ -385,26 +383,6 @@ def test_public_ops_reject_nonfinite_inputs():
         constant([[np.inf, 1.0]])
 
 
-def test_sgd_hand_value():
-    p = parameter([[1.0]])
-    p.grad[...] = np.array([[2.0]])
-    SGD([p], 0.1).step()
-    assert p.value[0, 0] == pytest.approx(0.8, abs=1e-15)
-    assert p.grad[0, 0] == 0.0  # grads zeroed after the step
-
-
-def test_sgd_lr_zero_leaves_params():
-    p = parameter([[1.0]])
-    p.grad = np.array([[2.0]])
-    SGD([p], 0.0).step()
-    assert p.value[0, 0] == 1.0
-
-
-def test_sgd_rejects_negative_lr():
-    with pytest.raises(ValueError):
-        SGD([parameter([[1.0]])], -0.1)
-
-
 def test_adam_rejects_nonpositive_lr():
     with pytest.raises(ValueError):
         Adam([parameter([[1.0]])], 0.0)
@@ -437,23 +415,21 @@ def test_adam_in_place_steps_match_the_reference_bitwise():
     rng = np.random.default_rng(4)
     init = [rng.normal(size=(3, 4)), rng.normal(size=(1, 5)), rng.normal(size=(64, 64))]
     grads = [[rng.normal(size=v.shape) for v in init] for _ in range(6)]
-    for cls, ref_cls in ((Adam, ReferenceAdam), (SGD, ReferenceSGD)):
-        runs = []
-        for c in (cls, ref_cls):
-            params = [parameter(v) for v in init]
-            opt = c(params, 0.05)
-            for step in grads:
-                for p, g in zip(params, step):
-                    p.grad[...] = g
-                opt.step()
-            runs.append((params, opt))
-        (params, opt), (ref_params, ref) = runs
-        for p, q in zip(params, ref_params):
-            assert np.array_equal(p.value, q.value)
-            assert not p.grad.any()
-        if cls is Adam:
-            assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
-            assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+    runs = []
+    for cls in (Adam, ReferenceAdam):
+        params = [parameter(v) for v in init]
+        opt = cls(params, 0.05)
+        for step in grads:
+            for p, g in zip(params, step):
+                p.grad[...] = g
+            opt.step()
+        runs.append((params, opt))
+    (params, opt), (ref_params, ref) = runs
+    for p, q in zip(params, ref_params):
+        assert np.array_equal(p.value, q.value)
+        assert not p.grad.any()
+    assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+    assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
 
 def test_gather_rows_scatter_matches_add_at_bitwise():

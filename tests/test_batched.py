@@ -2,7 +2,9 @@
 
 A batch pads its samples to the longest one; these tests check that the
 padding changes nothing: probabilities, final edges and every parameter
-gradient agree with one graph and one tape per sample to within 1e-12.
+gradient agree with one graph and one tape per sample to within 1e-12,
+and so do the outputs of a forward that gathers its first token rows
+from the projected table.
 Inference that gathers its token rows from one projected table is
 checked against inference that projects them per chunk, bitwise at a
 64-wide shape.
@@ -15,22 +17,22 @@ import pytest
 
 from hgcn import metrics, model
 from hgcn import run as runmod
-from hgcn.autodiff import SGD, Tape
+from hgcn.autodiff import Node, Tape
 from hgcn.data import Sample, save_embeddings
 from hgcn.encoder import PAD, PrecomputedFile, TrainableLookup, Vocabulary, tokenize
 from hgcn.model import (ModelConfig, ModelParams, batch_loss, build_target, chunks, forward,
                         train_step)
 
-from oracles import forward_one, sample_loss_one, train_step_one
+from oracles import ReferenceSGD, forward_one, sample_loss_one, train_step_one
 
 TOL = 1e-12
 VOCAB = 14
 DIM = 5
 
 
-def make_model(activation="tanh", detach_edges=False, encoder="lookup", num_layers=2):
+def make_model(activation="tanh", encoder="lookup", num_layers=2):
     cfg = ModelConfig(num_labels=3, num_layers=num_layers, hidden=6, input_dim=DIM,
-                      activation=activation, detach_edges=detach_edges)
+                      activation=activation)
     rng = np.random.default_rng(3)
     params = ModelParams.init(cfg, rng)
     if encoder == "lookup":
@@ -86,11 +88,12 @@ CASES = [("tanh", False, "lookup"), ("relu", False, "lookup"), ("tanh", True, "l
          ("relu", True, "file"), ("tanh", False, "file")]
 
 
-@pytest.mark.parametrize("activation,detach,encoder", CASES)
+@pytest.mark.parametrize("activation,projected,encoder", CASES)
 @pytest.mark.parametrize("members", [[0, 1, 2, 3], [1], [2, 0]], ids=["ragged", "one", "pair"])
-def test_forward_and_gradients_match_per_sample(activation, detach, encoder, members):
-    cfg, params, provider = make_model(activation, detach, encoder)
-    assert_matches_per_sample(*provider_batch(provider, members), cfg, params, provider)
+def test_forward_and_gradients_match_per_sample(activation, projected, encoder, members):
+    cfg, params, provider = make_model(activation, encoder)
+    assert_matches_per_sample(*provider_batch(provider, members), cfg, params, provider,
+                              projected)
 
 
 # full-length samples side by side, then a one-token sample after one: a
@@ -107,9 +110,14 @@ def test_full_length_neighbours_match_per_sample(activation, num_layers):
                               cfg, params, provider)
 
 
-def assert_matches_per_sample(batch, blocks, cfg, params, provider):
-    """`forward`'s outputs and every parameter gradient against one tape per sample."""
-    trace = forward([ids for ids, _ in batch], provider, params, cfg)
+def assert_matches_per_sample(batch, blocks, cfg, params, provider, projected=False):
+    """`forward`'s outputs and every parameter gradient against one tape per sample.
+
+    With `projected`, the forward gathers its first token rows from the
+    table times `w_token_in`, as inference may; the training step never does.
+    """
+    table = Node(provider.table.value @ params.w_token_in.value) if projected else None
+    trace = forward([ids for ids, _ in batch], provider, params, cfg, table)
     big = max(len(ids) for ids, _ in batch)
     for b, ((ids, _), block) in enumerate(zip(batch, blocks)):
         ref = forward_one(ids, provider, params, cfg, block)
@@ -208,7 +216,7 @@ def test_train_step_matches_per_sample_step(budget, count, monkeypatch):
 def test_sgd_step_matches_per_sample_step():
     def trained(fn):
         cfg, params, provider = make_model()
-        opt = SGD(params.parameters() + provider.parameters(), 0.5)
+        opt = ReferenceSGD(params.parameters() + provider.parameters(), 0.5)
         losses = [fn(BATCH, params, cfg, provider, opt) for _ in range(3)]
         return losses, [p.value for p in params.parameters() + provider.parameters()]
 
@@ -220,8 +228,7 @@ def test_sgd_step_matches_per_sample_step():
 
 
 def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
-    cfg = ModelConfig(num_labels=3, num_layers=1, hidden=4, input_dim=2,
-                      activation="tanh", detach_edges=False)
+    cfg = ModelConfig(num_labels=3, num_layers=1, hidden=4, input_dim=2, activation="tanh")
     monkeypatch.setattr(model, "CHUNK_BUDGET", 4 * 2 * (5 + 3))
     # two samples of up to 5 tokens fit, three of 1; a 9-token sample stands alone
     assert chunks([3, 5, 2, 9, 1, 1, 1], cfg) == [

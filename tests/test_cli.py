@@ -148,8 +148,7 @@ def test_diverged_training_fails_before_writing(corpus, tmp_path, capsys):
     # at this step size the weights overflow in epoch 0; a checkpoint of them could not load
     root, label_names = corpus
     out = tmp_path / "out"
-    config = write_config(tmp_path / "c.json", root, label_names, out,
-                          optimizer="sgd", lr=1e300, epochs=2)
+    config = write_config(tmp_path / "c.json", root, label_names, out, lr=1e300, epochs=2)
     with np.errstate(all="ignore"):
         assert main(["train", "--config", str(config)]) == 2
     assert "training diverged: epoch 0 mean loss is nan" in capsys.readouterr().err
@@ -297,7 +296,6 @@ def test_encoder_differing_from_the_checkpoint_is_config_error(trained, tmp_path
     ([], {"activation": "relu"}, "activation"),
     (["--hidden", "16"], {}, "checkpoint hidden 8 differs from config 16"),
     ([], {"input_dim": 16}, "checkpoint input_dim 8 differs from config 16"),
-    ([], {"detach_edges": True}, "checkpoint detach_edges False differs from config True"),
 ])
 def test_architecture_mismatch_is_config_error(trained, tmp_path, capsys,
                                                flags, extra, field):
@@ -316,7 +314,8 @@ def test_architecture_mismatch_is_config_error(trained, tmp_path, capsys,
     (lambda c: c.update(num_layers=2.0), "num_layers must be an int, got 2.0"),
     (lambda c: c.update(hidden=True), "hidden must be an int, got True"),
     (lambda c: c.update(activation="gelu"), "activation must be one of"),
-    (lambda c: c.update(detach_edges="no"), "detach_edges must be a bool"),
+    # a bool is dropped from an older checkpoint (below); any other value is no known key
+    (lambda c: c.update(detach_edges="no"), "unexpected ['detach_edges']"),
 ], ids=["extra-keys", "missing-key", "layers-string", "layers-float", "hidden-bool",
         "activation-unknown", "detach-string"])
 def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, capsys,
@@ -331,6 +330,24 @@ def test_checkpoint_config_key_mismatch_is_runtime_error(trained, tmp_path, caps
     err = capsys.readouterr().err
     assert named in err
     assert str(tmp_path / "model.ckpt") in err
+
+
+@pytest.mark.parametrize("detach_edges", [False, True])
+def test_checkpoint_storing_detach_edges_evaluates_as_before(trained, tmp_path, detach_edges):
+    # checkpoints once stored this flag; it changed training gradients, never the forward pass
+    root, label_names, out, _ = trained
+    plain, edited = tmp_path / "plain", tmp_path / "edited"
+    plain.mkdir()
+    edited.mkdir()
+    shutil.copy(out / "model.ckpt", plain / "model.ckpt")
+    meta, tensors = load_tensors(out / "model.ckpt")
+    fmt = meta.pop("format")
+    meta["config"]["detach_edges"] = detach_edges
+    save_tensors(edited / "model.ckpt", tensors, meta, fmt)
+    for run_dir in (plain, edited):
+        config = write_config(tmp_path / "c.json", root, label_names, run_dir)
+        assert main(["eval", "--config", str(config)]) == 0
+    assert (edited / "eval.txt").read_bytes() == (plain / "eval.txt").read_bytes()
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -368,12 +385,17 @@ def test_checkpoint_malformed_vocab_or_weight_is_runtime_error(trained, tmp_path
 @pytest.mark.parametrize("values, key", [
     pytest.param({"optimizer": "adamw"}, "optimizer", id="optimizer-adamw"),
     pytest.param({"activation": "gelu"}, "activation", id="activation-gelu"),
-    pytest.param({"precision": "float32"}, "precision", id="precision-float32"),
+    pytest.param({"precision": "float32"}, 'precision is retired: its only accepted value is '
+                 '"float64", got "float32"', id="precision-float32"),
     pytest.param({"precision": "float16"}, "precision", id="precision-float16"),
     pytest.param({"optimizer": "adam", "lr": 0.0}, "lr", id="adam-lr-zero"),
     pytest.param({"optimizer": "adam", "lr": -0.01}, "lr", id="adam-lr-negative"),
-    pytest.param({"optimizer": "sgd", "lr": 0.0}, "lr", id="sgd-lr-zero"),
-    pytest.param({"optimizer": "sgd", "lr": -0.5}, "lr", id="sgd-lr-negative"),
+    # a retired key takes only the value it held by default, before the other checks
+    pytest.param({"optimizer": "sgd", "lr": 0.0}, "optimizer is retired", id="sgd-lr-zero"),
+    pytest.param({"optimizer": "sgd", "lr": -0.5}, "optimizer is retired", id="sgd-lr-negative"),
+    pytest.param({"detach_edges": True}, 'detach_edges is retired: its only accepted value is '
+                 'false, got true', id="detach_edges-true"),
+    pytest.param({"detach_edges": 0}, "detach_edges is retired", id="detach_edges-zero"),
     pytest.param({"hidden": "8"}, "hidden", id="hidden-string"),
     pytest.param({"lr": "0.1"}, "lr", id="lr-string"),
     pytest.param({"epochs": 1.5}, "epochs", id="epochs-float"),
@@ -397,7 +419,7 @@ def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, val
 
 
 def test_config_setting_every_key_trains_and_evaluates(corpus, tmp_path):
-    # the flat format the benchmark writes: all 22 RunConfig keys
+    # the flat format the benchmark writes: all 19 RunConfig keys and the 3 retired ones
     root, label_names = corpus
     values = {
         "label_names": label_names,

@@ -268,8 +268,7 @@ def test_tensor_container_bad_version(tmp_path):
 # --- checkpoints --------------------------------------------------------
 
 def make_model(seed=0):
-    cfg = ModelConfig(num_labels=3, num_layers=2, hidden=6, input_dim=5,
-                      activation="relu", detach_edges=False)
+    cfg = ModelConfig(num_labels=3, num_layers=2, hidden=6, input_dim=5, activation="relu")
     rng = np.random.default_rng(seed)
     params = ModelParams.init(cfg, rng)
     provider = TrainableLookup(8, cfg.input_dim, rng)
@@ -303,7 +302,7 @@ def test_checkpoint_header_config_is_the_architecture(tmp_path):
     save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES)
     meta, _ = load_tensors(path)
     assert meta["config"] == {"num_labels": 3, "num_layers": 2, "hidden": 6, "input_dim": 5,
-                              "activation": "relu", "detach_edges": False}
+                              "activation": "relu"}
 
 
 @pytest.mark.parametrize("freeze", [False, True])

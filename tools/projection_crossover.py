@@ -46,8 +46,9 @@ def crossover(bench, name, ratios, rounds) -> dict:
         wl.labels, wl.vocab, wl.test_samples, seed=TEST_SEED,
         min_fillers=lo, max_fillers=hi, id_prefix="te")
     values = bench.run_config(wl, label_names, MODEL_SEED, ROOT, ROOT)
+    retired = getattr(run, "RETIRED", {})  # a `--src` from before the keys were retired has none
     run_cfg = run.RunConfig(**{k: v for k, v in values.items()
-                               if not k.endswith(("_path", "_dir"))})
+                               if not k.endswith(("_path", "_dir")) and k not in retired})
     rng = np.random.default_rng(MODEL_SEED)
     params = ModelParams.init(run_cfg.model_config(), rng)
     vocab = Vocabulary([t for s in test for t in s.tokens])
