@@ -13,7 +13,6 @@ import csv
 import io
 import itertools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +28,8 @@ from .metrics import label_matrix
 HEATMAP_BUDGET = 4096
 
 
-@dataclass
-class AttributionMatrix:
-    """m x n token-label weights, globally normalized to total 1."""
-
-    values: np.ndarray
-    tokens: list[str]
-    labels: list[str]
-
-
-def build_attribution(final_edges: np.ndarray, tokens, labels) -> AttributionMatrix:
-    """Normalize the final edge block so all values sum to 1.
+def build_attribution(final_edges: np.ndarray) -> np.ndarray:
+    """The m x n final edge block normalized so all values sum to 1.
 
     An all-zero block (untrainable degenerate case) falls back to the
     uniform matrix with a warning rather than dividing by zero.
@@ -47,11 +37,9 @@ def build_attribution(final_edges: np.ndarray, tokens, labels) -> AttributionMat
     values = np.asarray(final_edges, dtype=float)
     total = values.sum()
     if total > 0:
-        values = values / total
-    else:
-        warnings.warn("all-zero edge block; attribution falls back to uniform")
-        values = np.full_like(values, 1.0 / values.size)
-    return AttributionMatrix(values=values, tokens=list(tokens), labels=list(labels))
+        return values / total
+    warnings.warn("all-zero edge block; attribution falls back to uniform")
+    return np.full_like(values, 1.0 / values.size)
 
 
 def build_golden(annotations, m: int, n: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .data import (
     save_dataset,
     write_text,
 )
+from .encoder import token_rows
 from .run import ConfigError, RunConfig
 from .synth import generate_synthetic_corpus
 
@@ -108,11 +109,10 @@ def cmd_explain(cfg: RunConfig, samples, params, provider, vocab) -> int:
     out = Path(cfg.out_dir) / "attributions"
     out.mkdir(parents=True, exist_ok=True)
     prefix = os.path.join(out, "")
-    render_heatmap([attr.values for _, attr in attributions],
-                   [attr.tokens for _, attr in attributions], cfg.label_names,
-                   [prefix + sample.id for sample, _ in attributions])
+    render_heatmap(attributions, [token_rows(s.tokens, cfg.max_len) for s in samples],
+                   cfg.label_names, [prefix + s.id for s in samples])
     # heatmaps of samples an earlier run explained would pass for this run's
-    written = {sample.id + ext for sample, _ in attributions for ext in (".csv", ".svg")}
+    written = {s.id + ext for s in samples for ext in (".csv", ".svg")}
     for entry in os.scandir(out):
         if entry.name.endswith((".csv", ".svg")) and entry.name not in written and entry.is_file():
             os.unlink(entry.path)

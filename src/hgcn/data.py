@@ -254,7 +254,6 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path, vocab: Vocabula
     tensors = {name: p.value
                for name, p in zip(cfg.weight_shapes(), params.parameters(), strict=True)}
     if type(provider) is TrainableLookup:
-        meta["embedding_frozen"] = provider.frozen
         tensors[EMBEDDING_TABLE] = provider.table.value
     save_tensors(path, tensors, meta, CHECKPOINT_FORMAT)
 
@@ -262,7 +261,9 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path, vocab: Vocabula
 def load_checkpoint(path):
     """Returns (params, cfg, vocab, label_names, lookup_or_None).
 
-    The lookup is the stored `TrainableLookup` table with its freeze flag.
+    The lookup is a fixed `TrainableLookup` over the stored table: only
+    inference loads a checkpoint, and it trains nothing, so an older
+    header's `embedding_frozen` flag is not read.
     The stored tensors must be the weights `ModelConfig.weight_shapes`
     names, plus the table if any, each at its shape, and no other.
     """
@@ -297,10 +298,7 @@ def load_checkpoint(path):
         label_names = meta.get("label_names")
         if not (isinstance(label_names, list) and all(isinstance(n, str) for n in label_names)):
             raise ValueError(f"label_names must be a list of strings, got {label_names!r}")
-        frozen = meta.get("embedding_frozen", False)
-        if type(frozen) is not bool:
-            raise ValueError(f"embedding_frozen must be a bool, got {frozen!r}")
-        lookup = (TrainableLookup.from_table(tensors[EMBEDDING_TABLE], freeze=frozen)
+        lookup = (TrainableLookup.from_table(tensors[EMBEDDING_TABLE])
                   if EMBEDDING_TABLE in shapes else None)
     except ValueError as e:
         raise CheckpointError(f"{path}: {e}") from e

@@ -95,15 +95,15 @@ class TrainableLookup:
             rng.uniform(-scale, scale, size=(vocab_size, dim)))
 
     @classmethod
-    def from_table(cls, table: np.ndarray, freeze=False) -> "TrainableLookup":
-        """A lookup over an existing table, e.g. one restored from a checkpoint."""
-        lookup = cls.__new__(cls)
-        lookup.table = (constant if freeze else parameter)(table)
-        return lookup
+    def from_table(cls, table: np.ndarray) -> "TrainableLookup":
+        """A fixed lookup over an existing table, such as one a checkpoint restores.
 
-    @property
-    def frozen(self) -> bool:
-        return not self.table.requires_grad
+        Only inference loads a checkpoint, and it trains nothing, so the
+        table is a constant.
+        """
+        lookup = cls.__new__(cls)
+        lookup.table = constant(table)
+        return lookup
 
     def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
         return tokenize(sample.tokens, vocab, max_len)

@@ -25,22 +25,6 @@ def decode_threshold(probs, t: float) -> set[int]:
     return {j for j, p in enumerate(np.asarray(probs, dtype=float).ravel().tolist()) if p >= t}
 
 
-def jaccard(preds, golds) -> float:
-    """Mean per-sample |Y ∩ Ŷ| / |Y ∪ Ŷ| of label-index sets; both-empty is agreement (1)."""
-    n = 1 + max(chain(*preds, *golds), default=-1)
-    return _jaccard(*_label_matrices(preds, golds, n))
-
-
-def _jaccard(p: np.ndarray, g: np.ndarray) -> float:
-    """`jaccard` of the prediction and gold label matrices."""
-    if not len(p):
-        raise ValueError("empty evaluation set")
-    union = (p | g).sum(axis=1)
-    ratios = np.divide((p & g).sum(axis=1), union, out=np.ones(len(p)), where=union > 0)
-    # added in sample order, one Python float at a time, as a per-sample loop adds them
-    return reduce(add, ratios.tolist(), 0.0) / len(p)
-
-
 @dataclass
 class EvalReport:
     micro_f1: float
@@ -81,33 +65,26 @@ def label_matrix(label_sets, n: int) -> np.ndarray:
     return out
 
 
-def _label_matrices(preds, golds, n: int) -> tuple[np.ndarray, np.ndarray]:
+def evaluate(preds, golds, n: int) -> EvalReport:
+    """Scores of the predicted against the gold label-index sets, over labels 0..n-1.
+
+    Micro F1 comes from pooled counts and macro F1 is the unweighted
+    per-label mean: a label with a zero denominator scores 0 and still
+    enters the macro average. Jaccard is the mean per-sample
+    |Y ∩ Ŷ| / |Y ∪ Ŷ|, where both-empty is agreement (1).
+    """
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
-    return label_matrix(preds, n), label_matrix(golds, n)
-
-
-def micro_macro_f1(preds, golds, n: int) -> tuple[float, float, list[dict]]:
-    """Micro F1 from pooled counts, macro as the unweighted per-label mean.
-
-    A label with a zero denominator scores 0 and still enters the macro
-    average.
-    """
-    return _f1_table(*_label_matrices(preds, golds, n))
-
-
-def _f1_table(p: np.ndarray, g: np.ndarray) -> tuple[float, float, list[dict]]:
-    """`micro_macro_f1` of the prediction and gold label matrices."""
-    n = p.shape[1]
+    if not preds:
+        raise ValueError("empty evaluation set")
+    p, g = label_matrix(preds, n), label_matrix(golds, n)
     tp, fp, fn = (p & g).sum(axis=0), (p & ~g).sum(axis=0), (~p & g).sum(axis=0)
     table = [{"label": j, **_f1(tp[j], fp[j], fn[j]),
               "tp": int(tp[j]), "fp": int(fp[j]), "fn": int(fn[j])} for j in range(n)]
-    micro = _f1(tp.sum(), fp.sum(), fn.sum())["f1"]
-    macro = float(np.mean([row["f1"] for row in table]))
-    return micro, macro, table
-
-
-def evaluate(preds, golds, n: int) -> EvalReport:
-    p, g = _label_matrices(preds, golds, n)
-    micro, macro, table = _f1_table(p, g)
-    return EvalReport(micro_f1=micro, macro_f1=macro, jaccard=_jaccard(p, g), per_label=table)
+    union = (p | g).sum(axis=1)
+    ratios = np.divide((p & g).sum(axis=1), union, out=np.ones(len(p)), where=union > 0)
+    # added in sample order, one Python float at a time, as a per-sample loop adds them
+    jaccard = reduce(add, ratios.tolist(), 0.0) / len(p)
+    return EvalReport(micro_f1=_f1(tp.sum(), fp.sum(), fn.sum())["f1"],
+                      macro_f1=float(np.mean([row["f1"] for row in table])),
+                      jaccard=jaccard, per_label=table)

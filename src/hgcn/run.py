@@ -19,7 +19,7 @@ from .analysis import (
 )
 from .autodiff import Adam, Node
 from .data import load_checkpoint, load_embeddings
-from .encoder import PrecomputedFile, TrainableLookup, Vocabulary, token_rows
+from .encoder import PrecomputedFile, TrainableLookup, Vocabulary
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
 from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
 
@@ -176,6 +176,14 @@ def prepare(samples, run_cfg: RunConfig, vocab: Vocabulary, provider):
 
 
 def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
+    """The label set of one sample's probability vector.
+
+    Decoding stays one call per sample, not one pass over the N x n
+    array: the benchmark (`perfbench/run.py`) reads the probabilities by
+    wrapping `metrics.decode_topk` and `decode_threshold` where they are
+    imported, and its output check expects exactly one probability row
+    per test sample.
+    """
     if run_cfg.decode == "topk":
         return decode_topk(probs, run_cfg.topk)
     return decode_threshold(probs, run_cfg.threshold)
@@ -187,9 +195,9 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
     The samples are sorted by length, stably, and cut into chunks by
     `model.chunks`, the same CHUNK_BUDGET as in training, so a chunk pads
     few rows; `batch_size` plays no part. Inference records no tape.
-    The outputs are "ids", the token ids; "probs", N x n; "labels", the
-    final label rows, N x n x hidden; and "edges", each sample's own
-    m x n final block, a copy, so no chunk's arrays outlive its pass.
+    The outputs are "probs", N x n; "labels", the final label rows,
+    N x n x hidden; and "edges", each sample's own m x n final block, a
+    copy, so no chunk's arrays outlive its pass.
     Only the outputs named are built: a command asks for what it reads.
     The chunks gather their first token rows from `_projected_table`'s
     product when there is one.
@@ -215,7 +223,7 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
         if edges is not None:
             for b, i in enumerate(members):
                 edges[i] = trace.final_edges[b, :len(ids[i])].copy()
-    built = {"ids": ids, "probs": probs, "labels": labels, "edges": edges}
+    built = {"probs": probs, "labels": labels, "edges": edges}
     return tuple(built[name] for name in outputs)
 
 
@@ -286,26 +294,25 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
 
 
 def explain_samples(samples, params, provider, run_cfg, vocab):
-    """Per-sample attribution matrices plus corpus golden MSE (None if no goldens).
+    """(attributions, corpus golden MSE or None if no goldens).
+
+    `attributions` holds each sample's m x n `build_attribution` array,
+    in input order.
 
     Golden matrices use annotated keyword intensities at the annotated
     token rows; samples without annotations do not enter the MSE mean.
     """
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
-    attributions = []
-    mses = []
     (edges,) = _infer(samples, params, provider, run_cfg, vocab, "edges")
-    for s, block in zip(samples, edges):
-        attr = build_attribution(block, token_rows(s.tokens, run_cfg.max_len),
-                                 run_cfg.label_names)
-        attributions.append((s, attr))
+    attributions = [build_attribution(block) for block in edges]
+    mses = []
+    for s, attr in zip(samples, attributions):
         if s.annotations:
             golden = build_golden(
                 [(i, index[name], x) for i, name, x in s.annotations],
-                len(block), len(run_cfg.label_names))
-            mses.append(attribution_mse(attr.values, golden))
-    corpus_mse = float(np.mean(mses)) if mses else None
-    return attributions, corpus_mse
+                len(attr), len(run_cfg.label_names))
+            mses.append(attribution_mse(attr, golden))
+    return attributions, float(np.mean(mses)) if mses else None
 
 
 def correlate(samples, params, provider, run_cfg, vocab):

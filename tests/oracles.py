@@ -7,7 +7,7 @@ The per-cell heatmap writer is the reference for `hgcn.analysis.render_heatmap`.
 The per-sample model path (one graph, one tape per sample, no padding)
 is the reference for the batched `hgcn.model` path. The per-token and
 per-sample loops are the references for `hgcn.encoder.tokenize` and
-`hgcn.metrics.jaccard`, and the full enumeration of label sets is the
+the Jaccard of `hgcn.metrics.evaluate`, and the full enumeration of label sets is the
 reference for `hgcn.synth`'s draw.
 """
 

@@ -15,9 +15,9 @@ from hgcn import autodiff as ad
 from hgcn import run as runmod
 from hgcn.autodiff import Tape, constant, parameter
 from hgcn.data import load_checkpoint, save_checkpoint
-from hgcn.encoder import TrainableLookup, tokenize
+from hgcn.encoder import TrainableLookup, token_rows, tokenize
 from hgcn.graph import Chains, propagate, reconstruct_token_label
-from hgcn.metrics import decode_threshold, decode_topk, jaccard, micro_macro_f1
+from hgcn.metrics import decode_threshold, decode_topk, evaluate
 from hgcn.model import ModelParams, batch_loss, build_target, forward
 from hgcn.run import RunConfig
 from hgcn.synth import generate_synthetic_corpus
@@ -207,8 +207,9 @@ def test_criterion_3_decoder_metric_oracles(capsys):
                         == brute_force_threshold(probs, t_lo))
         antitone_ok &= decode_threshold(probs, t_hi) <= decode_threshold(probs, t_lo)
 
-    jac = jaccard([{1, 2}], [{0, 1}])
-    micro, macro, _ = micro_macro_f1([{0}, {0}], [{0}, set()], 1)
+    jac = evaluate([{1, 2}], [{0, 1}], 3).jaccard
+    f1 = evaluate([{0}, {0}], [{0}, set()], 1)
+    micro, macro = f1.micro_f1, f1.macro_f1
     hand_ok = (abs(jac - 1 / 3) < 1e-12 and abs(micro - 2 / 3) < 1e-12
                and abs(macro - 2 / 3) < 1e-12)
     ok = decoders_ok and antitone_ok and hand_ok
@@ -225,11 +226,12 @@ def test_criterion_4_synthetic_end_to_end(capsys, synth_run):
     attributions, trained_mse = runmod.explain_samples(
         s["test"], params, provider, cfg, vocab)
     hits = total = 0
-    for sample, attr in attributions:
+    for sample, attr in zip(s["test"], attributions, strict=True):
+        rows = token_rows(sample.tokens, cfg.max_len)
         for label in sample.labels:
             j = s["label_names"].index(label)
-            row = int(np.argmax(attr.values[:, j]))
-            hits += attr.tokens[row] == s["trigger_map"][label]
+            row = int(np.argmax(attr[:, j]))
+            hits += rows[row] == s["trigger_map"][label]
             total += 1
     hit_rate = hits / total
 

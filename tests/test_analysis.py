@@ -22,15 +22,15 @@ from oracles import parse_heatmap_csv, render_heatmap_reference
 
 
 def test_attribution_normalizes_to_one():
-    att = build_attribution([[0.2, 0.2], [0.4, 0.2]], ["<s>", "</s>"], ["A", "B"])
-    assert att.values.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(att.values, [[0.2, 0.2], [0.4, 0.2]], atol=1e-12)
+    att = build_attribution([[0.2, 0.2], [0.4, 0.2]])
+    assert att.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(att, [[0.2, 0.2], [0.4, 0.2]], atol=1e-12)
 
 
 def test_attribution_all_zero_falls_back_to_uniform():
     with pytest.warns(UserWarning):
-        att = build_attribution(np.zeros((2, 3)), ["x", "y"], ["A", "B", "C"])
-    assert np.allclose(att.values, 1 / 6, atol=1e-15)
+        att = build_attribution(np.zeros((2, 3)))
+    assert np.allclose(att, 1 / 6, atol=1e-15)
 
 
 def test_golden_hand_value():

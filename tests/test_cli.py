@@ -350,6 +350,24 @@ def test_checkpoint_storing_detach_edges_evaluates_as_before(trained, tmp_path, 
     assert (edited / "eval.txt").read_bytes() == (plain / "eval.txt").read_bytes()
 
 
+def test_checkpoint_storing_a_freeze_flag_evaluates_as_before(trained, tmp_path):
+    # checkpoints once stored `embedding_frozen`; inference never trains, so it is not read
+    root, label_names, out, _ = trained
+    plain, edited = tmp_path / "plain", tmp_path / "edited"
+    plain.mkdir()
+    edited.mkdir()
+    shutil.copy(out / "model.ckpt", plain / "model.ckpt")
+    meta, tensors = load_tensors(out / "model.ckpt")
+    fmt = meta.pop("format")
+    assert "embedding_frozen" not in meta
+    meta["embedding_frozen"] = True
+    save_tensors(edited / "model.ckpt", tensors, meta, fmt)
+    for run_dir in (plain, edited):
+        config = write_config(tmp_path / "c.json", root, label_names, run_dir)
+        assert main(["eval", "--config", str(config)]) == 0
+    assert (edited / "eval.txt").read_bytes() == (plain / "eval.txt").read_bytes()
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda meta, tensors: meta.update(vocab=["a"]), "vocabulary"),
     (lambda meta, tensors: meta.update(vocab={"a": "x"}), "vocabulary"),

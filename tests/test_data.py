@@ -307,32 +307,30 @@ def test_checkpoint_header_config_is_the_architecture(tmp_path):
 
 @pytest.mark.parametrize("freeze", [False, True])
 def test_checkpoint_restores_embedding_table(tmp_path, freeze):
+    # only inference loads a checkpoint, so a trained or frozen table restores fixed
     cfg, params, _ = make_model()
     provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(3), freeze=freeze)
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES, provider=provider)
     lookup = load_checkpoint(path)[4]
     assert np.array_equal(lookup.table.value, provider.table.value)
-    assert lookup.frozen is freeze
-    assert lookup.parameters() == ([] if freeze else [lookup.table])
+    assert lookup.parameters() == []
 
 
-@pytest.mark.parametrize("flag", ["false", 0, 1, None])
-def test_checkpoint_rejects_a_freeze_flag_that_is_no_bool(tmp_path, flag):
-    # "false" must not restore a frozen table; a missing flag means not frozen
+@pytest.mark.parametrize("flag", [True, False, "false", 0, 1, None])
+def test_checkpoint_ignores_an_older_freeze_flag(tmp_path, flag):
+    # older checkpoints stored `embedding_frozen`; nothing reads it, whatever its value
     cfg, params, _ = make_model()
     provider = TrainableLookup(8, cfg.input_dim, np.random.default_rng(3))
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, cfg, path, VOCAB, LABEL_NAMES, provider=provider)
     meta, tensors = load_tensors(path)
+    assert "embedding_frozen" not in meta
     del meta["format"]
     save_tensors(path, tensors, {**meta, "embedding_frozen": flag}, "hgcn-checkpoint")
-    message = re.escape(f"{path}: embedding_frozen must be a bool")
-    with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(path)
-    del meta["embedding_frozen"]
-    save_tensors(path, tensors, meta, "hgcn-checkpoint")
-    assert load_checkpoint(path)[4].frozen is False
+    lookup = load_checkpoint(path)[4]
+    assert np.array_equal(lookup.table.value, provider.table.value)
+    assert lookup.parameters() == []
 
 
 def test_checkpoint_without_provider_has_no_lookup(tmp_path):

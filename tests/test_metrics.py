@@ -7,9 +7,7 @@ from hgcn.metrics import (
     decode_threshold,
     decode_topk,
     evaluate,
-    jaccard,
     label_matrix,
-    micro_macro_f1,
 )
 
 from oracles import brute_force_threshold, brute_force_topk, jaccard_reference
@@ -84,29 +82,27 @@ def test_topk_cardinality(probs, k):
 
 
 def test_jaccard_identical():
-    assert jaccard([{0, 1}, {2}], [{0, 1}, {2}]) == 1.0
+    assert evaluate([{0, 1}, {2}], [{0, 1}, {2}], 3).jaccard == 1.0
 
 
 def test_jaccard_hand_value():
-    assert jaccard([{1, 2}], [{0, 1}]) == pytest.approx(1 / 3, abs=1e-12)
+    assert evaluate([{1, 2}], [{0, 1}], 3).jaccard == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_jaccard_disjoint():
-    assert jaccard([{0}], [{1}]) == 0.0
+    assert evaluate([{0}], [{1}], 2).jaccard == 0.0
 
 
 def test_jaccard_both_empty_counts_as_agreement():
-    assert jaccard([set()], [set()]) == 1.0
+    assert evaluate([set()], [set()], 1).jaccard == 1.0
 
 
 def test_jaccard_length_mismatch():
-    with pytest.raises(ValueError):
-        jaccard([{0}], [{0}, {1}])
+    with pytest.raises(ValueError, match="1 predictions vs 2 golds"):
+        evaluate([{0}], [{0}, {1}], 2)
 
 
 def test_jaccard_empty_evaluation_set():
-    with pytest.raises(ValueError, match="empty evaluation set"):
-        jaccard([], [])
     with pytest.raises(ValueError, match="empty evaluation set"):
         evaluate([], [], 3)
 
@@ -120,9 +116,7 @@ def test_jaccard_matches_per_sample_sum_bitwise(data):
     preds = data.draw(st.lists(LABEL_SET, min_size=1, max_size=40))
     golds = data.draw(st.lists(LABEL_SET, min_size=len(preds), max_size=len(preds)))
     # the same float, summed sample by sample: eval.json must not change in its last bit
-    expected = jaccard_reference(preds, golds)
-    assert jaccard(preds, golds) == expected
-    assert evaluate(preds, golds, 6).jaccard == expected
+    assert evaluate(preds, golds, 6).jaccard == jaccard_reference(preds, golds)
 
 
 def test_label_matrix_names_the_first_index_out_of_range():
@@ -135,35 +129,35 @@ def test_label_matrix_names_the_first_index_out_of_range():
 
 
 def test_f1_perfect():
-    micro, macro, _ = micro_macro_f1([{0, 1}, {1}], [{0, 1}, {1}], 2)
-    assert micro == 1.0 and macro == 1.0
+    report = evaluate([{0, 1}, {1}], [{0, 1}, {1}], 2)
+    assert report.micro_f1 == 1.0 and report.macro_f1 == 1.0
 
 
 def test_f1_hand_value():
     # one label: TP=1, FP=1, FN=0 -> P=0.5, R=1, F1=2/3
-    micro, macro, table = micro_macro_f1([{0}, {0}], [{0}, set()], 1)
-    assert table[0]["precision"] == pytest.approx(0.5, abs=1e-12)
-    assert table[0]["recall"] == 1.0
-    assert micro == pytest.approx(2 / 3, abs=1e-12)
-    assert macro == pytest.approx(2 / 3, abs=1e-12)
+    report = evaluate([{0}, {0}], [{0}, set()], 1)
+    assert report.per_label[0]["precision"] == pytest.approx(0.5, abs=1e-12)
+    assert report.per_label[0]["recall"] == 1.0
+    assert report.micro_f1 == pytest.approx(2 / 3, abs=1e-12)
+    assert report.macro_f1 == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_f1_absent_label_zero_and_averaged():
-    micro, macro, table = micro_macro_f1([{0}], [{0}], 2)
-    assert table[1]["f1"] == 0.0
-    assert macro == pytest.approx(0.5, abs=1e-12)
+    report = evaluate([{0}], [{0}], 2)
+    assert report.per_label[1]["f1"] == 0.0
+    assert report.macro_f1 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_micro_equals_macro_single_label():
     preds = [{0}, set(), {0}]
     golds = [{0}, {0}, set()]
-    micro, macro, _ = micro_macro_f1(preds, golds, 1)
-    assert micro == pytest.approx(macro, abs=1e-12)
+    report = evaluate(preds, golds, 1)
+    assert report.micro_f1 == pytest.approx(report.macro_f1, abs=1e-12)
 
 
 def test_f1_rejects_out_of_range_label():
     with pytest.raises(ValueError):
-        micro_macro_f1([{3}], [{0}], 2)
+        evaluate([{3}], [{0}], 2)
 
 
 def test_evaluate_report_fields_in_unit_interval():
