@@ -29,17 +29,24 @@ HEATMAP_BUDGET = 4096
 
 
 def build_attribution(final_edges: np.ndarray) -> np.ndarray:
-    """The m x n final edge block normalized so all values sum to 1.
+    """Each m x n block of a stack normalized so its values sum to 1; a 2-D block is a stack of one.
 
-    An all-zero block (untrainable degenerate case) falls back to the
-    uniform matrix with a warning rather than dividing by zero.
+    A block's total is numpy's pairwise sum over its m·n values, as
+    `block.sum()` would give it alone, so a block normalizes to the same
+    bits in a stack of any size. An all-zero block (untrainable
+    degenerate case) falls back to the uniform matrix with a warning, one
+    warning per such block, rather than dividing by zero.
     """
     values = np.asarray(final_edges, dtype=float)
-    total = values.sum()
-    if total > 0:
-        return values / total
-    warnings.warn("all-zero edge block; attribution falls back to uniform")
-    return np.full_like(values, 1.0 / values.size)
+    size = values.shape[-2] * values.shape[-1]
+    flat = values.reshape(-1, size)
+    totals = np.add.reduce(flat, axis=1)
+    zero = ~(totals > 0)
+    for _ in range(np.count_nonzero(zero)):
+        warnings.warn("all-zero edge block; attribution falls back to uniform")
+    out = flat / np.where(zero, 1.0, totals)[:, None]
+    out[zero] = 1.0 / size
+    return out.reshape(values.shape)
 
 
 def build_golden(annotations, m: int, n: int) -> np.ndarray:
@@ -61,13 +68,22 @@ def build_golden(annotations, m: int, n: int) -> np.ndarray:
     return golden
 
 
-def attribution_mse(pred: np.ndarray, golden: np.ndarray) -> float:
-    """Mean squared elementwise difference between the two matrices."""
+def attribution_mse(pred: np.ndarray, golden: np.ndarray):
+    """Mean squared elementwise difference of each pair of m x n blocks of two equal-shape stacks.
+
+    A 2-D pair is a stack of one and gives a scalar. Each block's mean is
+    numpy's pairwise sum over its m·n squared differences divided by m·n,
+    which is `np.mean` of that block alone, bit for bit.
+    """
     pred = np.asarray(pred, dtype=float)
     golden = np.asarray(golden, dtype=float)
     if pred.shape != golden.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {golden.shape}")
-    return float(np.mean((pred - golden) ** 2))
+    size = pred.shape[-2] * pred.shape[-1]
+    squares = pred - golden
+    np.square(squares, out=squares)
+    # [()] makes the 0-d result of a 2-D pair a scalar
+    return (np.add.reduce(squares.reshape(-1, size), axis=1) / size).reshape(pred.shape[:-2])[()]
 
 
 def pearson_matrix(pred_sets, n: int) -> np.ndarray:

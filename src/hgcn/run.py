@@ -297,21 +297,37 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     """(attributions, corpus golden MSE or None if no goldens).
 
     `attributions` holds each sample's m x n `build_attribution` array,
-    in input order.
+    in input order. The samples whose blocks have the same row count m
+    form a group, in input order, and a group is normalized and scored
+    as one stack, so each attribution is a view of its group's array. A
+    group of one is its own block; a larger group is one contiguous copy.
 
     Golden matrices use annotated keyword intensities at the annotated
-    token rows; samples without annotations do not enter the MSE mean.
+    token rows. They are built in input order, before any block is
+    normalized, so a bad intensity is reported for the first such sample;
+    samples without annotations do not enter the MSE mean.
     """
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
     (edges,) = _infer(samples, params, provider, run_cfg, vocab, "edges")
-    attributions = [build_attribution(block) for block in edges]
-    mses = []
-    for s, attr in zip(samples, attributions):
-        if s.annotations:
-            golden = build_golden(
-                [(i, index[name], x) for i, name, x in s.annotations],
-                len(attr), len(run_cfg.label_names))
-            mses.append(attribution_mse(attr, golden))
+    goldens = [build_golden([(i, index[name], x) for i, name, x in s.annotations],
+                            len(block), len(run_cfg.label_names)) if s.annotations else None
+               for s, block in zip(samples, edges)]
+    groups = {}  # row count -> the samples whose blocks have it
+    for i, block in enumerate(edges):
+        groups.setdefault(len(block), []).append(i)
+    attributions, mses = [None] * len(edges), [None] * len(edges)
+    for members in groups.values():
+        stack = build_attribution(edges[members[0]][None] if len(members) == 1
+                                  else np.stack([edges[i] for i in members]))
+        for i, attr in zip(members, stack):
+            attributions[i], edges[i] = attr, None  # a normalized block is not held
+        scored = [b for b, i in enumerate(members) if goldens[i] is not None]
+        if scored:
+            pred = stack if len(scored) == len(members) else stack[scored]
+            gold = np.stack([goldens[members[b]] for b in scored])
+            for b, mse in zip(scored, attribution_mse(pred, gold)):
+                mses[members[b]] = mse
+    mses = [mse for mse in mses if mse is not None]
     return attributions, float(np.mean(mses)) if mses else None
 
 

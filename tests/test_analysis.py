@@ -33,6 +33,30 @@ def test_attribution_all_zero_falls_back_to_uniform():
     assert np.allclose(att, 1 / 6, atol=1e-15)
 
 
+@pytest.mark.parametrize("k, m, n", [(1, 2, 1), (3, 5, 4), (4, 9, 7), (2, 130, 20), (2, 130, 103)])
+def test_stack_matches_each_block_alone_bitwise(k, m, n):
+    # 130 x 103 cells is past numpy's 8192-element buffer
+    rng = np.random.default_rng(k * m * n)
+    blocks = rng.random((k, m, n)) * 10.0 ** rng.uniform(-3, 3, (k, m, n))
+    goldens = np.where(rng.random((k, m, n)) < 0.1, rng.random((k, m, n)), 0.0)
+    attrs = build_attribution(blocks)
+    mses = attribution_mse(attrs, goldens)
+    assert attrs.shape == blocks.shape and mses.shape == (k,)
+    for block, golden, attr, mse in zip(blocks, goldens, attrs, mses):
+        assert attr.tobytes() == (block / np.sum(block)).tobytes()
+        assert mse == np.mean((attr - golden) ** 2) == attribution_mse(attr, golden)
+
+
+def test_stack_all_zero_block_warns_once_per_block():
+    blocks = np.ones((4, 2, 3))
+    blocks[[1, 3]] = 0.0
+    with pytest.warns(UserWarning, match="all-zero edge block") as caught:
+        attrs = build_attribution(blocks)
+    assert len(caught) == 2
+    assert np.array_equal(attrs[[1, 3]], np.full((2, 2, 3), 1 / 6))
+    assert np.array_equal(attrs[[0, 2]], np.full((2, 2, 3), 1 / 6))
+
+
 def test_golden_hand_value():
     # content token 0 maps to row 1; row 0 is the sequence-start marker
     golden = build_golden([(0, 1, 1.0), (1, 0, 0.5)], m=4, n=2)

@@ -17,6 +17,7 @@ import pytest
 
 from hgcn import metrics, model
 from hgcn import run as runmod
+from hgcn.analysis import build_golden
 from hgcn.autodiff import Node, Tape
 from hgcn.data import Sample, save_embeddings
 from hgcn.encoder import PAD, PrecomputedFile, TrainableLookup, Vocabulary, tokenize
@@ -527,3 +528,89 @@ def test_file_block_errors_come_at_tokenization(block, tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="s3"):
         runmod.predict(SAMPLES, params, PrecomputedFile(blocks), run_cfg, VOCABULARY)
     assert calls == []
+
+
+def explain_reference(samples, edges, label_names):
+    """`run.explain_samples`'s results, one sample at a time, from the same edge blocks."""
+    index = {name: i for i, name in enumerate(label_names)}
+    attributions, mses = [], []
+    for s, block in zip(samples, edges):
+        total = np.sum(block)
+        attr = block / total if total > 0 else np.full(block.shape, 1.0 / block.size)
+        attributions.append(attr)
+        if s.annotations:
+            golden = build_golden([(i, index[name], x) for i, name, x in s.annotations],
+                                  *block.shape)
+            mses.append(np.mean((attr - golden) ** 2))
+    return attributions, float(np.mean(mses)) if mses else None
+
+
+# at max_len 8, m = 3, 8 (truncated), 3, 7, 4, 3, 8 (truncated): groups of three, two, one
+# and one, in an order that is not input order; s1's second annotation is past its truncation
+EXPLAINED = [
+    Sample(id="s0", tokens=["w0"], labels=[], annotations=[(0, "A", 1.0)]),
+    Sample(id="s1", tokens=[f"w{i % 10}" for i in range(15)], labels=[],
+           annotations=[(2, "B", 0.5), (10, "C", 1.0)]),
+    Sample(id="s2", tokens=["w3"], labels=[]),
+    Sample(id="s3", tokens=["w3", "w9", "w9", "w1", "w5"], labels=[],
+           annotations=[(4, "C", 0.25), (1, "A", 1.0)]),
+    Sample(id="s4", tokens=["w2", "w6"], labels=[], annotations=[(1, "B", 0.75)]),
+    Sample(id="s5", tokens=["w1"], labels=[], annotations=[(0, "C", 1.0)]),
+    Sample(id="s6", tokens=[f"w{i % 7}" for i in range(20)], labels=[]),
+]
+
+
+def explain_args():
+    cfg, params, provider = make_model()
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=8)
+    return params, provider, run_cfg
+
+
+def assert_explained_like_reference(samples, params, provider, run_cfg, edges):
+    args = (samples, params, provider, run_cfg, VOCABULARY)
+    attributions, mse = runmod.explain_samples(*args)
+    want, want_mse = explain_reference(samples, edges, run_cfg.label_names)
+    assert len(attributions) == len(want)
+    for got, ref in zip(attributions, want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert mse == want_mse
+    return attributions, mse
+
+
+def test_explain_groups_match_the_per_sample_reference_bitwise():
+    params, provider, run_cfg = explain_args()
+    (edges,) = runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY, "edges")
+    assert [len(block) for block in edges] == [3, 8, 3, 7, 4, 3, 8]
+    attributions, mse = assert_explained_like_reference(EXPLAINED, params, provider, run_cfg,
+                                                        edges)
+    assert mse is not None
+    # the three samples of m = 3 are views of one group array; s3's group of one is its own
+    group = attributions[0].base
+    assert group is not None and attributions[2].base is group and attributions[5].base is group
+    assert attributions[3].base is not group and attributions[1].base is attributions[6].base
+    # samples without annotations: the same maps, and no MSE
+    bare = [Sample(id=s.id, tokens=s.tokens, labels=[]) for s in EXPLAINED]
+    _, bare_mse = assert_explained_like_reference(bare, params, provider, run_cfg, edges)
+    assert bare_mse is None
+
+
+def test_explain_all_zero_block_in_a_group_is_uniform_with_its_warning(monkeypatch):
+    params, provider, run_cfg = explain_args()
+    (edges,) = runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY, "edges")
+    edges[5] = np.zeros_like(edges[5])  # one of the three blocks of m = 3
+    monkeypatch.setattr(runmod, "_infer", lambda *args: (list(edges),))  # a new list, as _infer gives
+    with pytest.warns(UserWarning, match="all-zero edge block") as caught:
+        attributions, _ = assert_explained_like_reference(EXPLAINED, params, provider, run_cfg,
+                                                          edges)
+    assert len(caught) == 1
+    assert np.array_equal(attributions[5], np.full((3, 3), 1 / 9))
+
+
+def test_explain_reports_the_first_bad_intensity_in_input_order():
+    params, provider, run_cfg = explain_args()
+    # s1 (m = 8) comes first in input order; its group comes after s0's group (m = 3)
+    samples = [EXPLAINED[0],
+               Sample(id="s1", tokens=EXPLAINED[1].tokens, labels=[], annotations=[(0, "A", 1.5)]),
+               Sample(id="s2", tokens=["w3"], labels=[], annotations=[(0, "B", -0.5)])]
+    with pytest.raises(ValueError, match=r"intensity 1\.5 outside"):
+        runmod.explain_samples(samples, params, provider, run_cfg, VOCABULARY)

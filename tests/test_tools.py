@@ -2,7 +2,8 @@
 
 tools/output_digest.py shows outputs byte-identical; tools/src_lines.py counts code lines;
 tools/fidelity.py reads where the trained model's attributions land;
-tools/projection_crossover.py times `run.PROJECT_RATIO`'s two sides.
+tools/projection_crossover.py times `run.PROJECT_RATIO`'s two sides; tools/pairs.py writes
+the BENCH files.
 """
 
 import contextlib
@@ -14,6 +15,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,3 +174,52 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
         assert table["ratio"] == 0.5 and table["rounds"] == 1, name
         assert table["rows"] >= round(0.5 * entry["padded_rows"]), name
     assert run._projected_table is real
+
+
+def test_pairs_writes_one_tiny_pair_against_head(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("needs a git checkout with a HEAD commit")
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "pairs.py"), "HEAD", "smoke",
+                             "serve:1:7:0", "--size", "tiny", "--out", str(tmp_path)],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert set(bench) == {"label", "command", "method", "summary", "runs"}
+    assert bench["label"] == "smoke" and "perfbench/run.py" in bench["command"]
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    runs = bench["runs"]
+    assert [(r["side"], r["pair"]) for r in runs] == [("parent", 1), ("change", 1)]
+    for r in runs:
+        assert set(r) == {"side", "pair", "workload", "seed", "commit", "env", "result"}
+        assert (r["workload"], r["seed"], r["env"]["seed"]) == ("serve", 7, 7)
+        assert r["result"]["correct"] and r["result"]["failed"] == 0
+    assert runs[0]["commit"] == head and runs[1]["commit"].startswith("src tree ")
+    summary = bench["summary"]["serve"]
+    assert summary["failed_checks"] == {"parent": 0, "change": 0}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(summary["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for entry in summary["metrics"].values():
+        assert set(entry) == {"parent_median", "parent_quartiles", "change_median",
+                              "change_quartiles", "ratio", "pairs", "change_wins",
+                              "change_losses", "ties", "median_gain_beyond_parent_iqr"}
+        assert entry["pairs"] == 1
+        assert entry["change_wins"] + entry["change_losses"] + entry["ties"] == 1
+
+
+def test_pairs_summary_reads_each_metric_in_its_direction():
+    pairs = load_tool("pairs")
+
+    def run(side, pair, rate, rss):
+        return {"side": side, "pair": pair, "workload": "w", "result": {"failed": 0, "metrics": {
+            "rate": {"value": rate}, "rss": {"value": rss}}}}
+    runs = [run("parent", 1, 10.0, 50.0), run("change", 1, 12.0, 50.0),
+            run("change", 2, 13.0, 49.0), run("parent", 2, 11.0, 51.0),
+            run("parent", 3, 10.0, 50.0), run("change", 3, 9.0, 50.0)]
+    got = pairs.summarize(runs, "w", [{"name": "rate", "better": "higher"},
+                                      {"name": "rss", "better": "lower"}])["metrics"]
+    assert got["rate"]["parent_median"] == 10.0 and got["rate"]["change_median"] == 12.0
+    assert (got["rate"]["change_wins"], got["rate"]["change_losses"], got["rate"]["ties"]) == (2, 1, 0)
+    assert got["rate"]["ratio"] == 1.2 and got["rate"]["median_gain_beyond_parent_iqr"]
+    assert (got["rss"]["change_wins"], got["rss"]["change_losses"], got["rss"]["ties"]) == (1, 0, 2)
+    assert not got["rss"]["median_gain_beyond_parent_iqr"]
