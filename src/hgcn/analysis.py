@@ -49,22 +49,24 @@ def build_attribution(final_edges: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def build_golden(annotations, m: int, n: int) -> np.ndarray:
-    """Arrange keyword-intensity annotations as an m x n matrix.
+def build_golden(annotations, m: int, label_names) -> np.ndarray:
+    """Arrange k samples' keyword-intensity annotations as a k x m x n stack, one matrix each.
 
-    `annotations` holds (token_index, label_index, intensity) triples
-    indexed over the sample's content tokens; content token i sits on
-    token-node row i + 1 (the sequence-start marker occupies row 0).
-    Rows for non-keyword tokens stay zero and the matrix is deliberately
-    not normalized. Annotations past the truncation boundary are dropped.
+    `annotations[b]` is sample b's `Sample.annotations`: (token_index,
+    label name, intensity) triples, indexed over its content tokens,
+    with the intensities in [0, 1] that `data.load_dataset` admits.
+    Content token i sits on token-node row i + 1 (the sequence-start
+    marker occupies row 0), and label j of `label_names` on column j.
+    Rows for non-keyword tokens stay zero and the matrices are
+    deliberately not normalized. Annotations past the truncation
+    boundary are dropped.
     """
-    golden = np.zeros((m, n))
-    for tok_idx, label_idx, intensity in annotations:
-        row = tok_idx + 1
-        if not 0.0 <= intensity <= 1.0:
-            raise ValueError(f"intensity {intensity} outside [0, 1]")
-        if row < m - 1:  # last row is the sequence-end marker
-            golden[row, label_idx] = intensity
+    column = {name: j for j, name in enumerate(label_names)}
+    golden = np.zeros((len(annotations), m, len(column)))
+    for matrix, triples in zip(golden, annotations):
+        for tok_idx, name, intensity in triples:
+            if tok_idx + 1 < m - 1:  # last row is the sequence-end marker
+                matrix[tok_idx + 1, column[name]] = intensity
     return golden
 
 

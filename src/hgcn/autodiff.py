@@ -164,9 +164,7 @@ ACTIVATIONS = {
 
 
 def activation(a: Node, kind: str = "relu") -> Node:
-    """Elementwise nonlinearity from ACTIVATIONS. ReLU's subgradient at 0 is taken as 0."""
-    if kind not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {kind!r}")
+    """Elementwise nonlinearity `kind`, an ACTIVATIONS key; ReLU's subgradient at 0 is 0."""
     f, df = ACTIVATIONS[kind]
     out = f(a.value)
 
@@ -254,13 +252,11 @@ def _flat_store(params):
 
 
 class Adam:
-    """Adaptive-moment optimizer with the usual hyperparameters."""
+    """Adaptive-moment optimizer with the usual hyperparameters and a learning rate `lr` > 0."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
         self.params, self.values, self.grads = _flat_store(params)
         self.lr, self.t = lr, 0
         self.m, self.v, self._scratch = (np.zeros_like(self.values) for _ in range(3))

@@ -56,9 +56,7 @@ class Vocabulary:
 
 
 def _truncated(tokens, max_len: int):
-    """The content tokens that fit between the two markers."""
-    if max_len < 3:
-        raise ValueError(f"max_len must be >= 3, got {max_len}")
+    """The content tokens that fit between the two markers, for max_len >= 3."""
     return tokens[: max_len - 2]
 
 

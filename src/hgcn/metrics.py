@@ -11,17 +11,13 @@ import numpy as np
 
 
 def decode_topk(probs, k: int) -> set[int]:
-    """The min(k, n) highest-probability labels; ties go to the lower index."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """The min(k, n) highest-probability labels, for k >= 1; ties go to the lower index."""
     order = np.argsort(-np.asarray(probs, dtype=float).ravel(), kind="stable")
     return set(order[:k].tolist())
 
 
 def decode_threshold(probs, t: float) -> set[int]:
-    """All labels with probability >= t; may be empty."""
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"threshold must be in (0, 1], got {t}")
+    """All labels with probability >= t, for t in (0, 1]; may be empty."""
     return {j for j, p in enumerate(np.asarray(probs, dtype=float).ravel().tolist()) if p >= t}
 
 

@@ -192,14 +192,12 @@ def chunks(lengths, cfg: ModelConfig) -> list[slice]:
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
                optimizer: ad.Adam) -> float:
-    """One optimizer step on a batch of (ids, target) pairs.
+    """One optimizer step on a nonempty batch of (ids, target) pairs.
 
     Loss is the mean per-sample MSE. Each chunk's backward is seeded with
     its share of the batch, so gradients accumulate across chunks into the
     batch mean before the single parameter update.
     """
-    if not batch:
-        raise ValueError("empty batch")
     total = 0.0
     for part in chunks([len(ids) for ids, _ in batch], cfg):
         chunk = batch[part]

@@ -302,16 +302,12 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     as one stack, so each attribution is a view of its group's array. A
     group of one is its own block; a larger group is one contiguous copy.
 
-    Golden matrices use annotated keyword intensities at the annotated
-    token rows. They are built in input order, before any block is
-    normalized, so a bad intensity is reported for the first such sample;
-    samples without annotations do not enter the MSE mean.
+    A group's annotated samples are scored against their golden
+    matrices, the annotated keyword intensities at the annotated token
+    rows, built as one stack when the group is scored; samples without
+    annotations do not enter the MSE mean.
     """
-    index = {name: i for i, name in enumerate(run_cfg.label_names)}
     (edges,) = _infer(samples, params, provider, run_cfg, vocab, "edges")
-    goldens = [build_golden([(i, index[name], x) for i, name, x in s.annotations],
-                            len(block), len(run_cfg.label_names)) if s.annotations else None
-               for s, block in zip(samples, edges)]
     groups = {}  # row count -> the samples whose blocks have it
     for i, block in enumerate(edges):
         groups.setdefault(len(block), []).append(i)
@@ -321,10 +317,12 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
                                   else np.stack([edges[i] for i in members]))
         for i, attr in zip(members, stack):
             attributions[i], edges[i] = attr, None  # a normalized block is not held
-        scored = [b for b, i in enumerate(members) if goldens[i] is not None]
+        annotated = [samples[i].annotations for i in members]
+        scored = [b for b, notes in enumerate(annotated) if notes]
         if scored:
             pred = stack if len(scored) == len(members) else stack[scored]
-            gold = np.stack([goldens[members[b]] for b in scored])
+            gold = build_golden([annotated[b] for b in scored], stack.shape[1],
+                                run_cfg.label_names)
             for b, mse in zip(scored, attribution_mse(pred, gold)):
                 mses[members[b]] = mse
     mses = [mse for mse in mses if mse is not None]

@@ -72,13 +72,12 @@ def generate_synthetic_corpus(n_labels, vocab_size, n_samples, seed=0,
     Each sample draws 1-3 labels (respecting any co-occurrence
     constraints), then plants each label's trigger, `trig_<name>` in
     lower case, at a random position among filler tokens `w<i>`. Filler
-    vocabulary is whatever remains of vocab_size after the triggers.
+    vocabulary is whatever remains of vocab_size after the triggers, at
+    least one token.
     """
     label_names = [f"L{i + 1}" for i in range(n_labels)]
     trigger_map = {name: f"trig_{name.lower()}" for name in label_names}
     n_fillers = vocab_size - n_labels
-    if n_fillers < 1:
-        raise ValueError(f"vocab_size {vocab_size} leaves no room for filler tokens")
     fillers = [f"w{i}" for i in range(n_fillers)]
 
     label_sets = _valid_label_sets(n_labels, always_together, never_together)

@@ -58,21 +58,21 @@ def test_stack_all_zero_block_warns_once_per_block():
 
 
 def test_golden_hand_value():
-    # content token 0 maps to row 1; row 0 is the sequence-start marker
-    golden = build_golden([(0, 1, 1.0), (1, 0, 0.5)], m=4, n=2)
-    expected = [[0, 0], [0, 1.0], [0.5, 0], [0, 0]]
+    # content token 0 maps to row 1; row 0 is the sequence-start marker, and the second
+    # sample's token 2 would sit on row 3, the end marker's, so it is dropped
+    golden = build_golden([[(0, "B", 1.0), (1, "A", 0.5)], [(2, "B", 0.25)]], m=4,
+                          label_names=["A", "B"])
+    expected = [[[0, 0], [0, 1.0], [0.5, 0], [0, 0]],
+                [[0, 0], [0, 0], [0, 0], [0, 0]]]
+    assert golden.shape == (2, 4, 2)
     assert np.array_equal(golden, expected)
 
 
 def test_golden_drops_truncated_annotations():
-    golden = build_golden([(0, 0, 1.0), (9, 1, 1.0)], m=4, n=2)
-    assert golden[1, 0] == 1.0
-    assert golden.sum() == 1.0
-
-
-def test_golden_rejects_bad_intensity():
-    with pytest.raises(ValueError):
-        build_golden([(0, 0, 1.5)], m=4, n=2)
+    golden = build_golden([[(0, "A", 1.0), (9, "B", 1.0)], [(1, "B", 1.0)]], m=4,
+                          label_names=["A", "B"])
+    assert golden[0, 1, 0] == 1.0 and golden[1, 2, 1] == 1.0
+    assert golden.sum() == 2.0
 
 
 def test_mse_hand_values():

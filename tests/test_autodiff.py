@@ -383,11 +383,6 @@ def test_public_ops_reject_nonfinite_inputs():
         constant([[np.inf, 1.0]])
 
 
-def test_adam_rejects_nonpositive_lr():
-    with pytest.raises(ValueError):
-        Adam([parameter([[1.0]])], 0.0)
-
-
 def test_adam_first_step_moves_against_gradient():
     p = parameter([[1.0]])
     p.grad[...] = np.array([[2.0]])

@@ -532,15 +532,13 @@ def test_file_block_errors_come_at_tokenization(block, tmp_path, monkeypatch):
 
 def explain_reference(samples, edges, label_names):
     """`run.explain_samples`'s results, one sample at a time, from the same edge blocks."""
-    index = {name: i for i, name in enumerate(label_names)}
     attributions, mses = [], []
     for s, block in zip(samples, edges):
         total = np.sum(block)
         attr = block / total if total > 0 else np.full(block.shape, 1.0 / block.size)
         attributions.append(attr)
         if s.annotations:
-            golden = build_golden([(i, index[name], x) for i, name, x in s.annotations],
-                                  *block.shape)
+            [golden] = build_golden([s.annotations], len(block), label_names)
             mses.append(np.mean((attr - golden) ** 2))
     return attributions, float(np.mean(mses)) if mses else None
 
@@ -604,13 +602,3 @@ def test_explain_all_zero_block_in_a_group_is_uniform_with_its_warning(monkeypat
                                                           edges)
     assert len(caught) == 1
     assert np.array_equal(attributions[5], np.full((3, 3), 1 / 9))
-
-
-def test_explain_reports_the_first_bad_intensity_in_input_order():
-    params, provider, run_cfg = explain_args()
-    # s1 (m = 8) comes first in input order; its group comes after s0's group (m = 3)
-    samples = [EXPLAINED[0],
-               Sample(id="s1", tokens=EXPLAINED[1].tokens, labels=[], annotations=[(0, "A", 1.5)]),
-               Sample(id="s2", tokens=["w3"], labels=[], annotations=[(0, "B", -0.5)])]
-    with pytest.raises(ValueError, match=r"intensity 1\.5 outside"):
-        runmod.explain_samples(samples, params, provider, run_cfg, VOCABULARY)

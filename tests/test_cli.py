@@ -425,6 +425,15 @@ def test_checkpoint_malformed_vocab_or_weight_is_runtime_error(trained, tmp_path
     pytest.param({"label_names": ["L1", "L2", "L3", "L1"]}, "label_names",
                  id="label_names-repeated"),
     pytest.param({"input_dim": 0}, "input_dim", id="input_dim-zero"),
+    # RunConfig is these rules' one home: the library functions they reach do not check again
+    pytest.param({"topk": 0}, "topk must be >= 1", id="topk-zero"),
+    pytest.param({"decode": "threshold", "threshold": 0.0}, "threshold must be in (0, 1]",
+                 id="threshold-zero"),
+    pytest.param({"decode": "threshold", "threshold": 1.5}, "threshold must be in (0, 1]",
+                 id="threshold-above-1"),
+    pytest.param({"max_len": 2}, "max_len must be >= 3", id="max_len-2"),
+    pytest.param({"batch_size": 0}, "batch_size must be >= 1", id="batch_size-zero"),
+    pytest.param({"lr": 0.0}, "lr must be finite and > 0", id="lr-zero"),
 ])
 def test_unsupported_knob_rejected_before_training(corpus, tmp_path, capsys, values, key):
     root, label_names = corpus

@@ -145,6 +145,7 @@ MALFORMED = "malformed annotation"
 @pytest.mark.parametrize("annotations,match", [
     ('[[5, "A", 1.0]]', "out of range"),
     ('[[0, "A", 2.0]]', "intensity"),
+    ('[[0, "A", -0.5]]', r"intensity -0\.5 outside"),
     ('[["0", "A", 0.5]]', MALFORMED),
     ('[[0, "A", "0.5"]]', MALFORMED),
     ('[[1, "A"]]', MALFORMED),
@@ -156,9 +157,9 @@ MALFORMED = "malformed annotation"
     ('[[0, 1, 0.5]]', MALFORMED),
     ('[{"0": "A"}]', MALFORMED),
     ('{"0": "A"}', "must be a list"),
-], ids=["index-out-of-range", "intensity-above-1", "string-index", "string-intensity",
-        "two-elements", "four-elements", "bool-index", "bool-intensity", "true-intensity",
-        "float-index", "int-label", "object-entry", "object-annotations"])
+], ids=["index-out-of-range", "intensity-above-1", "intensity-below-0", "string-index",
+        "string-intensity", "two-elements", "four-elements", "bool-index", "bool-intensity",
+        "true-intensity", "float-index", "int-label", "object-entry", "object-annotations"])
 def test_dataset_annotation_validation(tmp_path, annotations, match):
     path = write(tmp_path, '{"id": "s1", "tokens": ["a", "b"], "labels": ["A"], '
                            f'"annotations": {annotations}}}\n')

@@ -163,13 +163,6 @@ def test_train_step_zero_loss_leaves_params():
         assert np.array_equal(b, p.value)
 
 
-def test_train_step_rejects_empty_batch():
-    cfg, params, provider = tiny_setup()
-    with pytest.raises(ValueError):
-        train_step([], params, cfg, provider,
-                   ReferenceSGD(params.parameters() + provider.parameters(), 0.01))
-
-
 def test_loss_decreases_on_separable_fixture():
     cfg, params, provider = tiny_setup(n=2, d=6, hidden=8, vocab=10,
                                        activation="tanh")
@@ -226,8 +219,12 @@ def test_model_config_validation():
 
 @pytest.mark.parametrize("values, key", [
     ({"decode": "thresh"}, "decode"), ({"encoder": "File:v.bin"}, "encoder"),
-    ({"hidden": "8"}, "hidden"),
-], ids=["decode", "encoder", "hidden-string"])
+    ({"hidden": "8"}, "hidden"), ({"topk": 0}, "topk"),
+    ({"decode": "threshold", "threshold": 0.0}, "threshold"),
+    ({"decode": "threshold", "threshold": 1.5}, "threshold"),
+    ({"max_len": 2}, "max_len"), ({"batch_size": 0}, "batch_size"), ({"lr": 0.0}, "lr"),
+], ids=["decode", "encoder", "hidden-string", "topk-zero", "threshold-zero", "threshold-above-1",
+        "max_len-2", "batch_size-zero", "lr-zero"])
 def test_run_config_checks_itself_when_built(values, key):
     # in process, with no CLI in between: a bad value cannot reach training
     with pytest.raises(run.ConfigError, match=f"^{key} must be"):
