@@ -90,7 +90,7 @@ def _label_error(labels, label_set) -> str:
         for name in labels:
             if not isinstance(name, str):
                 break
-            if label_set is not None and name not in label_set:
+            if name not in label_set:
                 return f"unknown label {name!r}"
     return "'labels' must be a list of strings"
 
@@ -120,8 +120,7 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
     else:
         raise DatasetError(f"line {lineno}: need 'tokens' or 'text'")
     labels = obj.get("labels", [])
-    if not (isinstance(labels, list) and _all_strings(labels)
-            and (label_set is None or label_set.issuperset(labels))):
+    if not (isinstance(labels, list) and _all_strings(labels) and label_set.issuperset(labels)):
         raise DatasetError(f"line {lineno}: {_label_error(labels, label_set)}")
     entries = obj.get("annotations", [])
     if not isinstance(entries, list):
@@ -135,7 +134,7 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
         idx, name, intensity = entry
         if not 0 <= idx < len(tokens):
             raise DatasetError(f"line {lineno}: annotation token index {idx} out of range")
-        if label_set is not None and name not in label_set:
+        if name not in label_set:
             raise DatasetError(f"line {lineno}: unknown annotation label {name!r}")
         if not 0.0 <= intensity <= 1.0:
             raise DatasetError(f"line {lineno}: intensity {intensity} outside [0, 1]")
@@ -144,13 +143,13 @@ def _parse_sample(obj, label_set, lineno: int) -> Sample:
     return Sample(sample_id, tokens, labels, annotations)
 
 
-def load_dataset(path, label_names=None) -> list[Sample]:
+def load_dataset(path, label_names) -> list[Sample]:
     """Parse a JSON-lines dataset; labels must be declared, ids unique plain file names.
 
     Each line is decoded alone: a line must hold exactly one JSON value,
     which one parse of the joined lines would not check.
     """
-    label_set = set(label_names) if label_names is not None else None
+    label_set = set(label_names)
     decode = json.JSONDecoder().raw_decode
     samples = []
     first_line = {}  # sample id -> line it was first seen on

@@ -28,16 +28,15 @@ class EvalReport:
     jaccard: float
     per_label: list[dict]  # label index -> precision/recall/f1/tp/fp/fn
 
-    def render(self, label_names=None) -> str:
+    def render(self, label_names) -> str:
         lines = [
             f"micro_f1 {self.micro_f1:.6f}",
             f"macro_f1 {self.macro_f1:.6f}",
             f"jaccard {self.jaccard:.6f}",
         ]
         for row in self.per_label:
-            name = label_names[row["label"]] if label_names else str(row["label"])
             lines.append(
-                f"label {name} precision {row['precision']:.6f} "
+                f"label {label_names[row['label']]} precision {row['precision']:.6f} "
                 f"recall {row['recall']:.6f} f1 {row['f1']:.6f}")
         return "\n".join(lines) + "\n"
 

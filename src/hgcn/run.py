@@ -189,18 +189,18 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
     return decode_threshold(probs, run_cfg.threshold)
 
 
-def _infer(samples, params, provider, run_cfg, vocab, *outputs):
-    """The named `outputs` of every sample, in the order named, each indexed in input order.
+def _infer(samples, params, provider, run_cfg, vocab):
+    """Each chunk's (members, lengths, trace), one forward pass at a time.
 
     The samples are sorted by length, stably, and cut into chunks by
     `model.chunks`, the same CHUNK_BUDGET as in training, so a chunk pads
-    few rows; `batch_size` plays no part. Inference records no tape.
-    The outputs are "probs", N x n; "labels", the final label rows,
-    N x n x hidden; and "edges", each sample's own m x n final block, a
-    copy, so no chunk's arrays outlive its pass.
-    Only the outputs named are built: a command asks for what it reads.
-    The chunks gather their first token rows from `_projected_table`'s
-    product when there is one.
+    few rows; `batch_size` plays no part. `members` are the chunk's
+    indices into `samples`, `lengths` their token row counts, ascending,
+    and `trace` the chunk's `ForwardTrace`, whose row b is sample
+    `members[b]`. Inference records no tape, and a command reads from
+    each trace what it needs before the next chunk runs. The chunks
+    gather their first token rows from `_projected_table`'s product when
+    there is one.
     """
     cfg = run_cfg.model_config()
     ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]
@@ -210,21 +210,9 @@ def _infer(samples, params, provider, run_cfg, vocab, *outputs):
     # a chunk pads its samples to its last, the longest
     projected = _projected_table(provider, params,
                                  sum((p.stop - p.start) * lengths[p.stop - 1] for p in parts))
-    probs = np.empty((len(ids), cfg.num_labels)) if "probs" in outputs else None
-    labels = np.empty((len(ids), cfg.num_labels, cfg.hidden)) if "labels" in outputs else None
-    edges = [None] * len(ids) if "edges" in outputs else None
     for part in parts:
-        members = order[part]
-        trace = forward([ids[i] for i in members], provider, params, cfg, projected)
-        if probs is not None:
-            probs[members] = trace.probs
-        if labels is not None:
-            labels[members] = trace.final_labels
-        if edges is not None:
-            for b, i in enumerate(members):
-                edges[i] = trace.final_edges[b, :len(ids[i])].copy()
-    built = {"probs": probs, "labels": labels, "edges": edges}
-    return tuple(built[name] for name in outputs)
+        yield order[part], lengths[part], forward([ids[i] for i in order[part]], provider,
+                                                  params, cfg, projected)
 
 
 def _projected_table(provider, params, padded_rows: int) -> Node | None:
@@ -245,7 +233,9 @@ def _projected_table(provider, params, padded_rows: int) -> Node | None:
 def predict(samples, params, provider, run_cfg, vocab):
     """Forward every sample; returns (pred_sets, gold_sets)."""
     index = {name: i for i, name in enumerate(run_cfg.label_names)}
-    (probs,) = _infer(samples, params, provider, run_cfg, vocab, "probs")
+    probs = np.empty((len(samples), len(index)))
+    for members, _, trace in _infer(samples, params, provider, run_cfg, vocab):
+        probs[members] = trace.probs
     return ([decode_probs(p, run_cfg) for p in probs],
             [{index[name] for name in s.labels} for s in samples])
 
@@ -297,41 +287,42 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
     """(attributions, corpus golden MSE or None if no goldens).
 
     `attributions` holds each sample's m x n `build_attribution` array,
-    in input order. The samples whose blocks have the same row count m
-    form a group, in input order, and a group is normalized and scored
-    as one stack, so each attribution is a view of its group's array. A
-    group of one is its own block; a larger group is one contiguous copy.
+    in input order. A chunk's samples of the same row count m sit next
+    to each other, since `_infer` sorts by length; each such run is a
+    group, normalized and scored as one stack cut from the chunk's final
+    edge blocks, so each attribution is a view of its group's array. A
+    row count that spans two chunks makes two groups.
 
     A group's annotated samples are scored against their golden
     matrices, the annotated keyword intensities at the annotated token
     rows, built as one stack when the group is scored; samples without
-    annotations do not enter the MSE mean.
+    annotations do not enter the MSE mean, which is taken in input order.
     """
-    (edges,) = _infer(samples, params, provider, run_cfg, vocab, "edges")
-    groups = {}  # row count -> the samples whose blocks have it
-    for i, block in enumerate(edges):
-        groups.setdefault(len(block), []).append(i)
-    attributions, mses = [None] * len(edges), [None] * len(edges)
-    for members in groups.values():
-        stack = build_attribution(edges[members[0]][None] if len(members) == 1
-                                  else np.stack([edges[i] for i in members]))
-        for i, attr in zip(members, stack):
-            attributions[i], edges[i] = attr, None  # a normalized block is not held
-        annotated = [samples[i].annotations for i in members]
-        scored = [b for b, notes in enumerate(annotated) if notes]
-        if scored:
-            pred = stack if len(scored) == len(members) else stack[scored]
-            gold = build_golden([annotated[b] for b in scored], stack.shape[1],
-                                run_cfg.label_names)
-            for b, mse in zip(scored, attribution_mse(pred, gold)):
-                mses[members[b]] = mse
+    attributions, mses = [None] * len(samples), [None] * len(samples)
+    for members, lengths, trace in _infer(samples, params, provider, run_cfg, vocab):
+        cuts = [0, *np.flatnonzero(np.diff(lengths)) + 1, len(lengths)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            group = members[lo:hi]
+            stack = build_attribution(trace.final_edges[lo:hi, :lengths[lo]])
+            for i, attr in zip(group, stack):
+                attributions[i] = attr
+            scored = [b for b, i in enumerate(group) if samples[i].annotations]
+            # unnamed, the goldens are freed before the next chunk runs
+            scores = attribution_mse(stack if len(scored) == len(group) else stack[scored],
+                                     build_golden([samples[group[b]].annotations for b in scored],
+                                                  stack.shape[1], run_cfg.label_names))
+            for b, mse in zip(scored, scores):
+                mses[group[b]] = mse
     mses = [mse for mse in mses if mse is not None]
     return attributions, float(np.mean(mses)) if mses else None
 
 
 def correlate(samples, params, provider, run_cfg, vocab):
     """Pearson over decoded predictions and cosine over mean final label features."""
-    probs, labels = _infer(samples, params, provider, run_cfg, vocab, "probs", "labels")
+    n = len(run_cfg.label_names)
+    probs, labels = np.empty((len(samples), n)), np.empty((len(samples), n, run_cfg.hidden))
+    for members, _, trace in _infer(samples, params, provider, run_cfg, vocab):
+        probs[members], labels[members] = trace.probs, trace.final_labels
     pearson = pearson_matrix([decode_probs(p, run_cfg) for p in probs], len(run_cfg.label_names))
     cosine = label_cosine_matrix(np.mean(labels, axis=0))
     return pearson, cosine

@@ -238,26 +238,20 @@ def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
     assert chunks([], cfg) == []
 
 
-# every output `run._infer` builds, and what each command asks it for:
-# predict, correlate, explain
-OUTPUTS = ("probs", "edges", "labels")
-CALLER_OUTPUTS = [("probs",), ("probs", "labels"), ("edges",)]
+def inferred(args):
+    """`run._infer(*args)`'s chunks read back per sample in input order: probs, edge blocks, label rows.
 
-
-def infer_checked(args):
-    """Every output of `run._infer(*args)`, once what each command asks for is checked against them.
-
-    Each command's outputs must equal the full build's bitwise.
+    Each chunk's lengths must be its members' token row counts, ascending.
     """
-    full = runmod._infer(*args, *OUTPUTS)
-    for asked in CALLER_OUTPUTS:
-        for name, got in zip(asked, runmod._infer(*args, *asked), strict=True):
-            want = full[OUTPUTS.index(name)]
-            if name == "edges":
-                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-            else:
-                assert type(got) is type(want) and np.array_equal(got, want)
-    return full
+    samples, _, provider, run_cfg, vocab = args
+    probs, edges, labels = ([None] * len(samples) for _ in range(3))
+    for members, lengths, trace in runmod._infer(*args):
+        assert list(lengths) == sorted(lengths) == [
+            len(provider.token_ids(samples[i], vocab, run_cfg.max_len)) for i in members]
+        for b, (i, m) in enumerate(zip(members, lengths, strict=True)):
+            probs[i], edges[i] = trace.probs[b], trace.final_edges[b, :m].copy()
+            labels[i] = trace.final_labels[b]
+    return probs, edges, labels
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 10])
@@ -272,34 +266,14 @@ def assert_inference_matches_per_sample(batch_size, num_layers):
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
                                max_len=8, batch_size=batch_size, num_layers=num_layers)
     samples = [Sample(id=f"s{i}", tokens=t, labels=[]) for i, t in enumerate(TOKENS)]
-    probs, edges, labels = infer_checked((samples, params, provider, run_cfg, VOCABULARY))
-    # index i of every result is sample i: the oracle over its own ids agrees
+    probs, edges, labels = inferred((samples, params, provider, run_cfg, VOCABULARY))
+    # member i of every chunk is sample i: the oracle over its own ids agrees
     ids = [provider.token_ids(s, VOCABULARY, 8) for s in samples]
-    assert probs.shape == (len(samples), 3) and labels.shape == (len(samples), 3, 6)
-    assert len(edges) == len(samples)
     for i, sample_ids in enumerate(ids):
         ref = forward_one(sample_ids, provider, params, cfg)
         assert_close(probs[i], ref.probs[0])
         assert_close(edges[i], ref.final_edges)
         assert_close(labels[i], ref.final_labels)
-
-
-def test_each_command_asks_inference_for_what_it_reads(monkeypatch):
-    cfg, params, provider = make_model()
-    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=8)
-    asked = []
-    real_infer = runmod._infer
-
-    def recording_infer(*args):
-        asked.append(args[5:])
-        return real_infer(*args)
-
-    monkeypatch.setattr(runmod, "_infer", recording_infer)
-    args = (SAMPLES, params, provider, run_cfg, VOCABULARY)
-    runmod.predict(*args)
-    runmod.correlate(*args)
-    runmod.explain_samples(*args)
-    assert asked == CALLER_OUTPUTS
 
 
 # lengths 3, 16 (truncated), 2, 5, 7, 4 at max_len 16
@@ -345,20 +319,21 @@ def test_projected_inference_matches_per_chunk_inference(shape, tol, monkeypatch
         return made[-1]
 
     monkeypatch.setattr(runmod, "_projected_table", recording)
-    projected = [runmod._infer(*args, *asked) for asked in CALLER_OUTPUTS]
-    assert len(made) == len(CALLER_OUTPUTS) and all(p is not None for p in made)
+    projected = list(runmod._infer(*args))
+    assert len(made) == 1 and made[0] is not None
     monkeypatch.setattr(runmod, "_projected_table", lambda *projected_args: None)
-    per_chunk = [runmod._infer(*args, *asked) for asked in CALLER_OUTPUTS]
-    for got, want in zip(projected, per_chunk, strict=True):
-        for a, b in zip(got, want, strict=True):
-            # an array output, or the list of edge blocks
-            for x, y in [(a, b)] if isinstance(a, np.ndarray) else zip(a, b, strict=True):
-                assert x.shape == y.shape
-                if tol:
-                    assert np.max(np.abs(x - y), initial=0.0) <= tol
-                else:
-                    # holds only if the BLAS computes each row of X @ W whatever the row count
-                    assert x.tobytes() == y.tobytes(), f"differs on {blas_name()}"
+    per_chunk = list(runmod._infer(*args))
+    for (members, lengths, got), (want_members, want_lengths, want) in zip(projected, per_chunk,
+                                                                           strict=True):
+        assert members == want_members and lengths == want_lengths
+        for x, y in [(got.probs, want.probs), (got.final_edges, want.final_edges),
+                     (got.final_labels, want.final_labels)]:
+            assert x.shape == y.shape
+            if tol:
+                assert np.max(np.abs(x - y), initial=0.0) <= tol
+            else:
+                # holds only if the BLAS computes each row of X @ W whatever the row count
+                assert x.tobytes() == y.tobytes(), f"differs on {blas_name()}"
 
 
 def test_projection_is_made_only_for_enough_padded_rows(monkeypatch):
@@ -394,9 +369,9 @@ def test_projection_is_made_only_for_enough_padded_rows(monkeypatch):
     monkeypatch.setattr(model, "CHUNK_BUDGET", 5 * (7 + 3) * 6)
     runmod.predict(mixed, params, lookup, run_cfg, VOCABULARY)
     assert asked[2:] == [51] and calls[2:] == [None, None]
-    # an empty test set builds nothing
-    (probs,) = runmod._infer([], params, lookup, run_cfg, VOCABULARY, "probs")
-    assert probs.shape == (0, 3) and asked[3:] == [0] and len(calls) == 4
+    # an empty test set runs no chunk
+    assert runmod.predict([], params, lookup, run_cfg, VOCABULARY) == ([], [])
+    assert asked[3:] == [0] and len(calls) == 4
 
 
 def test_inference_ignores_batch_size(monkeypatch):
@@ -423,13 +398,12 @@ def test_inference_ignores_batch_size(monkeypatch):
                                    max_len=16, batch_size=batch_size)
         args = (samples, params, provider, run_cfg, VOCABULARY)
         calls.clear()
-        probs, edges, _ = infer_checked(args)
+        probs, edges, _ = inferred(args)
         for i, s in enumerate(samples):
             ref = forward_one(provider.token_ids(s, VOCABULARY, 16), provider, params, cfg)
             assert_close(probs[i], ref.probs[0])
             assert_close(edges[i], ref.final_edges)
-        # the full build, then each command's
-        assert calls == [by_length[part] for part in parts] * (1 + len(CALLER_OUTPUTS))
+        assert calls == [by_length[part] for part in parts]
         attributions, mse = runmod.explain_samples(*args)
         results.append((runmod.predict(*args), attributions, mse,
                         *runmod.correlate(*args)))
@@ -456,22 +430,28 @@ def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(mo
 
     monkeypatch.setattr(runmod, "forward", recording_forward)
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=16)
-    probs, edges, labels = infer_checked((samples, params, provider, run_cfg, VOCABULARY))
-    # each command's build ran the full build's chunks
-    builds = 1 + len(CALLER_OUTPUTS)
-    assert calls == calls[:len(calls) // builds] * builds
-    calls = calls[:len(calls) // builds]
+    stream = runmod._infer(samples, params, provider, run_cfg, VOCABULARY)
+    assert calls == []  # no chunk runs before the stream is read
+    chunked = list(stream)
     # a stable sort: equal lengths keep their input order
-    assert len(calls) > 1
+    assert len(calls) == len(chunked) > 1
     assert [ids for call in calls for ids in call] == sorted(all_ids, key=len)
-    # results are written back in input order, samples of equal length included
-    for i, sample_ids in enumerate(all_ids):
-        ref = forward_one(sample_ids, provider, params, cfg)
-        assert_close(probs[i], ref.probs[0])
-        assert_close(edges[i], ref.final_edges)
-        assert_close(labels[i], ref.final_labels)
-    for array in (probs, labels, *edges):
-        assert array.base is None
+    assert [i for members, _, _ in chunked for i in members] == sorted(
+        range(len(samples)), key=lambda i: len(all_ids[i]))
+    # each chunk's arrays are its own: read after every chunk has run, each
+    # member's rows still match the oracle, samples of equal length included
+    traces = [trace for _, _, trace in chunked]
+    for a in range(len(traces)):
+        for b in range(a):
+            for name in ("probs", "final_edges", "final_labels"):
+                assert not np.shares_memory(getattr(traces[a], name), getattr(traces[b], name))
+    for members, lengths, trace in chunked:
+        for b, (i, m) in enumerate(zip(members, lengths, strict=True)):
+            ref = forward_one(all_ids[i], provider, params, cfg)
+            assert m == len(all_ids[i])
+            assert_close(trace.probs[b], ref.probs[0])
+            assert_close(trace.final_edges[b, :m], ref.final_edges)
+            assert_close(trace.final_labels[b], ref.final_labels)
 
 
 @pytest.mark.parametrize("decode", ["topk", "threshold"])
@@ -543,8 +523,9 @@ def explain_reference(samples, edges, label_names):
     return attributions, float(np.mean(mses)) if mses else None
 
 
-# at max_len 8, m = 3, 8 (truncated), 3, 7, 4, 3, 8 (truncated): groups of three, two, one
-# and one, in an order that is not input order; s1's second annotation is past its truncation
+# at max_len 8, m = 3, 8 (truncated), 3, 7, 4, 3, 8 (truncated): in one chunk, groups of
+# three, one, one and two, in an order that is not input order; s1's second annotation is
+# past its truncation
 EXPLAINED = [
     Sample(id="s0", tokens=["w0"], labels=[], annotations=[(0, "A", 1.0)]),
     Sample(id="s1", tokens=[f"w{i % 10}" for i in range(15)], labels=[],
@@ -559,9 +540,11 @@ EXPLAINED = [
 
 
 def explain_args():
+    """(params, provider, run_cfg) for EXPLAINED, and its edge blocks as `_infer` yields them."""
     cfg, params, provider = make_model()
     run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=8)
-    return params, provider, run_cfg
+    _, edges, _ = inferred((EXPLAINED, params, provider, run_cfg, VOCABULARY))
+    return params, provider, run_cfg, edges
 
 
 def assert_explained_like_reference(samples, params, provider, run_cfg, edges):
@@ -576,8 +559,7 @@ def assert_explained_like_reference(samples, params, provider, run_cfg, edges):
 
 
 def test_explain_groups_match_the_per_sample_reference_bitwise():
-    params, provider, run_cfg = explain_args()
-    (edges,) = runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY, "edges")
+    params, provider, run_cfg, edges = explain_args()
     assert [len(block) for block in edges] == [3, 8, 3, 7, 4, 3, 8]
     attributions, mse = assert_explained_like_reference(EXPLAINED, params, provider, run_cfg,
                                                         edges)
@@ -592,11 +574,31 @@ def test_explain_groups_match_the_per_sample_reference_bitwise():
     assert bare_mse is None
 
 
+def test_explain_scores_a_group_split_across_chunks_like_the_reference(monkeypatch):
+    # two 3-row samples fit a chunk, so the runs of m = 3 and m = 8 each span two chunks
+    monkeypatch.setattr(model, "CHUNK_BUDGET", 2 * (3 + 3) * 6)
+    params, provider, run_cfg, edges = explain_args()
+    chunked = [lengths for _, lengths, _ in
+               runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY)]
+    assert chunked == [[3, 3], [3], [4], [7], [8], [8]]
+    attributions, mse = assert_explained_like_reference(EXPLAINED, params, provider, run_cfg,
+                                                        edges)
+    assert mse is not None
+    assert attributions[0].base is attributions[2].base is not attributions[5].base
+
+
 def test_explain_all_zero_block_in_a_group_is_uniform_with_its_warning(monkeypatch):
-    params, provider, run_cfg = explain_args()
-    (edges,) = runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY, "edges")
+    params, provider, run_cfg, edges = explain_args()
     edges[5] = np.zeros_like(edges[5])  # one of the three blocks of m = 3
-    monkeypatch.setattr(runmod, "_infer", lambda *args: (list(edges),))  # a new list, as _infer gives
+    real_infer = runmod._infer
+
+    def zeroing_infer(*args):
+        for members, lengths, trace in real_infer(*args):
+            if 5 in members:
+                trace.final_edges[members.index(5)] = 0.0
+            yield members, lengths, trace
+
+    monkeypatch.setattr(runmod, "_infer", zeroing_infer)
     with pytest.warns(UserWarning, match="all-zero edge block") as caught:
         attributions, _ = assert_explained_like_reference(EXPLAINED, params, provider, run_cfg,
                                                           edges)

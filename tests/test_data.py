@@ -134,9 +134,10 @@ def test_dataset_ids_may_be_numbers_or_dotted_names(tmp_path):
 
 
 def test_dataset_labels_checked_without_whitelist(tmp_path):
+    # the string's characters are declared labels, but a string is no list
     path = write(tmp_path, '{"id": "s1", "tokens": ["a"], "labels": "AB"}\n')
     with pytest.raises(DatasetError, match=f"line 1: {NOT_STRINGS}"):
-        load_dataset(path)
+        load_dataset(path, LABELS)
 
 
 MALFORMED = "malformed annotation"
@@ -157,20 +158,16 @@ MALFORMED = "malformed annotation"
     ('[[0, 1, 0.5]]', MALFORMED),
     ('[{"0": "A"}]', MALFORMED),
     ('{"0": "A"}', "must be a list"),
+    ('[[0, "Z", 0.5]]', "unknown annotation label 'Z'"),
 ], ids=["index-out-of-range", "intensity-above-1", "intensity-below-0", "string-index",
         "string-intensity", "two-elements", "four-elements", "bool-index", "bool-intensity",
-        "true-intensity", "float-index", "int-label", "object-entry", "object-annotations"])
+        "true-intensity", "float-index", "int-label", "object-entry", "object-annotations",
+        "unknown-label"])
 def test_dataset_annotation_validation(tmp_path, annotations, match):
     path = write(tmp_path, '{"id": "s1", "tokens": ["a", "b"], "labels": ["A"], '
                            f'"annotations": {annotations}}}\n')
     with pytest.raises(DatasetError, match=f"line 1: .*{match}"):
         load_dataset(path, LABELS)
-
-
-def test_dataset_without_label_whitelist(tmp_path):
-    path = write(tmp_path, '{"id": "s1", "tokens": ["a"], "labels": ["anything"]}\n')
-    [sample] = load_dataset(path)
-    assert sample.labels == ["anything"]
 
 
 # --- tensor container ---------------------------------------------------

@@ -155,5 +155,5 @@ def test_evaluate_report_fields_in_unit_interval():
     report = evaluate(preds, golds, 4)
     for v in (report.micro_f1, report.macro_f1, report.jaccard):
         assert 0.0 <= v <= 1.0
-    text = report.render()
-    assert "micro_f1" in text and "jaccard" in text
+    text = report.render(["A", "B", "C", "D"])
+    assert "micro_f1" in text and "jaccard" in text and "label D precision" in text

@@ -163,10 +163,22 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     sys.path.insert(0, str(ROOT / "tools"))  # the tool imports output_digest by name
     crossover = load_tool("projection_crossover")
     real = run._projected_table
+    passes = []  # each chunk's forward, so the tool must consume `_infer`'s stream
+    real_forward = run.forward
+
+    def counting_forward(*args):
+        passes.append(len(args[0]))
+        return real_forward(*args)
+
+    monkeypatch.setattr(run, "forward", counting_forward)
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert crossover.main(["--rounds", "1", "--ratios", "0.5"]) == 0
     result = json.loads(out.getvalue())
+    # per workload, the probe's pass and two timed rounds of both sides, one of them warm-up
+    test_samples = sum(crossover.load_benchmark().WORKLOADS[name].test_samples
+                       for name in crossover.WORKLOADS)
+    assert sum(passes) == (1 + 2 * 2) * test_samples
     assert set(result) == set(crossover.WORKLOADS)
     for name, entry in result.items():
         assert entry["padded_rows"] > 0, name
@@ -205,6 +217,25 @@ def test_pairs_writes_one_tiny_pair_against_head(tmp_path):
                               "change_losses", "ties", "median_gain_beyond_parent_iqr"}
         assert entry["pairs"] == 1
         assert entry["change_wins"] + entry["change_losses"] + entry["ties"] == 1
+
+
+def test_pairs_makes_its_out_directory_before_the_first_run(tmp_path, monkeypatch):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("needs a git checkout with a HEAD commit")
+    pairs = load_tool("pairs")
+    out = tmp_path / "new" / "dir"
+    seen = []
+
+    def fake_run(side_dir, workload, seed, seconds, size):
+        seen.append(out.is_dir())
+        return {"env": {}, "result": {"failed": 0, "metrics": {}}}
+
+    monkeypatch.setattr(pairs, "export", lambda tree, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(pairs, "run_side", fake_run)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert pairs.main(["HEAD", "made", "serve:1:7:0", "--out", str(out)]) == 0
+    assert seen == [True, True]
+    assert json.loads((out / "BENCH_made.json").read_text())["label"] == "made"
 
 
 def test_pairs_summary_reads_each_metric_in_its_direction():

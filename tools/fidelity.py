@@ -71,7 +71,11 @@ def fidelity(cfg, train, test, trigger_map) -> dict:
     counts = dict.fromkeys(CLASSES, 0)
     near = 0
     edge_sum, edge_count = dict.fromkeys(ROW_KINDS, 0.0), dict.fromkeys(ROW_KINDS, 0)
-    for s, edges in zip(test, runmod._infer(test, params, provider, cfg, vocab, "edges")[0]):
+    blocks = [None] * len(test)  # each sample's m x n final block, in input order
+    for members, lengths, trace in runmod._infer(test, params, provider, cfg, vocab):
+        for b, (i, m) in enumerate(zip(members, lengths)):
+            blocks[i] = trace.final_edges[b, :m]
+    for s, edges in zip(test, blocks):
         rows = token_rows(s.tokens, cfg.max_len)
         for i, token in enumerate(rows):
             kind = ("marker" if i in (0, len(rows) - 1)

@@ -24,7 +24,7 @@ workload (failed checks per side and, for each end-to-end metric of
 BENCHMARK.json, both sides' medians and quartiles, the change/parent
 median ratio, wins, losses, ties and `median_gain_beyond_parent_iqr`)
 and `runs`, each tagged with its `side`, `pair`, `workload`, `seed`,
-`commit` and `env`.
+`commit` and `env`. DIR is made, with its parents, before the first run.
 """
 
 import argparse
@@ -155,6 +155,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)  # before the runs, not at the final write
     parent = git("rev-parse", "--short", f"{args.parent}^{{commit}}").decode().strip()
     tree = src_tree()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]

@@ -10,11 +10,12 @@ otherwise each chunk multiplies its own. This measures where that pays.
 For the long-doc and serve workloads of perfbench/run.py (corpus shape
 and RunConfig, imported read-only) it generates the test corpus at a
 fixed seed, reads the pass's padded token rows, and builds lookup tables
-with each `--ratios` multiple of those rows. Per table, each round times one `_infer(..., "probs")` pass with
-the projection forced on and one with it forced off, in alternating
-order. It prints one JSON object: per workload, the padded rows and, per
-table size, the median times, the rounds the projection won and the
-median of the rounds' time ratios (projected over per chunk).
+with each `--ratios` multiple of those rows. Per table, each round times
+one whole `_infer` pass, its chunk stream consumed, with the projection
+forced on and one with it forced off, in alternating order. It prints
+one JSON object: per workload, the padded rows and, per table size, the
+median times, the rounds the projection won and the median of the
+rounds' time ratios (projected over per chunk).
 
 `--src` is the directory holding the `hgcn` package to import (default:
 `src/` of this checkout). The workloads always come from this checkout's
@@ -34,6 +35,16 @@ from output_digest import load_benchmark
 ROOT = Path(__file__).resolve().parent.parent
 TEST_SEED, MODEL_SEED = 1, 0
 WORKLOADS = ("long-doc", "serve")
+
+
+def infer(run, *args) -> None:
+    """One whole inference pass: `run._infer` runs a chunk's forward pass only as it is consumed.
+
+    An older `--src`'s `_infer`, which took output names, runs the whole
+    pass when called and, asked for none, returns an empty tuple.
+    """
+    for _ in run._infer(*args):
+        pass
 
 
 def crossover(bench, name, ratios, rounds) -> dict:
@@ -67,8 +78,8 @@ def crossover(bench, name, ratios, rounds) -> dict:
 
     try:
         run._projected_table = probe
-        run._infer(test, params, TrainableLookup(len(vocab), run_cfg.input_dim, rng),
-                   run_cfg, vocab, "probs")
+        infer(run, test, params, TrainableLookup(len(vocab), run_cfg.input_dim, rng), run_cfg,
+              vocab)
         out = {"padded_rows": asked[0], "tables": []}
         for ratio in ratios:
             provider = TrainableLookup(max(len(vocab), round(ratio * asked[0])),
@@ -78,7 +89,7 @@ def crossover(bench, name, ratios, rounds) -> dict:
                 for side in (projected, per_chunk) if r % 2 else (per_chunk, projected):
                     run._projected_table = side
                     start = perf_counter()
-                    run._infer(test, params, provider, run_cfg, vocab, "probs")
+                    infer(run, test, params, provider, run_cfg, vocab)
                     if r:  # round 0 warms up
                         times[side].append(perf_counter() - start)
             pair = np.divide(times[projected], times[per_chunk])
