@@ -23,6 +23,14 @@ it: a two-parent op checks `requires_grad`, and a one-parent op over a
 constant keeps no backward. A non-leaf node has no gradient until its
 first push in `Tape.backward`, which stores the pushed array as is; each
 later push rebinds the sum. A node that receives no push is skipped.
+
+Every op follows its inputs' dtype: its output and the gradient it pushes
+into a parent are at the parent's float type, and a parameter or
+constant keeps a float input's dtype (any other input becomes float64).
+`run.train` picks float32 for the model's body; `softmax_row` alone
+computes in float64 and casts its pushed gradient back, so the
+probabilities and the loss after it are float64 whatever the body's
+type. `Adam` keeps its store at its parameters' dtype.
 """
 
 from __future__ import annotations
@@ -110,19 +118,25 @@ class Node:
         return f"Node(op={self.op!r}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
+def _float_dtype(value) -> np.dtype:
+    """A float array's own dtype; float64 for any other value."""
+    dtype = np.asarray(value).dtype
+    return dtype if dtype.kind == "f" else np.dtype(np.float64)
+
+
 def parameter(value) -> Node:
     """A trainable leaf holding its own copy of `value`, until an optimizer moves it to its store.
 
     Rejects non-finite input.
     """
-    value = np.atleast_2d(np.array(value, dtype=np.float64))
+    value = np.atleast_2d(np.array(value, dtype=_float_dtype(value)))
     if not np.all(np.isfinite(value)):
         raise ValueError("parameter contains NaN/Inf")
     return Node(value, requires_grad=True)
 
 
 def constant(value) -> Node:
-    value = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    value = np.atleast_2d(np.asarray(value, dtype=_float_dtype(value)))
     if not np.all(np.isfinite(value)):
         raise ValueError("constant contains NaN/Inf")
     return Node(value, requires_grad=False)
@@ -175,19 +189,24 @@ def activation(a: Node, kind: str = "relu") -> Node:
 
 
 def softmax_row(a: Node) -> Node:
-    """Stabilized softmax of each row of a B x N matrix, with exact Jacobian."""
+    """Stabilized softmax of each row of a B x N matrix, with exact Jacobian.
+
+    It computes in float64 whatever `a`'s float type, and pushes its
+    gradient back at `a`'s.
+    """
     if a.value.ndim != 2:
         raise ShapeError(f"softmax_row expects a BxN matrix, got {a.value.shape}")
     if a.value.shape[1] == 0:
         raise ShapeError("softmax_row: empty vector")
-    shifted = a.value - np.maximum.reduce(a.value, axis=1, keepdims=True)
+    x = a.value.astype(np.float64, copy=False)
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / np.add.reduce(e, axis=1, keepdims=True)
 
     def push(g):
         # per row, J^T g with J = diag(s) - s s^T
         dot = np.add.reduce(g * out, axis=1, keepdims=True)
-        a.accumulate(out * (g - dot))
+        a.accumulate((out * (g - dot)).astype(a.value.dtype, copy=False))
 
     return _result(out, "softmax_row", (a,), push)
 
@@ -231,20 +250,24 @@ def gather_rows(table: Node, ids) -> Node:
 
     def push(g):
         # one bincount over flat (row, column) slots: the same sums, in the
-        # same order, as np.add.at into zeros
+        # same order, as np.add.at into float64 zeros; cast to the table's type
         rows, width = table.value.shape
         slots = (ids[..., None] * width + np.arange(width)).ravel()
-        table.accumulate(np.bincount(slots, weights=g.ravel(),
-                                     minlength=rows * width).reshape(rows, width))
+        sums = np.bincount(slots, weights=g.ravel(), minlength=rows * width)
+        table.accumulate(sums.astype(table.value.dtype, copy=False).reshape(rows, width))
 
     return _result(table.value[ids], "gather_rows", (table,), push)
 
 
 def _flat_store(params):
-    """(params, values, grads), each leaf's value and grad copied in and rebound as views."""
+    """(params, values, grads), each leaf's value and grad copied in and rebound as views.
+
+    The store is at the parameters' common float type; with none, it is empty.
+    """
     params = list(params)
-    values = np.concatenate([np.empty(0), *(p.value.ravel() for p in params)])
-    grads = np.concatenate([np.empty(0), *(p.grad.ravel() for p in params)])
+    dtype = np.result_type(*(p.value for p in params)) if params else np.float64
+    values = np.concatenate([np.empty(0, dtype), *(p.value.ravel() for p in params)])
+    grads = np.concatenate([np.empty(0, dtype), *(p.grad.ravel() for p in params)])
     cuts = np.cumsum([p.value.size for p in params])[:-1]
     for p, v, g in zip(params, np.split(values, cuts), np.split(grads, cuts)):
         p.value, p.grad = v.reshape(p.value.shape), g.reshape(p.value.shape)

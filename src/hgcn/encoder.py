@@ -84,13 +84,15 @@ class TrainableLookup:
     """Embedding table of learned parameters, one row per vocabulary id.
 
     With freeze=True the table is excluded from training (frozen random
-    embeddings, the degraded-encoder ablation arm).
+    embeddings, the degraded-encoder ablation arm). The table is drawn
+    in float64 whatever `dtype`, then cast to it.
     """
 
-    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator, freeze=False):
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator, freeze=False,
+                 dtype=np.float64):
         scale = 1.0 / np.sqrt(dim)
         self.table = (constant if freeze else parameter)(
-            rng.uniform(-scale, scale, size=(vocab_size, dim)))
+            rng.uniform(-scale, scale, size=(vocab_size, dim)).astype(dtype, copy=False))
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "TrainableLookup":
@@ -117,13 +119,15 @@ class TrainableLookup:
 class PrecomputedFile(TrainableLookup):
     """Frozen per-sample vectors keyed by sample id; never updated by training.
 
-    The blocks are stacked into one constant table under len(RESERVED)
-    zero rows, so PAD reads zeros. A sample's ids are its own block's
+    The blocks are stacked into one constant table of `dtype` under
+    len(RESERVED) zero rows, so PAD reads zeros; the stacking casts them,
+    so the table is the one copy made. A sample's ids are its own block's
     rows, checked against its token nodes when it is tokenized; errors
     name the vectors by `source`, such as the file they came from.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray], source: str = "the given vectors"):
+    def __init__(self, vectors: dict[str, np.ndarray], source: str = "the given vectors",
+                 dtype=np.float64):
         if not vectors:
             raise ValueError("no precomputed vectors given")
         self.source = source
@@ -135,8 +139,8 @@ class PrecomputedFile(TrainableLookup):
                 raise ValueError(f"vector block for sample {sid!r} has shape {v.shape}")
             self.rows[sid] = range(start, start + len(v))
             start += len(v)
-        reserved = np.zeros((len(RESERVED), first.shape[1]))
-        self.table = constant(np.concatenate([reserved, *vectors.values()]))
+        reserved = np.zeros((len(RESERVED), first.shape[1]), dtype)
+        self.table = constant(np.concatenate([reserved, *vectors.values()], dtype=dtype))
 
     def token_ids(self, sample, vocab: Vocabulary, max_len: int) -> list[int]:
         if sample.id not in self.rows:

@@ -23,6 +23,9 @@ zero inverse root degree, so whatever finite features they hold (the
 lookup encoder repeats its PAD row there) scale to ±0, push ±0
 gradients back, and mix with nothing. From the first `propagate` on
 they are zero, so they get zero edges too.
+
+Every op here works at its node features' float type: `Chains` is built
+for that type, and each buffer is made at it.
 """
 
 from __future__ import annotations
@@ -77,11 +80,12 @@ class Chains:
     a real token row has 2 - ends chain neighbours; `real` is 1 on real
     rows and 0 on padded ones; `layer1_scales` are the inverse root
     degrees 1/sqrt(4 - ends) of the token rows before any token-label
-    edge exists, 0 on padded rows. Every array is B x m, and no op
-    writes to them. `labels` finds the label rows of node features.
+    edge exists, 0 on padded rows. Every array is B x m, at `dtype`, the
+    float type of the node features read with them, and no op writes to
+    them. `labels` finds the label rows of node features.
     """
 
-    def __init__(self, lengths, m: int, n: int):
+    def __init__(self, lengths, m: int, n: int, dtype=np.float64):
         lengths = np.asarray(lengths)
         if (m < 1 or lengths.ndim != 1 or not lengths.size
                 or lengths.min() < 1 or lengths.max() > m):
@@ -92,8 +96,8 @@ class Chains:
         self.shape = (len(lengths), m)
         self.num_labels = n
         pos, last = np.arange(m), lengths[:, None] - 1
-        self.real = (pos <= last).astype(float)
-        self.ends = np.add(pos == 0, pos == last, dtype=float)
+        self.real = (pos <= last).astype(dtype)
+        self.ends = np.add(pos == 0, pos == last, dtype=dtype)
         self.layer1_scales = self.real / np.sqrt(4.0 - self.ends)
 
     def labels(self, x: np.ndarray) -> np.ndarray:
@@ -144,13 +148,13 @@ def propagate(h: Node, edges: Node | None, chains: Chains, labels: Node | None =
         if labels is None or labels.value.shape != (n, x.shape[1]):
             raise ShapeError(f"propagate: the first layer needs {n} x {x.shape[1]} label rows")
         s = chains.layer1_scales.ravel()
-        out = np.empty((t + n, x.shape[1]))
+        out = np.empty((t + n, x.shape[1]), x.dtype)
         _mix(s[:, None] * x, None, s, m, out[:t])
         out[t:] = labels.value
 
         def push_first(g):
             if h.requires_grad:
-                h.accumulate(_mix(s[:, None] * g[:t], None, s, m, np.empty(x.shape)))
+                h.accumulate(_mix(s[:, None] * g[:t], None, s, m, np.empty_like(x)))
             if labels.requires_grad:
                 labels.accumulate(g[t:])
 
@@ -163,7 +167,7 @@ def propagate(h: Node, edges: Node | None, chains: Chains, labels: Node | None =
     x_l = chains.labels(x)
     # degrees 4 + sum_j E_ij - ends (the ends' subtractions are exact)
     # for token rows, 2 + sum_i E_ij for each sample's label rows
-    d = np.empty(t + b * n)
+    d = np.empty(t + b * n, x.dtype)
     d_t, d_l = d[:t].reshape(b, m), d[t:].reshape(b, n)
     np.add.reduce(e, axis=2, out=d_t)
     d_t += 4.0
@@ -174,14 +178,14 @@ def propagate(h: Node, edges: Node | None, chains: Chains, labels: Node | None =
         raise ValueError("adjacency row degree must be positive after self-loops")
     s = np.divide(1.0, np.sqrt(d, out=d), out=d)
     s[:t] *= chains.real.ravel()  # zero on padded rows
-    u = np.empty((len(s), x.shape[1]))
+    u = np.empty((len(s), x.shape[1]), x.dtype)
     np.multiply(s[:t, None], x[:t], out=u[:t])
     np.multiply(s[t:].reshape(b, n, 1), x_l, out=u[t:].reshape(b, n, -1))
-    out = _mix(u, e, s, m, np.empty(u.shape))
+    out = _mix(u, e, s, m, np.empty_like(u))
 
     def push(g):
         v = s[:, None] * g
-        dh = _mix(v, e, s, m, np.empty(v.shape))
+        dh = _mix(v, e, s, m, np.empty_like(v))
         dh_l = dh[t:].reshape(b, n, -1)
         if edges.requires_grad:
             # direct: out_t += s_t (E u_l), out_l += s_l (E^T u_t)
@@ -226,9 +230,10 @@ def reconstruct_token_label(h: Node, chains: Chains) -> Node:
     xt = x[:t].reshape(groups, -1, x.shape[1])  # the token rows that meet each group
     norm = np.sqrt(np.add.reduce(np.square(x), axis=1))
     live_row = norm > 0.0
-    inv = np.divide(1.0, norm, out=np.zeros(norm.shape), where=live_row)
+    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=live_row)
     inv_t, inv_l = inv[:t].reshape(groups, -1, 1), inv[t:].reshape(groups, 1, n)
-    half_live = 0.5 * (live_row[:t].reshape(inv_t.shape) & live_row[t:].reshape(inv_l.shape))
+    live = live_row[:t].reshape(inv_t.shape) & live_row[t:].reshape(inv_l.shape)
+    half_live = x.dtype.type(0.5) * live
     # zero on dead rows, whose dot products are zero too
     cos = xt @ xl.transpose(0, 2, 1)
     cos *= inv_t
@@ -240,12 +245,12 @@ def reconstruct_token_label(h: Node, chains: Chains) -> Node:
         gc = ge * cos
         # w_ij = ge_ij / (|xt_i||xl_j|), zero where either row is dead
         w = ge * inv_t * inv_l
-        dh = np.empty(x.shape)
+        dh = np.empty_like(x)
         np.matmul(w, xl, out=dh[:t].reshape(xt.shape))
         np.matmul(w.transpose(0, 2, 1), xt, out=dh[t:].reshape(xl.shape))
         # d cos_ij / d xt_i = xl_j/(|xt_i||xl_j|) - cos_ij xt_i/|xt_i|^2, and
         # the same for xl_j; c holds each row's sum_j ge cos / |row|^2
-        c = np.empty(norm.shape)
+        c = np.empty_like(norm)
         np.add.reduce(gc, axis=2, out=c[:t].reshape(groups, -1))
         np.add.reduce(gc, axis=1, out=c[t:].reshape(groups, n))
         c *= inv ** 2

@@ -13,6 +13,12 @@ sample its own label rows.
 Label scores are column sums of the final token-label block, pushed
 through a softmax and trained against a target distribution with MSE.
 
+The body, from the input projections to the label scores, runs at the
+weights' and the table's float type: each op follows its inputs'
+dtype, and `run.train` draws float64 weights and casts them to
+float32. The head (the softmax and the loss) computes in float64, so
+the probabilities are float64 at any body type.
+
 `forward` runs a whole batch of samples at once, padded to its longest
 sample, in the layout `graph` describes: each layer's node features
 are one (rows, hidden) array, so its matmul and activation are single
@@ -96,8 +102,10 @@ class ModelParams:
         return cls(w_token_in, w_label_in, w_layer)
 
     @classmethod
-    def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        return cls.from_values([_glorot(rng, *shape) for shape in cfg.weight_shapes().values()])
+    def init(cls, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64) -> "ModelParams":
+        """Glorot-uniform weights, drawn in float64 whatever `dtype`, then cast to it."""
+        return cls.from_values([_glorot(rng, *shape).astype(dtype, copy=False)
+                                for shape in cfg.weight_shapes().values()])
 
     def parameters(self) -> list[Node]:
         return [self.w_token_in, self.w_label_in, *self.w_layer]
@@ -125,14 +133,13 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
     from it instead of projected here. No gradient reaches the table
     through it.
     """
-    lengths = [len(ids) for ids in batch_ids]
-    chains = Chains(lengths, max(lengths, default=0), cfg.num_labels)
-    b, m = chains.shape
-
     if projected is None:
         h = ad.matmul(provider.embed(batch_ids), params.w_token_in)
     else:
         h = provider.embed(batch_ids, projected)
+    lengths = [len(ids) for ids in batch_ids]
+    chains = Chains(lengths, max(lengths, default=0), cfg.num_labels, h.value.dtype)
+    b, m = chains.shape
     # first layer, before any token-label edges (see above); one-hot label
     # inputs make I_n @ w_label_in the label rows' projection
     h = ad.activation(ad.matmul(propagate(h, None, chains, params.w_label_in),

@@ -35,7 +35,10 @@ class ConfigError(ValueError):
 
 
 # deleted knobs a config file may still name, each at the one value it held by
-# default: training runs Adam in float64 with gradients through every edge
+# default, accepted only so that existing config files load: training runs Adam
+# with gradients through every edge. "precision" no longer describes the
+# arithmetic (the body runs in float32, see `train`); the key goes when the
+# benchmark stops sending it
 RETIRED = {"detach_edges": False, "optimizer": "adam", "precision": "float64"}
 
 
@@ -126,20 +129,21 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generator | None):
-    """The configured token-feature provider; `rng` draws a new lookup table.
+def make_provider(run_cfg: RunConfig, vocab: Vocabulary, rng: np.random.Generator | None,
+                  dtype):
+    """The configured token-feature provider at float type `dtype`; `rng` draws a new lookup table.
 
     File vectors whose width is not `input_dim` are a configuration error.
     """
     if run_cfg.encoder.startswith("file:"):
         path = run_cfg.encoder[len("file:"):]
-        provider = PrecomputedFile(load_embeddings(path), path)
+        provider = PrecomputedFile(load_embeddings(path), path, dtype)
         width = provider.table.value.shape[1]
         if width != run_cfg.input_dim:
             raise ConfigError(f"input_dim is {run_cfg.input_dim}, "
                               f"but {path} holds {width}-wide vectors")
         return provider
-    return TrainableLookup(len(vocab), run_cfg.input_dim, rng, freeze=run_cfg.freeze)
+    return TrainableLookup(len(vocab), run_cfg.input_dim, rng, run_cfg.freeze, dtype)
 
 
 def load_model(run_cfg: RunConfig):
@@ -148,7 +152,10 @@ def load_model(run_cfg: RunConfig):
     The label names, the architecture and the encoder must be the
     config's, or it is a configuration error. A stored embedding table
     means the `lookup` encoder and none means `file:` vectors, which are
-    loaded first, so their own errors come before this check.
+    loaded first, so their own errors come before this check. The
+    weights and the table keep their stored float type, and `file:`
+    vectors are stacked at the weights' type, so a float64 checkpoint
+    evaluates in float64.
     """
     path = Path(run_cfg.out_dir) / "model.ckpt"
     params, model_cfg, vocab, label_names, lookup = load_checkpoint(path)
@@ -161,7 +168,8 @@ def load_model(run_cfg: RunConfig):
         if stored != wanted:
             raise ConfigError(f"checkpoint {f.name} {stored!r} differs from config {wanted!r}")
     lookup_wanted = run_cfg.encoder == "lookup"
-    provider = lookup if lookup_wanted else make_provider(run_cfg, vocab, rng=None)
+    provider = (lookup if lookup_wanted
+                else make_provider(run_cfg, vocab, None, params.w_token_in.value.dtype))
     if (lookup is not None) != lookup_wanted:
         raise ConfigError(f"{path} was trained with the {'file:' if lookup is None else 'lookup'} "
                           f"encoder, but encoder is {run_cfg.encoder!r}")
@@ -236,6 +244,7 @@ def predict(samples, params, provider, run_cfg, vocab):
     probs = np.empty((len(samples), len(index)))
     for members, _, trace in _infer(samples, params, provider, run_cfg, vocab):
         probs[members] = trace.probs
+        del trace  # so the next chunk runs with this one's arrays freed
     return ([decode_probs(p, run_cfg) for p in probs],
             [{index[name] for name in s.labels} for s in samples])
 
@@ -250,15 +259,18 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
 
     All randomness flows from run_cfg.seed; the per-epoch shuffle order
     is derived from (seed, epoch), so logs are reproducible byte for
-    byte.
+    byte. The model's body runs in float32: the weights and a lookup
+    table are drawn in float64, so a seed draws the same random stream
+    at any type, then cast to float32; `file:` vectors are cast as they
+    are stacked.
     """
     if not train_samples:
         raise ValueError("empty training set")
     vocab = Vocabulary(t for s in train_samples for t in s.tokens)
     cfg = run_cfg.model_config()
     rng = np.random.default_rng(run_cfg.seed)
-    params = ModelParams.init(cfg, rng)
-    provider = make_provider(run_cfg, vocab, rng)
+    params = ModelParams.init(cfg, rng, np.float32)
+    provider = make_provider(run_cfg, vocab, rng, np.float32)
     optimizer = Adam(params.parameters() + provider.parameters(), run_cfg.lr)
 
     prepared = prepare(train_samples, run_cfg, vocab, provider)
@@ -313,6 +325,7 @@ def explain_samples(samples, params, provider, run_cfg, vocab):
                                                   stack.shape[1], run_cfg.label_names))
             for b, mse in zip(scored, scores):
                 mses[group[b]] = mse
+        del trace
     mses = [mse for mse in mses if mse is not None]
     return attributions, float(np.mean(mses)) if mses else None
 
@@ -323,6 +336,7 @@ def correlate(samples, params, provider, run_cfg, vocab):
     probs, labels = np.empty((len(samples), n)), np.empty((len(samples), n, run_cfg.hidden))
     for members, _, trace in _infer(samples, params, provider, run_cfg, vocab):
         probs[members], labels[members] = trace.probs, trace.final_labels
+        del trace
     pearson = pearson_matrix([decode_probs(p, run_cfg) for p in probs], len(run_cfg.label_names))
     cosine = label_cosine_matrix(np.mean(labels, axis=0))
     return pearson, cosine

@@ -293,16 +293,19 @@ def test_criterion_7_determinism_persistence(capsys, tmp_path):
 
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(params1, cfg.model_config(), ckpt, vocab=vocab1,
-                    label_names=label_names)
-    restored, model_cfg, vocab2, _, _ = load_checkpoint(ckpt)
+                    label_names=label_names, provider=provider1)
+    restored, model_cfg, vocab2, _, lookup = load_checkpoint(ckpt)
+    # the model trains in float32 and its checkpoint keeps it so
+    tensors = [p.value for p in restored.parameters()] + [lookup.table.value]
+    float32 = all(t.dtype == np.float32 for t in tensors)
     ids = tokenize(train[0].tokens, vocab1, cfg.max_len)
     with Tape():
         before = forward([ids], provider1, params1, cfg.model_config())
     with Tape():
-        after = forward([ids], provider1, restored, model_cfg)
+        after = forward([ids], lookup, restored, model_cfg)
     forward_bitwise = bool(np.array_equal(before.probs, after.probs)
                            and np.array_equal(before.final_edges, after.final_edges))
-    ok = logs_identical and forward_bitwise
+    ok = logs_identical and forward_bitwise and float32
     report(capsys, 7,
            ok, f"byte-identical logs: {logs_identical}; checkpoint forward "
-               f"bitwise-equal: {forward_bitwise}")
+               f"bitwise-equal: {forward_bitwise}; stored in float32: {float32}")

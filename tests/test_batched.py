@@ -11,6 +11,7 @@ checked against inference that projects them per chunk, bitwise at a
 """
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -452,6 +453,29 @@ def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(mo
             assert_close(trace.probs[b], ref.probs[0])
             assert_close(trace.final_edges[b, :m], ref.final_edges)
             assert_close(trace.final_labels[b], ref.final_labels)
+
+
+@pytest.mark.parametrize("command", ["predict", "correlate", "explain_samples"])
+def test_each_command_frees_a_chunk_before_the_next_one_runs(command, monkeypatch):
+    # MIXED runs as several chunks; when each forward pass starts, every trace
+    # yielded before it is already freed, so a command holds one chunk at a time
+    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (6 + 3) * 2)
+    cfg, params, provider = make_model()
+    samples = [Sample(id=f"s{i}", tokens=t, labels=["A"],
+                      annotations=[(0, "B", 1.0)] if t else [])
+               for i, t in enumerate(MIXED)]
+    yielded = []
+
+    def recording_forward(*args, **kwargs):
+        assert [ref() for ref in yielded] == [None] * len(yielded)
+        trace = forward(*args, **kwargs)
+        yielded.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(runmod, "forward", recording_forward)
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM, max_len=16)
+    getattr(runmod, command)(samples, params, provider, run_cfg, VOCABULARY)
+    assert len(yielded) > 1
 
 
 @pytest.mark.parametrize("decode", ["topk", "threshold"])

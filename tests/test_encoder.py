@@ -146,17 +146,20 @@ def test_frozen_lookup_has_no_parameters_and_never_moves():
 
 
 def test_precomputed_table_is_held_once():
-    # the stacked table, and no gradient array as large beside it
+    # the stacked table, cast as it is stacked: no second copy at its own
+    # dtype, even for a moment, and no gradient array as large beside it
     vectors = {f"s{i}": np.full((50, 64), float(i)) for i in range(40)}
-    nbytes = sum(v.nbytes for v in vectors.values())
-    tracemalloc.start()
-    try:
-        provider = PrecomputedFile(vectors)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert provider.table.value.nbytes > nbytes
-    assert held < 1.5 * nbytes
+    for dtype in (np.float64, np.float32):
+        nbytes = sum(v.size for v in vectors.values()) * np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            provider = PrecomputedFile(vectors, dtype=dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert provider.table.value.dtype == dtype
+        assert provider.table.value.nbytes > nbytes
+        assert peak < 1.5 * nbytes
 
 
 def test_precomputed_provider_frozen_and_keyed(vocab):

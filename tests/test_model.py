@@ -1,10 +1,12 @@
+import shutil
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hgcn import autodiff as ad
-from hgcn import run
+from hgcn import model, run
 from hgcn.autodiff import Adam, Tape
 from hgcn.data import Sample
 from hgcn.encoder import TrainableLookup
@@ -316,3 +318,105 @@ def test_trained_leaves_stay_views_into_the_optimizer_store(monkeypatch):
                                  cfg.model_config()))
     assert_views()
     assert all(p.grad.any() for p in trainable)
+
+
+# float32 body, float64 head: the float32 forward and gradients against the
+# float64 ones from the same (float32-representable) weights and inputs, as a
+# relative error: the largest difference over the largest float64 value, and
+# the norm of the whole gradient's difference over its norm, plus a floor for a
+# gradient that cancels to about 0 (a relu model whose units all died). Over 60
+# models of `float32_setup` (seeds 0-29, tanh and relu) the largest relative
+# errors were 5.6e-7 for the forward and 1.6e-4 for the gradient; the four whose
+# float64 gradient norm was under 2e-16 were off by at most 1.1e-7 in float32.
+F32_FORWARD_REL = 1e-5
+F32_GRAD_REL, F32_GRAD_FLOOR = 1e-3, 1e-6
+BATCH = [([0, 4, 5, 1], build_target([1, 0, 1])), ([0, 6, 1], build_target([0, 1, 0])),
+         ([0, 7, 4, 6, 5, 7, 1], build_target([0, 0, 1]))]
+
+
+def float32_setup(activation="tanh", seed=0):
+    """A 3-layer model drawn as `tiny_setup` draws it, cast to float32; trainable table."""
+    cfg = ModelConfig(num_labels=3, num_layers=3, hidden=6, input_dim=5, activation=activation)
+    rng = np.random.default_rng(seed)
+    return (cfg, ModelParams.init(cfg, rng, np.float32),
+            TrainableLookup(8, 5, rng, dtype=np.float32))
+
+
+def test_float32_train_step_keeps_the_body_float32_and_the_head_float64(monkeypatch):
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(model, "Tape", RecordingTape)
+    cfg, params, provider = float32_setup()
+    optimizer = Adam(params.parameters() + provider.parameters(), 0.01)
+    train_step(BATCH, params, cfg, provider, optimizer)
+    head = {"softmax_row", "mse_loss"}
+    nodes = [node for tape in tapes for node in tape.nodes]
+    assert {node.op for node in nodes} >= head | {"gather_rows", "propagate", "col_sums"}
+    for node in nodes:
+        want = np.float64 if node.op in head else np.float32
+        assert (node.op, node.value.dtype, node.grad.dtype) == (node.op, want, want)
+    for array in (optimizer.values, optimizer.grads, optimizer.m, optimizer.v):
+        assert array.dtype == np.float32
+    assert forward([ids for ids, _ in BATCH], provider, params, cfg).probs.dtype == np.float64
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_forward_and_gradients_are_near_float64(activation, seed):
+    results = []
+    for dtype in (np.float32, np.float64):
+        cfg, params, provider = float32_setup(activation, seed)
+        # the float64 side holds the float32 values exactly, so only the arithmetic differs
+        params = ModelParams.from_values([p.value.astype(dtype) for p in params.parameters()])
+        provider.table = ad.parameter(provider.table.value.astype(dtype))
+        with Tape() as tape:
+            loss = batch_loss(BATCH, provider, params, cfg)
+            tape.backward(loss)
+        trace = forward([ids for ids, _ in BATCH], provider, params, cfg)
+        assert trace.final_edges.dtype == dtype and trace.probs.dtype == np.float64
+        results.append((trace, [p.grad for p in params.parameters() + provider.parameters()]))
+    (low, low_grads), (high, high_grads) = results
+    for a, b in ((low.probs, high.probs), (low.final_edges, high.final_edges)):
+        assert np.max(np.abs(a - b)) <= F32_FORWARD_REL * np.max(np.abs(b))
+    assert all(g.dtype == np.float32 for g in low_grads)
+    low_grads, high_grads = (np.concatenate([g.ravel() for g in grads])
+                             for grads in (low_grads, high_grads))
+    assert (np.linalg.norm(low_grads - high_grads)
+            <= F32_GRAD_REL * np.linalg.norm(high_grads) + F32_GRAD_FLOOR)
+
+
+# tests/fixtures/float64_model.ckpt was trained and saved by the float64
+# program, before its body ran in float32: `run.train` on
+# `generate_synthetic_corpus(3, 10, 30, seed=7, min_fillers=1, max_fillers=4)`
+# at hidden and input_dim 8, 3 epochs, seed 0, with its lookup table.
+# FLOAT64_PROBS are the probabilities that program's inference gave for
+# FLOAT64_SAMPLES from it, as float.hex.
+FLOAT64_CHECKPOINT = Path(__file__).parent / "fixtures" / "float64_model.ckpt"
+FLOAT64_SAMPLES = [Sample("a", ["trig_l1", "w0", "w2"], ["L1"]),
+                   Sample("b", ["w1", "trig_l2", "w3", "trig_l3", "w4"], ["L2", "L3"]),
+                   Sample("c", ["w5"], []),
+                   Sample("d", ["w6", "trig_l3", "w9", "w2"], ["L3"])]
+FLOAT64_PROBS = [["0x1.a8a1b097fed33p-2", "0x1.228ef43f2c7abp-2", "0x1.34cf5b28d4b21p-2"],
+                 ["0x1.88a828c18a373p-3", "0x1.7e72cde73685dp-2", "0x1.bd391db8045e9p-2"],
+                 ["0x1.95cbaf146ac00p-2", "0x1.15a9595abf838p-2", "0x1.548af790d5bc6p-2"],
+                 ["0x1.e25bc0e978f29p-3", "0x1.6eddda47704dbp-2", "0x1.9ff44543d338fp-2"]]
+
+
+def test_a_float64_checkpoint_evaluates_in_float64_as_it_did(tmp_path):
+    # an older checkpoint keeps its stored type, so it gives the same bits
+    shutil.copy(FLOAT64_CHECKPOINT, tmp_path / "model.ckpt")
+    run_cfg = run.RunConfig(label_names=["L1", "L2", "L3"], hidden=8, input_dim=8,
+                            out_dir=str(tmp_path))
+    params, provider, vocab = run.load_model(run_cfg)
+    assert all(p.value.dtype == np.float64 for p in params.parameters())
+    assert provider.table.value.dtype == np.float64
+    probs = np.empty((len(FLOAT64_SAMPLES), 3))
+    for members, _, trace in run._infer(FLOAT64_SAMPLES, params, provider, run_cfg, vocab):
+        probs[members] = trace.probs
+    expected = [[float.fromhex(x) for x in row] for row in FLOAT64_PROBS]
+    assert np.array_equal(probs, expected)

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Attribution fidelity of the criterion-4 model, one row per model seed.
 
-    python3 tools/fidelity.py [--src DIR]
+    python3 tools/fidelity.py [--src DIR] [--seeds FIRST-LAST]
 
-For each model seed 0-4 this trains the configuration of criterion 4
+For each model seed, 0-4 unless `--seeds` names another inclusive
+range such as 0-19, this trains the configuration of criterion 4
 in tests/test_acceptance.py (5 labels, a 60-token vocabulary, 500
 training and 100 test samples at fixed corpus seeds, 120 epochs) with
 that seed, and prints one row of a Markdown table:
@@ -44,7 +45,6 @@ CORPUS = dict(n_labels=5, vocab_size=60, min_fillers=3, max_fillers=6)
 SPLITS = {"train": (500, 0, "tr"), "test": (100, 1, "te")}
 RUN = dict(num_layers=2, hidden=64, input_dim=64, activation="tanh", lr=0.02,
            decode="threshold", threshold=0.15, epochs=120, batch_size=10, max_len=32)
-SEEDS = range(5)
 CLASSES = ("trigger", "neighbour", "marker", "other", "filler")
 ROW_KINDS = ("marker", "trigger", "filler")
 COLUMNS = ("exact", "±1", "jaccard", "micro-F1", *CLASSES, *(f"edge {k}" for k in ROW_KINDS))
@@ -97,10 +97,24 @@ def table_row(name, values) -> str:
     return f"| {name} | " + " | ".join(cells) + " |"
 
 
+def seed_range(text: str) -> range:
+    """The model seeds FIRST-LAST, both included, or the one seed N."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last or first) + 1)
+    except ValueError:
+        seeds = None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"not a seed range FIRST-LAST: {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the hgcn package (default: this checkout's src)")
+    parser.add_argument("--seeds", type=seed_range, default="0-4",
+                        help="inclusive range of model seeds, FIRST-LAST (default: 0-4)")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -116,7 +130,7 @@ def main(argv=None) -> int:
     print("| seed | " + " | ".join(COLUMNS) + " |")
     print("|" + "---|" * (len(COLUMNS) + 1))
     rows = []
-    for seed in SEEDS:
+    for seed in args.seeds:
         cfg = RunConfig(label_names=label_names, seed=seed, **RUN)
         rows.append(fidelity(cfg, corpus["train"], corpus["test"], trigger_map))
         print(table_row(seed, rows[-1]), flush=True)
