@@ -9,8 +9,6 @@ similarity over final label-node embeddings.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import warnings
 
@@ -118,25 +116,18 @@ _CELL = 24  # heatmap cell size in pixels
 # the text between a rect's y and its value, for each grey level
 _RECT_FILLS = [f'" width="{_CELL}" height="{_CELL}" fill="rgb({v},{v},{v})" data-value="'
                for v in range(256)]
-_NEEDS_QUOTES = frozenset(',"\r\n')  # `csv.writer` quotes a name holding any of these
+_NEEDS_QUOTES = frozenset(',"\r\n')  # a CSV field holding any of these is quoted
 
 
-def _csv_fields(names) -> dict[str, str]:
-    """Each distinct string of `names` as one CSV field, quoted the way `csv.writer` quotes it.
+def _csv_field(name: str) -> str:
+    """`name` as one CSV field, quoted if it holds a comma, a double quote, a CR or an LF.
 
-    A non-empty name holding no comma, quote, CR or LF is its own field;
-    `csv.writer` quotes every other name.
+    A quoted name is wrapped in double quotes, each quote in it doubled;
+    any other name, the empty one included, is written as it is. This is
+    how `csv.writer` quotes a field when its line terminator is CRLF, so
+    `csv.reader` reads every name back whole.
     """
-    fields = {name: name for name in names if name and _NEEDS_QUOTES.isdisjoint(name)}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for name in names:
-        if name not in fields:
-            buf.seek(0)
-            buf.truncate()
-            writer.writerow([name, ""])
-            fields[name] = buf.getvalue()[:-2]
-    return fields
+    return name if _NEEDS_QUOTES.isdisjoint(name) else '"' + name.replace('"', '""') + '"'
 
 
 def _groups(sizes) -> list[slice]:
@@ -179,7 +170,8 @@ def render_heatmap(matrices, row_names, col_names, paths) -> None:
     linear in the value, from min(0, the map's min) to the map's max.
     Each cell's `repr` is formatted once and shared by both files.
 
-    Names are quoted once per call and the rect openings are built once,
+    Names are quoted by `_csv_field`, each column and each distinct row
+    name once per call, and the rect openings are built once,
     for the largest map. The maps run in groups of at most
     `HEATMAP_BUDGET` cells, which bounds what a call holds at once
     beside one map's text, and each group's grey levels are one numpy
@@ -196,9 +188,8 @@ def render_heatmap(matrices, row_names, col_names, paths) -> None:
     if not matrices:
         return
 
-    fields = _csv_fields({*col_names, *itertools.chain.from_iterable(row_names)})
-    header = ",".join(["", *map(fields.__getitem__, col_names)])
-    row_opens = {name: f"\n{field}," for name, field in fields.items()}
+    header = ",".join(["", *map(_csv_field, col_names)])
+    row_opens = {name: f"\n{_csv_field(name)}," for name in {*itertools.chain(*row_names)}}
     # each rect's opening up to its y, after the close of the rect before it, and its y
     most = max(map(len, row_names))
     rect_opens = [f'"/>\n<rect x="{j * _CELL}" y="' for j in range(cols)] * most

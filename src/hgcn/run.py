@@ -25,9 +25,9 @@ from .model import ModelConfig, ModelParams, build_target, chunks, forward, trai
 
 # `_infer` projects the whole embedding table once only when its chunks
 # would multiply at least this many padded token rows per table row; at
-# fewer, the whole-table product measured no faster at the long-doc and
-# serve shapes (tools/projection_crossover.py)
-PROJECT_RATIO = 4
+# fewer, the float32 whole-table product measured no faster at the
+# long-doc and serve shapes (tools/projection_crossover.py)
+PROJECT_RATIO = 2
 
 
 class ConfigError(ValueError):
@@ -176,13 +176,6 @@ def load_model(run_cfg: RunConfig):
     return params, provider, vocab
 
 
-def prepare(samples, run_cfg: RunConfig, vocab: Vocabulary, provider):
-    """(ids, target) pairs: each sample's `provider.token_ids` and target distribution."""
-    return [(provider.token_ids(s, vocab, run_cfg.max_len),
-             build_target([name in s.labels for name in run_cfg.label_names]))
-            for s in samples]
-
-
 def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
     """The label set of one sample's probability vector.
 
@@ -273,7 +266,10 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
     provider = make_provider(run_cfg, vocab, rng, np.float32)
     optimizer = Adam(params.parameters() + provider.parameters(), run_cfg.lr)
 
-    prepared = prepare(train_samples, run_cfg, vocab, provider)
+    # (ids, target) pairs: each sample's token ids and target distribution
+    prepared = [(provider.token_ids(s, vocab, run_cfg.max_len),
+                 build_target([name in s.labels for name in run_cfg.label_names]))
+                for s in train_samples]
     lines = []
     for epoch in range(run_cfg.epochs):
         order = np.random.default_rng([run_cfg.seed, epoch]).permutation(len(prepared))

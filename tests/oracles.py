@@ -219,8 +219,8 @@ def render_heatmap_reference(matrix, row_names, col_names, path) -> None:
 
     def field(name):
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([name, ""])
-        return buf.getvalue()[:-2]
+        csv.writer(buf, lineterminator="\r\n").writerow([name, ""])
+        return buf.getvalue()[:-3]
 
     lines = [",".join([""] + [field(c) for c in col_names])]
     lines += [",".join([field(name)] + row) for name, row in zip(row_names, cells)]

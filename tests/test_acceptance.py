@@ -42,33 +42,30 @@ def report(capsys, num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
+# criterion 4's set-up, which tools/fidelity.py restates (tests/test_tools.py holds the two
+# equal): the corpus both splits share, each split's (samples, corpus seed, id prefix), and
+# the run configuration apart from label_names and out_dir
+CORPUS = dict(n_labels=5, vocab_size=60, min_fillers=3, max_fillers=6)
+SPLITS = {"train": (500, 0, "tr"), "test": (100, 1, "te")}
+RUN = dict(num_layers=2, hidden=64, input_dim=64, activation="tanh", lr=0.02, seed=0,
+           decode="threshold", threshold=0.15, epochs=120, batch_size=10, max_len=32)
+
+
 def run_config(label_names, tmp, **overrides):
-    values = dict(
-        label_names=label_names,
-        num_layers=2,
-        hidden=64,
-        input_dim=64,
-        activation="tanh",
-        lr=0.02,
-        seed=0,
-        decode="threshold",
-        threshold=0.15,
-        epochs=120,
-        batch_size=10,
-        max_len=32,
-        out_dir=str(tmp),
-    )
-    values.update(overrides)
-    return RunConfig(**values)
+    return RunConfig(**{**RUN, "label_names": label_names, "out_dir": str(tmp), **overrides})
+
+
+def split(name):
+    """(samples, label names, trigger map) of one split of criterion 4's corpus."""
+    size, seed, prefix = SPLITS[name]
+    return generate_synthetic_corpus(n_samples=size, seed=seed, id_prefix=prefix, **CORPUS)
 
 
 @pytest.fixture(scope="module")
 def synth_run(tmp_path_factory):
     """Criterion-4 corpus and trained model, shared with criteria 5-7."""
-    train, label_names, trigger_map = generate_synthetic_corpus(
-        5, 60, 500, seed=0, min_fillers=3, max_fillers=6, id_prefix="tr")
-    test, _, _ = generate_synthetic_corpus(
-        5, 60, 100, seed=1, min_fillers=3, max_fillers=6, id_prefix="te")
+    train, label_names, trigger_map = split("train")
+    test, _, _ = split("test")
     cfg = run_config(label_names, tmp_path_factory.mktemp("c4"))
     start = time.monotonic()
     params, provider, vocab, _ = runmod.train(train, cfg)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hgcn import analysis
 from hgcn.analysis import (
-    _csv_fields,
+    _csv_field,
     attribution_mse,
     build_attribution,
     build_golden,
@@ -157,12 +157,10 @@ def test_heatmap_csv_roundtrip_exact(tmp_path):
 @settings(max_examples=300)
 @given(st.lists(st.text(), min_size=1, max_size=6))
 def test_heatmap_csv_quotes_names_as_csv_writer_does(names):
-    fields = _csv_fields(names)
-    assert set(fields) == set(names)
     for name in names:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([name, ""])
-        assert fields[name] == buf.getvalue()[:-2]
+        csv.writer(buf, lineterminator="\r\n").writerow([name, ""])
+        assert _csv_field(name) == buf.getvalue()[:-3]
 
 
 # names csv.writer quotes (',', '"', CR, LF) next to ones it writes bare (empty, spaces, non-ASCII)
@@ -191,6 +189,20 @@ def test_heatmap_matches_per_cell_reference(tmp_path, matrix):
     render_heatmap_reference(matrix, rows, cols, tmp_path / "ref")
     for ext in (".csv", ".svg"):
         assert (tmp_path / f"fast{ext}").read_bytes() == (tmp_path / f"ref{ext}").read_bytes()
+
+
+def test_heatmap_csv_reads_back_every_odd_name(tmp_path):
+    # every odd name as a row and as a column; a bare CR would split its row in two
+    rng = np.random.default_rng(7)
+    rows = [_ODD_NAMES, ["\r", "cr\rhere"]]
+    cols = _ODD_NAMES[::-1]
+    matrices = [rng.normal(size=(len(names), len(cols))) for names in rows]
+    paths = [tmp_path / "odd", tmp_path / "cr"]
+    render_heatmap(matrices, rows, cols, paths)
+    for matrix, names, path in zip(matrices, rows, paths):
+        values, got_rows, got_cols = parse_heatmap_csv(str(path) + ".csv")
+        assert got_rows == names and got_cols == cols
+        assert values.tobytes() == matrix.tobytes()
 
 
 def test_heatmap_svg_brightness_monotone(tmp_path):

@@ -338,11 +338,13 @@ def test_projected_inference_matches_per_chunk_inference(shape, tol, monkeypatch
 
 
 def test_projection_is_made_only_for_enough_padded_rows(monkeypatch):
-    cfg, params, lookup = make_model()
-    # the lookup table's 14 rows against 56 and 55 padded token rows
-    made = runmod._projected_table(lookup, params, runmod.PROJECT_RATIO * 14)
+    cfg, params, _ = make_model()
+    # a lookup table of 56 / PROJECT_RATIO rows (14 at a ratio of 4, 28 at 2) against 56
+    # and 55 padded token rows
+    lookup = TrainableLookup(56 // runmod.PROJECT_RATIO, DIM, np.random.default_rng(3))
+    made = runmod._projected_table(lookup, params, 56)
     assert np.array_equal(made.value, lookup.table.value @ params.w_token_in.value)
-    assert runmod._projected_table(lookup, params, runmod.PROJECT_RATIO * 14 - 1) is None
+    assert runmod._projected_table(lookup, params, 55) is None
     asked, calls = [], []
     real_projected_table = runmod._projected_table
 

@@ -16,6 +16,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,6 +158,15 @@ def test_fidelity_counts_every_gold_label(monkeypatch):
     assert all(0 <= values[f"edge {k}"] <= 1 for k in fidelity.ROW_KINDS)
 
 
+def test_fidelity_trains_criterion_4s_corpus_and_config(monkeypatch):
+    from test_acceptance import CORPUS, RUN, SPLITS
+    isolate_digest(monkeypatch)
+    fidelity = load_tool("fidelity")
+    assert fidelity.CORPUS == CORPUS
+    assert fidelity.SPLITS == SPLITS
+    assert fidelity.RUN == RUN
+
+
 def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     from hgcn import run
     isolate_digest(monkeypatch)
@@ -164,11 +174,13 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     crossover = load_tool("projection_crossover")
     real = run._projected_table
     passes = []  # each chunk's forward, so the tool must consume `_infer`'s stream
+    dtypes = set()  # the timed table's and weights' float types, as `run.train` builds them
     real_forward = run.forward
 
-    def counting_forward(*args):
-        passes.append(len(args[0]))
-        return real_forward(*args)
+    def counting_forward(batch_ids, provider, params, *args):
+        passes.append(len(batch_ids))
+        dtypes.update(p.value.dtype for p in [provider.table, *params.parameters()])
+        return real_forward(batch_ids, provider, params, *args)
 
     monkeypatch.setattr(run, "forward", counting_forward)
     with contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -179,6 +191,7 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     test_samples = sum(crossover.load_benchmark().WORKLOADS[name].test_samples
                        for name in crossover.WORKLOADS)
     assert sum(passes) == (1 + 2 * 2) * test_samples
+    assert dtypes == {np.dtype(np.float32)}
     assert set(result) == set(crossover.WORKLOADS)
     for name, entry in result.items():
         assert entry["padded_rows"] > 0, name

@@ -5,12 +5,14 @@
 
 `hgcn.run._infer` multiplies the provider's whole table by `w_token_in`
 once when the token rows the pass's chunks would multiply, padding
-included, are at least `run.PROJECT_RATIO` (4) times the table's rows;
+included, are at least `run.PROJECT_RATIO` (2) times the table's rows;
 otherwise each chunk multiplies its own. This measures where that pays.
 For the long-doc and serve workloads of perfbench/run.py (corpus shape
 and RunConfig, imported read-only) it generates the test corpus at a
 fixed seed, reads the pass's padded token rows, and builds lookup tables
-with each `--ratios` multiple of those rows. Per table, each round times
+with each `--ratios` multiple of those rows. The weights and the tables
+are float32, as `run.train` builds them, so it times the arithmetic that
+`hgcn eval` runs on a trained checkpoint. Per table, each round times
 one whole `_infer` pass, its chunk stream consumed, with the projection
 forced on and one with it forced off, in alternating order. It prints
 one JSON object: per workload, the padded rows and, per table size, the
@@ -18,19 +20,25 @@ median times, the rounds the projection won and the median of the
 rounds' time ratios (projected over per chunk).
 
 `--src` is the directory holding the `hgcn` package to import (default:
-`src/` of this checkout). The workloads always come from this checkout's
-`perfbench/`.
+`src/` of this checkout); it needs a source at commit 4f329a0 or later,
+whose `_infer` yields its chunks and whose ops follow their inputs'
+float type. The workloads always come from this checkout's `perfbench/`.
+BLAS runs on one thread, as in the benchmark.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from output_digest import load_benchmark
+import numpy as np  # noqa: E402  (after the thread pins)
+
+from output_digest import load_benchmark  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_SEED, MODEL_SEED = 1, 0
@@ -38,11 +46,7 @@ WORKLOADS = ("long-doc", "serve")
 
 
 def infer(run, *args) -> None:
-    """One whole inference pass: `run._infer` runs a chunk's forward pass only as it is consumed.
-
-    An older `--src`'s `_infer`, which took output names, runs the whole
-    pass when called and, asked for none, returns an empty tuple.
-    """
+    """One whole inference pass: `run._infer` runs a chunk's forward pass only as it is consumed."""
     for _ in run._infer(*args):
         pass
 
@@ -57,11 +61,10 @@ def crossover(bench, name, ratios, rounds) -> dict:
         wl.labels, wl.vocab, wl.test_samples, seed=TEST_SEED,
         min_fillers=lo, max_fillers=hi, id_prefix="te")
     values = bench.run_config(wl, label_names, MODEL_SEED, ROOT, ROOT)
-    retired = getattr(run, "RETIRED", {})  # a `--src` from before the keys were retired has none
     run_cfg = run.RunConfig(**{k: v for k, v in values.items()
-                               if not k.endswith(("_path", "_dir")) and k not in retired})
+                               if not k.endswith(("_path", "_dir")) and k not in run.RETIRED})
     rng = np.random.default_rng(MODEL_SEED)
-    params = ModelParams.init(run_cfg.model_config(), rng)
+    params = ModelParams.init(run_cfg.model_config(), rng, np.float32)
     vocab = Vocabulary([t for s in test for t in s.tokens])
     real = run._projected_table
     asked = []
@@ -78,12 +81,13 @@ def crossover(bench, name, ratios, rounds) -> dict:
 
     try:
         run._projected_table = probe
-        infer(run, test, params, TrainableLookup(len(vocab), run_cfg.input_dim, rng), run_cfg,
+        infer(run, test, params,
+              TrainableLookup(len(vocab), run_cfg.input_dim, rng, dtype=np.float32), run_cfg,
               vocab)
         out = {"padded_rows": asked[0], "tables": []}
         for ratio in ratios:
             provider = TrainableLookup(max(len(vocab), round(ratio * asked[0])),
-                                       run_cfg.input_dim, rng)
+                                       run_cfg.input_dim, rng, dtype=np.float32)
             times = {projected: [], per_chunk: []}
             for r in range(rounds + 1):
                 for side in (projected, per_chunk) if r % 2 else (per_chunk, projected):
