@@ -86,17 +86,16 @@ class Tape:
 class Node:
     """A matrix in the computation graph.
 
-    `op` names the producing operation ("" for leaves). Only a leaf with
-    `requires_grad` starts with a zero gradient; a constant's `grad` stays
-    None, and a non-leaf's is None until its first push.
+    `value` is stored as given: every caller, each op, `parameter` and
+    `constant` among them, hands it an array of at least two axes. `op`
+    names the producing operation ("" for leaves). Only a leaf with
+    `requires_grad` starts with a zero gradient; a constant's `grad`
+    stays None, and a non-leaf's is None until its first push.
     """
 
     __slots__ = ("value", "grad", "op", "requires_grad", "_backward")
 
     def __init__(self, value, requires_grad=False, op="", backward_fn=None):
-        value = np.asarray(value)
-        if value.ndim < 2:
-            value = np.atleast_2d(value)
         self.value = value
         self.grad = np.zeros_like(value) if requires_grad and not op else None
         self.op = op

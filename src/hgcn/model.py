@@ -47,10 +47,12 @@ from .graph import Chains, propagate, reconstruct_token_label
 # Most entries of a chunk's padded node features, B x (M + n) x hidden:
 # twenty 11-token samples with 5 labels, or two 128-token documents with
 # 20 labels, at hidden 64; it bounds the memory one tape holds in training
-# and one chunk's arrays in inference. Whole batches of long documents
-# trained about a fifth faster but held 13 MB more at peak, and a 4x
-# budget for inference alone ran eval about 7% faster but raised serve's
-# peak RSS 3.5% (both in CHANGES.md).
+# and one chunk's arrays in inference. It counts values, not bytes, so
+# under the float32 body a chunk holds half the bytes it held under
+# float64. The figures behind it were measured with a float64 body:
+# whole batches of long documents trained about a fifth faster but held
+# 13 MB more at peak, and a 4x budget for inference alone ran eval about
+# 7% faster but raised serve's peak RSS 3.5% (both in CHANGES.md).
 CHUNK_BUDGET = 20480
 
 
@@ -117,8 +119,7 @@ class ForwardTrace:
 
     probs: np.ndarray                  # B x n
     final_edges: np.ndarray            # B x M x n token-label blocks after the last layer
-    final_tokens: np.ndarray           # B x M x hidden token rows after the last layer
-    final_labels: np.ndarray           # B x n x hidden label rows (a read-only view if shared)
+    final_labels: np.ndarray           # G x n x hidden, G = 1 when the batch shares its label rows
     probs_node: Node
 
 
@@ -127,7 +128,7 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
     """Run the HGCN on a batch of token-id sequences; records on the active Tape, if any.
 
     Sample b's token rows are the first len(batch_ids[b]) of the M padded
-    ones; its padded rows of `final_edges` and `final_tokens` are zero.
+    ones; its padded rows of `final_edges` are zero.
     `projected`, if given, is `provider`'s table times `w_token_in`, made
     once for an inference pass, and the first token rows are gathered
     from it instead of projected here. No gradient reaches the table
@@ -139,7 +140,6 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
         h = provider.embed(batch_ids, projected)
     lengths = [len(ids) for ids in batch_ids]
     chains = Chains(lengths, max(lengths, default=0), cfg.num_labels, h.value.dtype)
-    b, m = chains.shape
     # first layer, before any token-label edges (see above); one-hot label
     # inputs make I_n @ w_label_in the label rows' projection
     h = ad.activation(ad.matmul(propagate(h, None, chains, params.w_label_in),
@@ -151,12 +151,8 @@ def forward(batch_ids, provider, params: ModelParams, cfg: ModelConfig,
     final_edges = reconstruct_token_label(h, chains)
     scores = ad.col_sums(final_edges)
     probs = ad.softmax_row(scores)
-    labels = chains.labels(h.value)
-    if len(labels) < b:  # a 1-layer model's label rows, shared by the batch
-        labels = np.broadcast_to(labels, (b,) + labels.shape[1:])
     return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
-                        final_tokens=h.value[:b * m].reshape(b, m, -1),
-                        final_labels=labels, probs_node=probs)
+                        final_labels=chains.labels(h.value), probs_node=probs)
 
 
 def build_target(labels) -> np.ndarray:

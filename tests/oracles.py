@@ -446,7 +446,7 @@ def embed_one(provider, ids, block=None) -> Node:
 
 
 def forward_one(ids, provider, params, cfg, block=None) -> ForwardTrace:
-    """The HGCN on one sample: probs 1 x n, edges m x n, token and label rows m and n x hidden."""
+    """The HGCN on one sample: probs 1 x n, edges m x n, label rows n x hidden."""
     m = len(ids)
     n = cfg.num_labels
     h_token = ad.matmul(embed_one(provider, ids, block), params.w_token_in)
@@ -460,7 +460,7 @@ def forward_one(ids, provider, params, cfg, block=None) -> ForwardTrace:
     final_edges = reconstruct_one(h, m)
     probs = ad.softmax_row(ad.col_sums(final_edges))
     return ForwardTrace(probs=probs.value, final_edges=final_edges.value,
-                        final_tokens=h.value[:m], final_labels=h.value[m:], probs_node=probs)
+                        final_labels=h.value[m:], probs_node=probs)
 
 
 def sample_loss_one(ids, target, provider, params, cfg, block=None) -> Node:

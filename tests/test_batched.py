@@ -1,10 +1,10 @@
 """The batched model path against the per-sample reference in oracles.py.
 
 A batch pads its samples to the longest one; these tests check that the
-padding changes nothing: probabilities, final edges and every parameter
-gradient agree with one graph and one tape per sample to within 1e-12,
-and so do the outputs of a forward that gathers its first token rows
-from the projected table.
+padding changes nothing: probabilities, final edges, final label rows and
+every parameter gradient agree with one graph and one tape per sample to
+within 1e-12, and so do the outputs of a forward that gathers its first
+token rows from the projected table.
 Inference that gathers its token rows from one projected table is
 checked against inference that projects them per chunk, bitwise at a
 64-wide shape.
@@ -18,7 +18,7 @@ import pytest
 
 from hgcn import metrics, model
 from hgcn import run as runmod
-from hgcn.analysis import build_golden
+from hgcn.analysis import build_golden, label_cosine_matrix
 from hgcn.autodiff import Node, Tape
 from hgcn.data import Sample, save_embeddings
 from hgcn.encoder import PAD, PrecomputedFile, TrainableLookup, Vocabulary, tokenize
@@ -86,6 +86,12 @@ def assert_close(a, b):
     assert np.max(np.abs(a - b), initial=0.0) <= TOL
 
 
+def per_sample_labels(trace):
+    """`trace.final_labels` as B x n x hidden, a G = 1 trace's shared rows broadcast."""
+    labels = trace.final_labels
+    return np.broadcast_to(labels, (len(trace.probs),) + labels.shape[1:])
+
+
 CASES = [("tanh", False, "lookup"), ("relu", False, "lookup"), ("tanh", True, "lookup"),
          ("relu", True, "file"), ("tanh", False, "file")]
 
@@ -120,16 +126,14 @@ def assert_matches_per_sample(batch, blocks, cfg, params, provider, projected=Fa
     """
     table = Node(provider.table.value @ params.w_token_in.value) if projected else None
     trace = forward([ids for ids, _ in batch], provider, params, cfg, table)
-    big = max(len(ids) for ids, _ in batch)
+    labels = per_sample_labels(trace)
     for b, ((ids, _), block) in enumerate(zip(batch, blocks)):
         ref = forward_one(ids, provider, params, cfg, block)
         m = len(ids)
         assert_close(trace.probs[b:b + 1], ref.probs)
         assert_close(trace.final_edges[b, :m], ref.final_edges)
         assert not trace.final_edges[b, m:].any()
-        assert_close(trace.final_tokens[b, :m], ref.final_tokens)
-        assert_close(trace.final_labels[b], ref.final_labels)
-        assert not trace.final_tokens[b, m:big].any()
+        assert_close(labels[b], ref.final_labels)
 
     trainable = params.parameters() + provider.parameters()
     with Tape() as tape:
@@ -249,9 +253,10 @@ def inferred(args):
     for members, lengths, trace in runmod._infer(*args):
         assert list(lengths) == sorted(lengths) == [
             len(provider.token_ids(samples[i], vocab, run_cfg.max_len)) for i in members]
+        chunk_labels = per_sample_labels(trace)
         for b, (i, m) in enumerate(zip(members, lengths, strict=True)):
             probs[i], edges[i] = trace.probs[b], trace.final_edges[b, :m].copy()
-            labels[i] = trace.final_labels[b]
+            labels[i] = chunk_labels[b]
     return probs, edges, labels
 
 
@@ -375,6 +380,22 @@ def test_projection_is_made_only_for_enough_padded_rows(monkeypatch):
     # an empty test set runs no chunk
     assert runmod.predict([], params, lookup, run_cfg, VOCABULARY) == ([], [])
     assert asked[3:] == [0] and len(calls) == 4
+
+
+def test_one_layer_trace_holds_the_shared_label_rows_once():
+    # a 1-layer model's label rows are the same for every sample: the trace
+    # holds them once, and `correlate` broadcasts them to each member
+    cfg, params, provider = make_model(num_layers=1)
+    trace = forward(IDS[:3], provider, params, cfg)
+    assert trace.final_labels.shape == (1, cfg.num_labels, cfg.hidden)
+    for ids in IDS[:3]:
+        assert_close(trace.final_labels[0], forward_one(ids, provider, params, cfg).final_labels)
+    run_cfg = runmod.RunConfig(label_names=["A", "B", "C"], hidden=6, input_dim=DIM,
+                               max_len=8, num_layers=1)
+    _, cosine = runmod.correlate(SAMPLES[:3], params, provider, run_cfg, VOCABULARY)
+    assert np.array_equal(cosine, cosine.T)
+    assert np.array_equal(np.diag(cosine), np.ones(cfg.num_labels))
+    assert np.allclose(cosine, label_cosine_matrix(trace.final_labels[0]), rtol=0, atol=TOL)
 
 
 def test_inference_ignores_batch_size(monkeypatch):

@@ -10,6 +10,7 @@ from hgcn import model, run
 from hgcn.autodiff import Adam, Tape
 from hgcn.data import Sample
 from hgcn.encoder import TrainableLookup
+from hgcn.graph import Chains, propagate
 from hgcn.model import (
     ModelConfig,
     ModelParams,
@@ -38,7 +39,6 @@ def test_forward_shapes_single_token_single_label():
         trace = forward([[0]], provider, params, cfg)
     assert trace.probs.shape == (1, 1)
     assert trace.final_edges.shape == (1, 1, 1)
-    assert trace.final_tokens.shape == (1, 1, cfg.hidden)
     assert trace.final_labels.shape == (1, 1, cfg.hidden)
     assert trace.probs_node.value is trace.probs
 
@@ -48,15 +48,20 @@ def test_first_layer_token_features_independent_of_label_params():
     # cannot depend on the label inputs
     cfg, params, provider = tiny_setup(num_layers=1)
     ids = [0, 2, 3]
-    with Tape():
-        before = forward([ids], provider, params, cfg)
-    params.w_label_in.value = params.w_label_in.value + 0.5
-    with Tape():
-        after = forward([ids], provider, params, cfg)
     m = len(ids)
-    assert before.final_tokens.shape == (1, m, cfg.hidden)
-    assert np.array_equal(before.final_tokens, after.final_tokens)
-    assert not np.array_equal(before.final_labels, after.final_labels)
+    chains = Chains([m], m, cfg.num_labels, np.float64)
+    h = ad.matmul(provider.embed([ids]), params.w_token_in)
+
+    def first_layer(labels):
+        # the first layer as `forward` runs it, over label rows `labels`
+        return ad.activation(ad.matmul(propagate(h, None, chains, labels), params.w_layer[0]),
+                             cfg.activation).value
+
+    before = first_layer(params.w_label_in)
+    after = first_layer(ad.constant(params.w_label_in.value + 0.5))
+    assert before.shape == (m + cfg.num_labels, cfg.hidden)
+    assert np.array_equal(before[:m], after[:m])
+    assert not np.array_equal(before[m:], after[m:])
 
 
 def test_forward_without_tape_matches_taped_and_records_nothing():
@@ -68,7 +73,7 @@ def test_forward_without_tape_matches_taped_and_records_nothing():
     untaped = forward([ids], provider, params, cfg)
     assert len(tape.nodes) == recorded
     assert untaped.probs_node.grad is None
-    for field in ("probs", "final_edges", "final_tokens", "final_labels"):
+    for field in ("probs", "final_edges", "final_labels"):
         assert np.array_equal(getattr(untaped, field), getattr(taped, field))
 
 

@@ -172,17 +172,24 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     isolate_digest(monkeypatch)
     sys.path.insert(0, str(ROOT / "tools"))  # the tool imports output_digest by name
     crossover = load_tool("projection_crossover")
-    real = run._projected_table
     passes = []  # each chunk's forward, so the tool must consume `_infer`'s stream
     dtypes = set()  # the timed table's and weights' float types, as `run.train` builds them
-    real_forward = run.forward
+    made = []  # whether each pass's call of the shipped `_projected_table` projected
+    real_forward, real_projected_table = run.forward, run._projected_table
 
     def counting_forward(batch_ids, provider, params, *args):
         passes.append(len(batch_ids))
         dtypes.update(p.value.dtype for p in [provider.table, *params.parameters()])
         return real_forward(batch_ids, provider, params, *args)
 
+    def recording_projected_table(*args):
+        table = real_projected_table(*args)
+        made.append(table is not None)
+        return table
+
     monkeypatch.setattr(run, "forward", counting_forward)
+    monkeypatch.setattr(run, "_projected_table", recording_projected_table)
+    ratio = run.PROJECT_RATIO
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert crossover.main(["--rounds", "1", "--ratios", "0.5"]) == 0
@@ -191,6 +198,8 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     test_samples = sum(crossover.load_benchmark().WORKLOADS[name].test_samples
                        for name in crossover.WORKLOADS)
     assert sum(passes) == (1 + 2 * 2) * test_samples
+    # per workload, the probe's pass does not project, and one side of each round does
+    assert made == [False, False, True, True, False] * len(crossover.WORKLOADS)
     assert dtypes == {np.dtype(np.float32)}
     assert set(result) == set(crossover.WORKLOADS)
     for name, entry in result.items():
@@ -198,7 +207,7 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
         (table,) = entry["tables"]
         assert table["ratio"] == 0.5 and table["rounds"] == 1, name
         assert table["rows"] >= round(0.5 * entry["padded_rows"]), name
-    assert run._projected_table is real
+    assert run._projected_table is recording_projected_table and run.PROJECT_RATIO == ratio
 
 
 def test_pairs_writes_one_tiny_pair_against_head(tmp_path):
@@ -249,6 +258,15 @@ def test_pairs_makes_its_out_directory_before_the_first_run(tmp_path, monkeypatc
         assert pairs.main(["HEAD", "made", "serve:1:7:0", "--out", str(out)]) == 0
     assert seen == [True, True]
     assert json.loads((out / "BENCH_made.json").read_text())["label"] == "made"
+
+
+def test_pairs_method_records_the_command_without_its_out_directory():
+    pairs = load_tool("pairs")
+    for out in (["--out", "/elsewhere/bench"], ["--out=/elsewhere/bench"]):
+        args = pairs.parse_args(["HEAD", "x", "serve:1:7:0", *out, "--size", "tiny"])
+        assert args.out == Path("/elsewhere/bench")
+        written_by = pairs.method(args, "abc1234", "def5678").split("Written by: ")[1]
+        assert written_by == "python3 tools/pairs.py HEAD x serve:1:7:0 --size tiny"
 
 
 def test_pairs_summary_reads_each_metric_in_its_direction():

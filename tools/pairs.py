@@ -25,6 +25,8 @@ BENCHMARK.json, both sides' medians and quartiles, the change/parent
 median ratio, wins, losses, ties and `median_gain_beyond_parent_iqr`)
 and `runs`, each tagged with its `side`, `pair`, `workload`, `seed`,
 `commit` and `env`. DIR is made, with its parents, before the first run.
+`method` ends with the command that wrote the file, less its `--out DIR`,
+so the file reads the same wherever it was written.
 """
 
 import argparse
@@ -149,7 +151,10 @@ def parse_args(argv):
                    help="perfbench/run.py's --size")
     p.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH file")
     args = p.parse_args(argv)
-    args.argv = list(sys.argv[1:] if argv is None else argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # the command as `method` records it, without the output directory
+    args.argv = [a for a, before in zip(argv, [None, *argv])
+                 if "--out" not in (a, before) and not a.startswith("--out=")]
     return args
 
 

@@ -14,7 +14,9 @@ with each `--ratios` multiple of those rows. The weights and the tables
 are float32, as `run.train` builds them, so it times the arithmetic that
 `hgcn eval` runs on a trained checkpoint. Per table, each round times
 one whole `_infer` pass, its chunk stream consumed, with the projection
-forced on and one with it forced off, in alternating order. It prints
+forced on and one with it forced off, in alternating order: it sets
+`run.PROJECT_RATIO` to 0 and to infinity, so both sides run the
+`_projected_table` that ships, and restores it afterwards. It prints
 one JSON object: per workload, the padded rows and, per table size, the
 median times, the rounds the projection won and the median of the
 rounds' time ratios (projected over per chunk).
@@ -28,6 +30,7 @@ BLAS runs on one thread, as in the benchmark.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,6 +46,7 @@ from output_digest import load_benchmark  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 TEST_SEED, MODEL_SEED = 1, 0
 WORKLOADS = ("long-doc", "serve")
+PROJECTED, PER_CHUNK = 0, math.inf  # the run.PROJECT_RATIO that always, and never, projects
 
 
 def infer(run, *args) -> None:
@@ -66,46 +70,41 @@ def crossover(bench, name, ratios, rounds) -> dict:
     rng = np.random.default_rng(MODEL_SEED)
     params = ModelParams.init(run_cfg.model_config(), rng, np.float32)
     vocab = Vocabulary([t for s in test for t in s.tokens])
-    real = run._projected_table
+    real, project_ratio = run._projected_table, run.PROJECT_RATIO
     asked = []
 
     def probe(provider, params, padded_rows):
         asked.append(padded_rows)
-        return None
-
-    def projected(provider, params, padded_rows):
-        return run.Node(provider.table.value @ params.w_token_in.value)
-
-    def per_chunk(provider, params, padded_rows):
-        return None
+        return real(provider, params, padded_rows)
 
     try:
-        run._projected_table = probe
+        run._projected_table, run.PROJECT_RATIO = probe, PER_CHUNK
         infer(run, test, params,
               TrainableLookup(len(vocab), run_cfg.input_dim, rng, dtype=np.float32), run_cfg,
               vocab)
+        run._projected_table = real
         out = {"padded_rows": asked[0], "tables": []}
         for ratio in ratios:
             provider = TrainableLookup(max(len(vocab), round(ratio * asked[0])),
                                        run_cfg.input_dim, rng, dtype=np.float32)
-            times = {projected: [], per_chunk: []}
+            times = {PROJECTED: [], PER_CHUNK: []}
             for r in range(rounds + 1):
-                for side in (projected, per_chunk) if r % 2 else (per_chunk, projected):
-                    run._projected_table = side
+                for side in (PROJECTED, PER_CHUNK) if r % 2 else (PER_CHUNK, PROJECTED):
+                    run.PROJECT_RATIO = side
                     start = perf_counter()
                     infer(run, test, params, provider, run_cfg, vocab)
                     if r:  # round 0 warms up
                         times[side].append(perf_counter() - start)
-            pair = np.divide(times[projected], times[per_chunk])
+            pair = np.divide(times[PROJECTED], times[PER_CHUNK])
             out["tables"].append({
                 "rows": len(provider.table.value), "ratio": ratio, "rounds": rounds,
-                "projected_ms": 1e3 * float(np.median(times[projected])),
-                "per_chunk_ms": 1e3 * float(np.median(times[per_chunk])),
+                "projected_ms": 1e3 * float(np.median(times[PROJECTED])),
+                "per_chunk_ms": 1e3 * float(np.median(times[PER_CHUNK])),
                 "projected_wins": int(np.sum(pair < 1.0)),
                 "median_pair_ratio": float(np.median(pair))})
             print(name, json.dumps(out["tables"][-1]), file=sys.stderr, flush=True)
     finally:
-        run._projected_table = real
+        run._projected_table, run.PROJECT_RATIO = real, project_ratio
     return out
 
 
