@@ -1,7 +1,8 @@
 import json
 import os
 import re
-from itertools import chain
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -418,15 +419,35 @@ def test_synth_unsatisfiable_constraints():
 CONSTRAINTS = [((), ()), ([(0, 1)], ()), ((), [(2, 0)]), ([(1, 3)], [(0, 1), (2, 4)])]
 
 
+def ranked_label_sets(n):
+    """Every 1-3-label set of n labels, in the order `synth._label_set` ranks them."""
+    return [synth._label_set(n, rank) for rank in range(n + comb(n, 2) + comb(n, 3))]
+
+
 @pytest.mark.parametrize("together,apart", CONSTRAINTS)
 def test_synth_label_sets_match_the_enumeration(together, apart):
     for n in range(1, 13):
         if max(chain(*together, *apart), default=-1) >= n:
             continue
+        assert ranked_label_sets(n) == label_sets_reference(n)
+        # the constraints leave exactly the oracle's sets: each one is drawn, no other is
         want = label_sets_reference(n, together, apart)
-        sets = synth._valid_label_sets(n, together, apart)
-        assert len(sets) == len(want)
-        assert [sets[i] for i in range(len(want))] == want
+        samples = generate_synthetic_corpus(n, n + 1, 12 * len(want), always_together=together,
+                                            never_together=apart, min_fillers=0,
+                                            max_fillers=0)[0]
+        assert {tuple(int(name[1:]) - 1 for name in s.labels) for s in samples} == set(want)
+
+
+def test_synth_label_set_order_at_paper_scale_label_counts():
+    # AAPD's 54 labels: every rank
+    assert ranked_label_sets(54) == label_sets_reference(54)
+    # RCV1-V2's 103 labels: the first and the last rank of each set size
+    first = 0
+    for k in (1, 2, 3):
+        sets = list(combinations(range(103), k))
+        assert synth._label_set(103, first) == sets[0]
+        assert synth._label_set(103, first + len(sets) - 1) == sets[-1]
+        first += len(sets)
 
 
 @pytest.mark.parametrize("together,apart", CONSTRAINTS)
@@ -438,22 +459,9 @@ def test_synth_corpus_matches_the_enumerated_draw(tmp_path, monkeypatch, togethe
         return (tmp_path / name).read_bytes()
 
     drawn = corpus("drawn.jsonl")
-    monkeypatch.setattr(synth, "_valid_label_sets", label_sets_reference)
+    # the same draw, and the same constraint filter, over the `combinations` order
+    monkeypatch.setattr(synth, "_label_set", lambda n, rank: label_sets_reference(n)[rank])
     assert drawn == corpus("enumerated.jsonl")
-
-
-def test_synth_draw_counts_the_label_sets_once(monkeypatch):
-    counted = []
-    real_len = synth._SmallSets.__len__
-
-    def counting_len(self):
-        counted.append(self)
-        return real_len(self)
-
-    monkeypatch.setattr(synth._SmallSets, "__len__", counting_len)
-    generate_synthetic_corpus(5, 30, 50, seed=1)
-    # one check that some set is valid, one count for the whole draw
-    assert len(counted) == 2
 
 
 def test_synth_vocab_too_small():

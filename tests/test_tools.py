@@ -6,11 +6,13 @@ tools/projection_crossover.py times `run.PROJECT_RATIO`'s two sides; tools/pairs
 the BENCH files.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -34,10 +36,10 @@ def load_digest():
 
 
 def isolate_digest(monkeypatch):
-    # main() prepends perfbench/ and src/ to sys.path, and importing
-    # perfbench/run.py (or tools/fidelity.py) sets these variables; both
-    # are restored afterwards
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    # main() prepends perfbench/ and src/ to sys.path, and loading a tool
+    # sets these variables; both are restored afterwards. The other tools
+    # import output_digest by name, from tools/.
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
 
@@ -85,6 +87,19 @@ def test_output_digest_dev_variant_logs_dev_metrics(monkeypatch, tmp_path):
     assert config["dev_path"] == str(tmp_path / "test.jsonl")
     log = (tmp_path / "out" / "train.log").read_text().splitlines()
     assert len(log) == wl.epochs and all(" micro_f1 " in line for line in log)
+
+
+def test_import_hgcn_refuses_a_package_from_another_directory(monkeypatch, tmp_path):
+    import hgcn
+    isolate_digest(monkeypatch)
+    digest = load_digest()
+    src = Path(hgcn.__file__).resolve().parent.parent
+    assert digest.import_hgcn(src) is hgcn
+    assert sys.path[0] == str(src)
+    # `hgcn` is already imported from `src`, so `import` does not read another directory's
+    (tmp_path / "hgcn").mkdir()
+    with pytest.raises(SystemExit, match=f"imported hgcn from .*, not {re.escape(str(tmp_path))}"):
+        digest.import_hgcn(tmp_path)
 
 
 def outputs(test_samples) -> set[str]:
@@ -141,6 +156,20 @@ def test_fidelity_classifies_each_argmax_row(monkeypatch):
     assert fidelity.classify(["<s>", "T2", "w1", "w3", "</s>"], 3, "T2", triggers) == "filler"
 
 
+@pytest.mark.parametrize("text,seeds", [("0-19", range(20)), ("3", range(3, 4))])
+def test_fidelity_seed_range_reads_a_range_or_one_seed(monkeypatch, text, seeds):
+    isolate_digest(monkeypatch)
+    assert load_tool("fidelity").seed_range(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["3-", "-3", "5-2", "a-b", "", "1-2-3"])
+def test_fidelity_seed_range_rejects_other_text(monkeypatch, text):
+    isolate_digest(monkeypatch)
+    fidelity = load_tool("fidelity")
+    with pytest.raises(argparse.ArgumentTypeError, match="not a seed range"):
+        fidelity.seed_range(text)
+
+
 def test_fidelity_counts_every_gold_label(monkeypatch):
     from hgcn.run import RunConfig
     from hgcn.synth import generate_synthetic_corpus
@@ -170,7 +199,6 @@ def test_fidelity_trains_criterion_4s_corpus_and_config(monkeypatch):
 def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     from hgcn import run
     isolate_digest(monkeypatch)
-    sys.path.insert(0, str(ROOT / "tools"))  # the tool imports output_digest by name
     crossover = load_tool("projection_crossover")
     passes = []  # each chunk's forward, so the tool must consume `_infer`'s stream
     dtypes = set()  # the timed table's and weights' float types, as `run.train` builds them

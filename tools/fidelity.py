@@ -39,6 +39,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pins)
 
+from output_digest import import_hgcn  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 # criterion 4's corpus (train, test) and run configuration, whose model seed each row
 # replaces; equal to tests/test_acceptance.py's, as tests/test_tools.py checks
@@ -100,9 +102,9 @@ def table_row(name, values) -> str:
 
 def seed_range(text: str) -> range:
     """The model seeds FIRST-LAST, both included, or the one seed N."""
-    first, _, last = text.partition("-")
+    first, dash, last = text.partition("-")
     try:
-        seeds = range(int(first), int(last or first) + 1)
+        seeds = range(int(first), int(last if dash else first) + 1)
     except ValueError:
         seeds = None
     if not seeds:
@@ -117,11 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, default="0-4",
                         help="inclusive range of model seeds, FIRST-LAST (default: 0-4)")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import hgcn
-    if Path(hgcn.__file__).resolve().parent != src / "hgcn":
-        raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
+    import_hgcn(args.src)
     from hgcn.run import RunConfig
     from hgcn.synth import generate_synthetic_corpus
     corpus = {}

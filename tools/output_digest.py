@@ -34,7 +34,7 @@ both checkouts' sources and compare:
 
 `--src` is the directory holding the `hgcn` package to import (default:
 `src/` of this checkout); the workloads always come from this checkout's
-`perfbench/`.
+`perfbench/`. BLAS runs on one thread, as in the benchmark.
 """
 
 import argparse
@@ -44,11 +44,15 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread pins)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAIN_SEED, TEST_SEED, MODEL_SEED, EMBEDDING_SEED = 0, 1, 0, 2
@@ -66,12 +70,22 @@ VARIANT_SIZE = {"train_samples": 40, "test_samples": 8, "epochs": 2}
 
 
 def load_benchmark():
-    """perfbench/run.py as a module; importing it also pins BLAS to one thread."""
+    """perfbench/run.py as a module, for its `WORKLOADS` and `run_config`."""
     sys.path.insert(0, str(ROOT / "perfbench"))  # for its own `checks` and `tracer`
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def import_hgcn(src):
+    """The `hgcn` package imported from directory `src`; exits if it came from anywhere else."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import hgcn
+    if Path(hgcn.__file__).resolve().parent != src / "hgcn":
+        raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
+    return hgcn
 
 
 def digest_workload(wl, run_config, work: Path, file_encoder=False,
@@ -131,11 +145,7 @@ def main(argv=None) -> int:
                         help="directory holding the hgcn package (default: this checkout's src)")
     args = parser.parse_args(argv)
     bench = load_benchmark()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import hgcn
-    if Path(hgcn.__file__).resolve().parent != src / "hgcn":
-        raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
+    import_hgcn(args.src)
     short = bench.WORKLOADS[EXTRA_RUN_WORKLOAD]
     runs = [(name, wl, "", False, None) for name, wl in bench.WORKLOADS.items()]
     runs.append((EXTRA_RUN_WORKLOAD, short, "file-encoder/", True, None))

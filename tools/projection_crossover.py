@@ -41,7 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pins)
 
-from output_digest import load_benchmark  # noqa: E402
+from output_digest import import_hgcn, load_benchmark  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_SEED, MODEL_SEED = 1, 0
@@ -117,11 +117,7 @@ def main(argv=None) -> int:
                         help="table rows as multiples of the pass's padded token rows")
     args = parser.parse_args(argv)
     bench = load_benchmark()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import hgcn
-    if Path(hgcn.__file__).resolve().parent != src / "hgcn":
-        raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
+    import_hgcn(args.src)
     ratios = [float(r) for r in args.ratios.split(",")]
     print(json.dumps({name: crossover(bench, name, ratios, args.rounds) for name in WORKLOADS},
                      indent=1))
