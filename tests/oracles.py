@@ -7,8 +7,8 @@ The per-cell heatmap writer is the reference for `hgcn.analysis.render_heatmap`.
 The per-sample model path (one graph, one tape per sample, no padding)
 is the reference for the batched `hgcn.model` path. The per-token and
 per-sample loops are the references for `hgcn.encoder.tokenize` and
-the Jaccard of `hgcn.metrics.evaluate`, and the full enumeration of label sets is the
-reference for `hgcn.synth`'s draw.
+the Jaccard of `hgcn.metrics.evaluate`, and the full enumeration of label sets, drawn
+from with the same random calls, is the reference for `hgcn.synth`'s draw.
 """
 
 import csv
@@ -479,3 +479,24 @@ def train_step_one(batch, params, cfg, provider, optimizer) -> float:
         total += float(loss.value[0, 0])
     optimizer.step()
     return total * inv
+
+
+def label_set_draw_reference(n_labels, vocab_size, n_samples, seed, always_together=(),
+                             never_together=(), min_fillers=5, max_fillers=9):
+    """The label sets `hgcn.synth.generate_synthetic_corpus` draws, in sample order.
+
+    It indexes the enumerated sets with the generator's random calls, in
+    its order: the set, the filler count, the fillers, then one insert
+    position per label.
+    """
+    sets = label_sets_reference(n_labels, always_together, never_together)
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(n_samples):
+        chosen = sets[rng.integers(len(sets))]
+        count = int(rng.integers(min_fillers, max_fillers + 1))
+        rng.integers(vocab_size - n_labels, size=count)
+        for length in range(count, count + len(chosen)):
+            rng.integers(length + 1)
+        drawn.append(chosen)
+    return drawn

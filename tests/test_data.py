@@ -28,7 +28,7 @@ from hgcn.encoder import TrainableLookup, Vocabulary
 from hgcn.model import ModelConfig, ModelParams, forward
 from hgcn.synth import generate_synthetic_corpus
 
-from oracles import label_sets_reference
+from oracles import label_set_draw_reference, label_sets_reference
 
 
 LABELS = ["A", "B"]
@@ -451,17 +451,13 @@ def test_synth_label_set_order_at_paper_scale_label_counts():
 
 
 @pytest.mark.parametrize("together,apart", CONSTRAINTS)
-def test_synth_corpus_matches_the_enumerated_draw(tmp_path, monkeypatch, together, apart):
-    def corpus(name):
-        samples = generate_synthetic_corpus(6, 30, 200, seed=3, always_together=together,
+def test_synth_corpus_matches_the_enumerated_draw(together, apart):
+    # in sample order, so the ranking and the constraint filter must both keep the oracle's order
+    for n in (6, 12):
+        samples = generate_synthetic_corpus(n, 30, 200, seed=3, always_together=together,
                                             never_together=apart)[0]
-        save_dataset(samples, tmp_path / name)
-        return (tmp_path / name).read_bytes()
-
-    drawn = corpus("drawn.jsonl")
-    # the same draw, and the same constraint filter, over the `combinations` order
-    monkeypatch.setattr(synth, "_label_set", lambda n, rank: label_sets_reference(n)[rank])
-    assert drawn == corpus("enumerated.jsonl")
+        drawn = [tuple(int(name[1:]) - 1 for name in s.labels) for s in samples]
+        assert drawn == label_set_draw_reference(n, 30, 200, 3, together, apart)
 
 
 def test_synth_vocab_too_small():

@@ -30,16 +30,12 @@ change is held to the parent's figures by running both sources:
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from output_digest import import_hgcn  # first: it pins BLAS to one thread
 
 import numpy as np  # noqa: E402  (after the thread pins)
-
-from output_digest import import_hgcn  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 # criterion 4's corpus (train, test) and run configuration, whose model seed each row

@@ -31,17 +31,13 @@ BLAS runs on one thread, as in the benchmark.
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from time import perf_counter
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from output_digest import import_hgcn, load_benchmark  # first: it pins BLAS to one thread
 
 import numpy as np  # noqa: E402  (after the thread pins)
-
-from output_digest import import_hgcn, load_benchmark  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_SEED, MODEL_SEED = 1, 0
