@@ -23,11 +23,13 @@ the probabilities are float64 at any body type.
 sample, in the layout `graph` describes: each layer's node features
 are one (rows, hidden) array, so its matmul and activation are single
 passes. One sample is a batch of one. `chunks` cuts a sample list into
-runs whose padded node features stay under CHUNK_BUDGET values: short
-samples run about twenty to a chunk, long documents two at a time. A
-training step cuts its minibatch so, and runs one tape per chunk and
-one optimizer step per batch. Inference cuts the whole sample list,
-sorted by length, whatever the minibatch size, and records no tape.
+runs whose padded node features stay under CHUNK_BUDGET bytes at the
+body's float type: in float32, short samples run about forty to a
+chunk and long documents four at a time; in float64, half as many. A
+training step cuts its minibatch so, and runs one tape per chunk, each
+freed before the next chunk runs, and one optimizer step per batch.
+Inference cuts the whole sample list, sorted by length, whatever the
+minibatch size, and records no tape.
 When the chunks' padded token rows are at least `run.PROJECT_RATIO`
 times the provider's table rows, inference also projects the whole
 table through `w_token_in` once and each chunk gathers its first token
@@ -44,16 +46,17 @@ from . import autodiff as ad
 from .autodiff import Node, Tape, parameter
 from .graph import Chains, propagate, reconstruct_token_label
 
-# Most entries of a chunk's padded node features, B x (M + n) x hidden:
-# twenty 11-token samples with 5 labels, or two 128-token documents with
-# 20 labels, at hidden 64; it bounds the memory one tape holds in training
-# and one chunk's arrays in inference. It counts values, not bytes, so
-# under the float32 body a chunk holds half the bytes it held under
-# float64. The figures behind it were measured with a float64 body:
-# whole batches of long documents trained about a fifth faster but held
-# 13 MB more at peak, and a 4x budget for inference alone ran eval about
-# 7% faster but raised serve's peak RSS 3.5% (both in CHANGES.md).
-CHUNK_BUDGET = 20480
+# Most bytes of a chunk's padded node features, B x (M + n) x hidden
+# values at the body's itemsize: forty 11-token samples with 5 labels, or
+# four 128-token documents with 20 labels, at hidden 64 in float32, and
+# half as many in float64. It bounds the memory one tape holds in training
+# and one chunk's arrays in inference. It is 20480 float64 values, the
+# budget measured with a float64 body: whole batches of long documents
+# trained about a fifth faster but held 13 MB more at peak, and a 4x
+# budget for inference alone ran eval about 7% faster but raised serve's
+# peak RSS 3.5% (both in CHANGES.md). Counted in bytes, float32 chunks
+# hold twice the samples (BENCH_byte_budget.json).
+CHUNK_BUDGET = 20480 * 8
 
 
 @dataclass(frozen=True)
@@ -174,11 +177,12 @@ def batch_loss(batch, provider, params, cfg) -> Node:
     return ad.mse_loss(trace.probs_node, np.concatenate([target for _, target in batch]))
 
 
-def chunks(lengths, cfg: ModelConfig) -> list[slice]:
-    """Consecutive runs of samples whose padded node features fit CHUNK_BUDGET.
+def chunks(lengths, cfg: ModelConfig, itemsize: int) -> list[slice]:
+    """Consecutive runs of samples whose padded node features fit CHUNK_BUDGET bytes.
 
-    A sample too large for the budget on its own is a chunk of one; no
-    samples make no chunks.
+    Each value takes `itemsize` bytes, the body's. A sample too large
+    for the budget on its own is a chunk of one; no samples make no
+    chunks.
     """
     if not len(lengths):
         return []
@@ -186,7 +190,8 @@ def chunks(lengths, cfg: ModelConfig) -> list[slice]:
     start, longest = 0, 0
     for i, m in enumerate(lengths):
         longest = max(longest, m)
-        if i > start and (i + 1 - start) * (longest + cfg.num_labels) * cfg.hidden > CHUNK_BUDGET:
+        if (i > start and (i + 1 - start) * (longest + cfg.num_labels) * cfg.hidden * itemsize
+                > CHUNK_BUDGET):
             out.append(slice(start, i))
             start, longest = i, m
     out.append(slice(start, len(lengths)))
@@ -202,11 +207,12 @@ def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
     batch mean before the single parameter update.
     """
     total = 0.0
-    for part in chunks([len(ids) for ids, _ in batch], cfg):
+    for part in chunks([len(ids) for ids, _ in batch], cfg, params.w_token_in.value.itemsize):
         chunk = batch[part]
         with Tape() as tape:
             loss = batch_loss(chunk, provider, params, cfg)
             tape.backward(loss, len(chunk) / len(batch))
         total += float(loss.value[0, 0]) * len(chunk)
+        del loss  # so the next chunk runs with this chunk's graph freed
     optimizer.step()
     return total / len(batch)

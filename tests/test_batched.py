@@ -30,6 +30,9 @@ from oracles import ReferenceSGD, forward_one, sample_loss_one, train_step_one
 TOL = 1e-12
 VOCAB = 14
 DIM = 5
+# `make_model`'s weights are float64, and CHUNK_BUDGET counts bytes: the
+# budgets below are value counts times this itemsize
+F64 = np.dtype(np.float64).itemsize
 
 
 def make_model(activation="tanh", encoder="lookup", num_layers=2):
@@ -200,12 +203,12 @@ class Recorder:
             p.grad.fill(0.0)
 
 
-@pytest.mark.parametrize("budget,count", [(model.CHUNK_BUDGET, 1), (1, len(BATCH))],
+@pytest.mark.parametrize("budget,count", [(model.CHUNK_BUDGET, 1), (F64, len(BATCH))],
                          ids=["one-chunk", "split"])
 def test_train_step_matches_per_sample_step(budget, count, monkeypatch):
     monkeypatch.setattr(model, "CHUNK_BUDGET", budget)
     cfg, params, provider = make_model("relu")
-    assert len(chunks(LENGTHS, cfg)) == count
+    assert len(chunks(LENGTHS, cfg, F64)) == count
 
     def step(fn):
         rec = Recorder(params.parameters() + provider.parameters())
@@ -235,12 +238,80 @@ def test_sgd_step_matches_per_sample_step():
 
 def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
     cfg = ModelConfig(num_labels=3, num_layers=1, hidden=4, input_dim=2, activation="tanh")
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 4 * 2 * (5 + 3))
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 4 * 2 * (5 + 3))
     # two samples of up to 5 tokens fit, three of 1; a 9-token sample stands alone
-    assert chunks([3, 5, 2, 9, 1, 1, 1], cfg) == [
+    assert chunks([3, 5, 2, 9, 1, 1, 1], cfg, F64) == [
         slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 7)]
-    assert chunks([1], cfg) == [slice(0, 1)]
-    assert chunks([], cfg) == []
+    assert chunks([1], cfg, F64) == [slice(0, 1)]
+    assert chunks([], cfg, F64) == []
+
+
+def long_doc_model(dtype):
+    """The long-doc shape (20 labels, hidden 64) at `dtype`, and ten 128-row documents."""
+    run_cfg = runmod.RunConfig(label_names=[f"L{j}" for j in range(20)], max_len=128)
+    rng = np.random.default_rng(5)
+    params = ModelParams.init(run_cfg.model_config(), rng, dtype)
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
+    provider = TrainableLookup(len(vocab), run_cfg.input_dim, rng, dtype=dtype)
+    samples = [Sample(id=f"s{i}", tokens=[f"w{j}" for j in rng.integers(40, size=126)],
+                      labels=[f"L{i}"]) for i in range(10)]
+    return run_cfg, params, provider, vocab, samples
+
+
+@pytest.mark.parametrize("dtype,sizes", [(np.float32, [4, 4, 2]), (np.float64, [2] * 5)],
+                         ids=["float32", "float64"])
+def test_the_budget_counts_bytes_at_the_weights_itemsize(dtype, sizes, monkeypatch):
+    # the same CHUNK_BUDGET bytes hold four 128-token documents with 20
+    # labels in float32 and two in float64, in training and in inference
+    run_cfg, params, provider, vocab, samples = long_doc_model(dtype)
+    cfg = run_cfg.model_config()
+    assert [p.stop - p.start for p in chunks([128] * 10, cfg, np.dtype(dtype).itemsize)] == sizes
+    trained, inferred_sizes = [], []
+    real_batch_loss = model.batch_loss
+
+    def recording_batch_loss(batch, *args):
+        trained.append(len(batch))
+        return real_batch_loss(batch, *args)
+
+    def recording_forward(batch_ids, *args, **kwargs):
+        inferred_sizes.append(len(batch_ids))
+        return forward(batch_ids, *args, **kwargs)
+
+    monkeypatch.setattr(model, "batch_loss", recording_batch_loss)
+    monkeypatch.setattr(runmod, "forward", recording_forward)
+    batch = [(provider.token_ids(s, vocab, 128), build_target([1] + [0] * 19)) for s in samples]
+    assert {len(ids) for ids, _ in batch} == {128}
+    train_step(batch, params, cfg, provider, Recorder(params.parameters() + provider.parameters()))
+    runmod.predict(samples, params, provider, run_cfg, vocab)
+    assert trained == inferred_sizes == sizes
+
+
+def test_train_step_frees_a_chunk_before_the_next_one_runs(monkeypatch):
+    # each sample of BATCH is a chunk; when each chunk's forward pass starts,
+    # the tape and the loss of every chunk before it are already freed, so a
+    # step holds one chunk's graph at a time. A Node takes no weak reference,
+    # so the loss is watched through its value, which it alone holds
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64)
+    cfg, params, provider = make_model()
+    tapes, losses = [], []
+    real_batch_loss = model.batch_loss
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    def recording_batch_loss(*args):
+        assert [ref() for ref in tapes[:-1] + losses] == [None] * (len(tapes) - 1 + len(losses))
+        loss = real_batch_loss(*args)
+        losses.append(weakref.ref(loss.value))
+        return loss
+
+    monkeypatch.setattr(model, "Tape", RecordingTape)
+    monkeypatch.setattr(model, "batch_loss", recording_batch_loss)
+    train_step(BATCH, params, cfg, provider, Recorder(params.parameters() + provider.parameters()))
+    assert len(tapes) == len(BATCH)
+    assert len(losses) == len(BATCH)
 
 
 def inferred(args):
@@ -262,7 +333,7 @@ def inferred(args):
 
 @pytest.mark.parametrize("batch_size", [1, 3, 10])
 def test_inference_matches_per_sample(batch_size, monkeypatch):
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (8 + 3) * 2)  # splits the batch of 3
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (8 + 3) * 2)  # splits the batch of 3
     for num_layers in (2, 1):  # own label rows per sample, and rows the batch shares
         assert_inference_matches_per_sample(batch_size, num_layers)
 
@@ -374,7 +445,7 @@ def test_projection_is_made_only_for_enough_padded_rows(monkeypatch):
     runmod.predict(SAMPLES, params, PrecomputedFile(BLOCKS), run_cfg8, VOCABULARY)
     assert asked[1:] == [32] and calls[1:] == [None]
     # chunks of 5 x 7 and 1 x 16 pad to 51 rows, fewer than 56
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 5 * (7 + 3) * 6)
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 5 * (7 + 3) * 6)
     runmod.predict(mixed, params, lookup, run_cfg, VOCABULARY)
     assert asked[2:] == [51] and calls[2:] == [None, None]
     # an empty test set runs no chunk
@@ -400,14 +471,14 @@ def test_one_layer_trace_holds_the_shared_label_rows_once():
 
 def test_inference_ignores_batch_size(monkeypatch):
     # two samples of up to 6 tokens fit a chunk; the 16-token one does not fit alone
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (6 + 3) * 2)
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
     cfg, params, provider = make_model()
     samples = [Sample(id=f"s{i}", tokens=t, labels=["A", "C"][: i % 3],
                       annotations=[(0, "B", 1.0)] if t else [])
                for i, t in enumerate(MIXED)]
     by_length = sorted(len(tokenize(t, VOCABULARY, 16)) for t in MIXED)
-    assert (max(by_length) + 3) * 6 > model.CHUNK_BUDGET
-    parts = chunks(by_length, cfg)
+    assert F64 * (max(by_length) + 3) * 6 > model.CHUNK_BUDGET
+    parts = chunks(by_length, cfg, F64)
     assert len(parts) < len(MIXED)
     calls = []
 
@@ -441,7 +512,7 @@ def test_inference_ignores_batch_size(monkeypatch):
 
 def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(monkeypatch):
     # MIXED, then two samples as long as its first and last ones
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (6 + 3) * 2)
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
     cfg, params, provider = make_model()
     samples = [Sample(id=f"s{i}", tokens=t, labels=[])
                for i, t in enumerate(MIXED + [["w5"], ["w6", "w8"]])]
@@ -482,7 +553,7 @@ def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(mo
 def test_each_command_frees_a_chunk_before_the_next_one_runs(command, monkeypatch):
     # MIXED runs as several chunks; when each forward pass starts, every trace
     # yielded before it is already freed, so a command holds one chunk at a time
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 6 * (6 + 3) * 2)
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
     cfg, params, provider = make_model()
     samples = [Sample(id=f"s{i}", tokens=t, labels=["A"],
                       annotations=[(0, "B", 1.0)] if t else [])
@@ -623,7 +694,7 @@ def test_explain_groups_match_the_per_sample_reference_bitwise():
 
 def test_explain_scores_a_group_split_across_chunks_like_the_reference(monkeypatch):
     # two 3-row samples fit a chunk, so the runs of m = 3 and m = 8 each span two chunks
-    monkeypatch.setattr(model, "CHUNK_BUDGET", 2 * (3 + 3) * 6)
+    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 2 * (3 + 3) * 6)
     params, provider, run_cfg, edges = explain_args()
     chunked = [lengths for _, lengths, _ in
                runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY)]

@@ -102,6 +102,18 @@ def test_import_hgcn_refuses_a_package_from_another_directory(monkeypatch, tmp_p
         digest.import_hgcn(tmp_path)
 
 
+def test_import_hgcn_refuses_a_directory_without_hgcn(monkeypatch, tmp_path):
+    isolate_digest(monkeypatch)
+    digest = load_digest()
+    # no `hgcn` importable from anywhere: none imported, none on the path
+    monkeypatch.delitem(sys.modules, "hgcn")
+    monkeypatch.setattr(sys, "path",
+                        [p for p in sys.path if not (Path(p or ".") / "hgcn").exists()])
+    with pytest.raises(SystemExit, match=f"imported no hgcn from {re.escape(str(tmp_path))}"):
+        digest.import_hgcn(tmp_path)
+    assert "hgcn" not in sys.modules
+
+
 def outputs(test_samples) -> set[str]:
     """Every file `train`, `eval`, `explain` and `correlate` write for a test set of this size."""
     expected = {"train.log", "model.ckpt", "eval.txt", "eval.json", "attributions/mse.txt"}

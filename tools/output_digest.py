@@ -79,10 +79,15 @@ def load_benchmark():
 
 
 def import_hgcn(src):
-    """The `hgcn` package imported from directory `src`; exits if it came from anywhere else."""
+    """The `hgcn` package imported from directory `src`; exits unless it came from there."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
-    import hgcn
+    try:
+        import hgcn
+    except ModuleNotFoundError as e:
+        if e.name != "hgcn":
+            raise
+        raise SystemExit(f"imported no hgcn from {src}: it holds no hgcn package") from None
     if Path(hgcn.__file__).resolve().parent != src / "hgcn":
         raise SystemExit(f"imported hgcn from {hgcn.__file__}, not {src}")
     return hgcn
