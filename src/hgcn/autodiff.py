@@ -10,10 +10,13 @@ with one sample per row.
 A `Node` wraps a value together with its gradient and a closure that
 pushes incoming gradients to its parents. Nodes created while a `Tape`
 is active are recorded in creation order, which is a valid topological
-order, so `Tape.backward` simply walks the list in reverse. With no
-active tape nothing is recorded and no node keeps its closure, which is
-how inference runs: each intermediate array is freed as soon as nothing
-reads it.
+order, so `Tape.backward` simply walks the list in reverse. It runs once
+per tape and frees the graph as it goes: it pops each node, pushes it,
+and drops its closure, so a node that nothing else holds is freed, with
+its value, its gradient and the arrays its closure saved, before its
+parents push. With no active tape nothing is recorded and no node keeps
+its closure, which is how inference runs: each intermediate array is
+freed as soon as nothing reads it.
 
 Every backward adds into a node through `Node.accumulate`. Only a leaf
 that trains has a gradient of its own: a parameter lives outside any
@@ -62,25 +65,25 @@ class Tape:
         _current_tape = self._outer
         return False
 
-    def backward(self, loss: "Node", weight: float = 1.0) -> None:
-        """Seed d(loss) = weight and push gradients back through the tape.
+    def backward(self, loss: "Node") -> None:
+        """Seed d(loss) = 1, push gradients back through the tape, and empty it.
 
-        Leaf gradients accumulate; calling twice doubles them. `weight`
-        scales every pushed gradient, as a chunk's share of its batch does
-        in `model.train_step`.
+        Leaf gradients accumulate, so two tapes' backwards add into one
+        leaf. A non-leaf's gradient stays readable for as long as the
+        caller holds the node. A second backward on a used tape raises,
+        since the loss is no longer on it.
         """
         if loss.value.shape != (1, 1):
             raise ShapeError(f"loss must be scalar (1x1), got {loss.value.shape}")
         if loss not in self.nodes:
             raise ValueError("loss node is not on this tape")
-        # clear intermediate grads so each call contributes exactly one
-        # d(loss)/d(leaf) into the (persistent) leaf gradients
-        for node in self.nodes:
-            node.grad = None
-        loss.grad = np.full_like(loss.value, weight)
-        for node in reversed(self.nodes):
+        loss.grad = np.ones_like(loss.value)
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+            node._backward = None
 
 
 class Node:

@@ -22,14 +22,14 @@ the probabilities are float64 at any body type.
 `forward` runs a whole batch of samples at once, padded to its longest
 sample, in the layout `graph` describes: each layer's node features
 are one (rows, hidden) array, so its matmul and activation are single
-passes. One sample is a batch of one. `chunks` cuts a sample list into
-runs whose padded node features stay under CHUNK_BUDGET bytes at the
-body's float type: in float32, short samples run about forty to a
-chunk and long documents four at a time; in float64, half as many. A
-training step cuts its minibatch so, and runs one tape per chunk, each
-freed before the next chunk runs, and one optimizer step per batch.
-Inference cuts the whole sample list, sorted by length, whatever the
-minibatch size, and records no tape.
+passes. One sample is a batch of one. A training step runs its whole
+minibatch as one tape, whose backward frees the graph as it walks it,
+and one optimizer step, so the minibatch size sets its memory.
+Inference records no tape: `chunks` cuts the whole sample list, sorted
+by length, whatever the minibatch size, into runs whose padded node
+features stay under CHUNK_BUDGET bytes at the body's float type. In
+float32, short samples run about forty to a chunk and long documents
+four at a time; in float64, half as many.
 When the chunks' padded token rows are at least `run.PROJECT_RATIO`
 times the provider's table rows, inference also projects the whole
 table through `w_token_in` once and each chunk gathers its first token
@@ -46,16 +46,15 @@ from . import autodiff as ad
 from .autodiff import Node, Tape, parameter
 from .graph import Chains, propagate, reconstruct_token_label
 
-# Most bytes of a chunk's padded node features, B x (M + n) x hidden
-# values at the body's itemsize: forty 11-token samples with 5 labels, or
-# four 128-token documents with 20 labels, at hidden 64 in float32, and
-# half as many in float64. It bounds the memory one tape holds in training
-# and one chunk's arrays in inference. It is 20480 float64 values, the
-# budget measured with a float64 body: whole batches of long documents
-# trained about a fifth faster but held 13 MB more at peak, and a 4x
-# budget for inference alone ran eval about 7% faster but raised serve's
-# peak RSS 3.5% (both in CHANGES.md). Counted in bytes, float32 chunks
-# hold twice the samples (BENCH_byte_budget.json).
+# Most bytes of an inference chunk's padded node features, B x (M + n) x
+# hidden values at the body's itemsize: forty 11-token samples with 5
+# labels, or four 128-token documents with 20 labels, at hidden 64 in
+# float32, and half as many in float64. It bounds inference only; a
+# training step's peak follows its minibatch size. It is 20480 float64
+# values, the budget measured with a float64 body: a 4x budget for
+# inference ran eval about 7% faster but raised serve's peak RSS 3.5%
+# (CHANGES.md). Counted in bytes, float32 chunks hold twice the samples
+# (BENCH_byte_budget.json).
 CHUNK_BUDGET = 20480 * 8
 
 
@@ -200,19 +199,14 @@ def chunks(lengths, cfg: ModelConfig, itemsize: int) -> list[slice]:
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,
                optimizer: ad.Adam) -> float:
-    """One optimizer step on a nonempty batch of (ids, target) pairs.
+    """One optimizer step on a nonempty batch of (ids, target) pairs, as one tape.
 
-    Loss is the mean per-sample MSE. Each chunk's backward is seeded with
-    its share of the batch, so gradients accumulate across chunks into the
-    batch mean before the single parameter update.
+    Loss is the mean per-sample MSE. The tape is left before its backward,
+    so it exits holding every node it recorded, as a tracer that counts a
+    tape's nodes at exit reads them; the backward then frees the graph.
     """
-    total = 0.0
-    for part in chunks([len(ids) for ids, _ in batch], cfg, params.w_token_in.value.itemsize):
-        chunk = batch[part]
-        with Tape() as tape:
-            loss = batch_loss(chunk, provider, params, cfg)
-            tape.backward(loss, len(chunk) / len(batch))
-        total += float(loss.value[0, 0]) * len(chunk)
-        del loss  # so the next chunk runs with this chunk's graph freed
+    with Tape() as tape:
+        loss = batch_loss(batch, provider, params, cfg)
+    tape.backward(loss)
     optimizer.step()
-    return total / len(batch)
+    return float(loss.value[0, 0])

@@ -194,14 +194,13 @@ def _infer(samples, params, provider, run_cfg, vocab):
     """Each chunk's (members, lengths, trace), one forward pass at a time.
 
     The samples are sorted by length, stably, and cut into chunks by
-    `model.chunks` at the weights' itemsize, the same CHUNK_BUDGET bytes
-    as in training, so a chunk pads few rows; `batch_size` plays no
-    part. `members` are the chunk's indices into `samples`, `lengths`
-    their token row counts, ascending, and `trace` the chunk's
-    `ForwardTrace`, whose row b is sample `members[b]`. Inference
-    records no tape, and a command reads from each trace what it needs
-    before the next chunk runs. The chunks gather their first token rows
-    from `_projected_table`'s product when there is one.
+    `model.chunks` at the weights' itemsize, so a chunk pads few rows;
+    `batch_size` plays no part. `members` are the chunk's indices into
+    `samples`, `lengths` their token row counts, ascending, and `trace`
+    the chunk's `ForwardTrace`, whose row b is sample `members[b]`.
+    Inference records no tape, and a command reads from each trace what
+    it needs before the next chunk runs. The chunks gather their first
+    token rows from `_projected_table`'s product when there is one.
     """
     cfg = run_cfg.model_config()
     ids = [provider.token_ids(s, vocab, run_cfg.max_len) for s in samples]

@@ -469,14 +469,19 @@ def sample_loss_one(ids, target, provider, params, cfg, block=None) -> Node:
 
 
 def train_step_one(batch, params, cfg, provider, optimizer) -> float:
-    """One optimizer step, one tape per sample; gradients accumulate over the batch."""
+    """One optimizer step, one tape per sample; gradients accumulate over the batch.
+
+    The summed gradients are scaled to the batch mean in place, before the step.
+    """
     total = 0.0
     inv = 1.0 / len(batch)
     for ids, target in batch:
         with Tape() as tape:
             loss = sample_loss_one(ids, target, provider, params, cfg)
-            tape.backward(loss, inv)
+            tape.backward(loss)
         total += float(loss.value[0, 0])
+    for p in params.parameters() + provider.parameters():
+        p.grad *= inv
     optimizer.step()
     return total * inv
 

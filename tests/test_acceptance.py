@@ -1,4 +1,5 @@
-"""Acceptance suite: one criterion per test, one printed pass/fail line each.
+"""Acceptance suite: one criterion per test, one printed pass/fail line each,
+and a quality floor on criterion 4's model.
 
 Criterion 4's attribution clauses (argmax hit rate and the 10x MSE
 contrast) are implemented exactly as stated; see ROADMAP.md
@@ -245,6 +246,15 @@ def test_criterion_4_synthetic_end_to_end(capsys, synth_run):
            ok, f"jaccard {rep.jaccard:.3f} (>=0.90), micro {rep.micro_f1:.3f} "
                f"(>=0.90), trigger hit rate {hit_rate:.2f} (>=0.80), "
                f"mse contrast {ratio:.2f}x (>=10x), train {s['elapsed']:.0f}s (<600s)")
+
+
+def test_criterion_4_model_is_above_the_collapse_floor(synth_run):
+    # criterion 4 fails on its attribution clauses, so it cannot report a
+    # quality collapse; the floors are the float32 model's minima over
+    # fidelity seeds 0-19 (ROADMAP direction 10)
+    s = synth_run
+    rep = runmod.evaluate_model(s["test"], s["params"], s["provider"], s["cfg"], s["vocab"])
+    assert rep.micro_f1 >= 0.827 and rep.jaccard >= 0.731, (rep.micro_f1, rep.jaccard)
 
 
 def test_criterion_5_ablation_direction(capsys, synth_run, tmp_path):

@@ -200,30 +200,51 @@ def test_backward_rejects_non_scalar_loss():
 
 
 def test_backward_accumulates_across_calls():
+    # two tapes add into one leaf; a second backward on a used tape raises
+    # before it pushes anything
+    w = parameter(np.ones((2, 2)))
+    grads = []
+    for _ in range(2):
+        with Tape() as tape:
+            loss = total_sum(elementwise_mul(w, w))
+            tape.backward(loss)
+        grads.append(w.grad.copy())
+    assert np.allclose(grads[1], 2 * grads[0])
+    with pytest.raises(ValueError, match="not on this tape"):
+        tape.backward(loss)
+    assert np.array_equal(w.grad, grads[1])
+
+
+def test_backward_empties_the_tape_and_frees_each_node_before_its_parents_push():
+    # when the parent's push runs, the child it fed is already freed, and
+    # with it the value the child's closure saved. A Node takes no weak
+    # reference, so the child is watched through its value
     w = parameter(np.ones((2, 2)))
     with Tape() as tape:
-        loss = total_sum(elementwise_mul(w, w))
+        parent = ad.activation(w, "tanh")
+        child = ad.activation(parent, "tanh")
+        loss = total_sum(child)
+    child_value = weakref.ref(child.value)
+    del child
+    seen = []
+    push = parent._backward
+
+    def recording_push(g):
+        seen.append(child_value() is None)
+        push(g)
+
+    parent._backward = recording_push
+    tape.backward(loss)
+    assert seen == [True]
+    assert tape.nodes == [] and parent._backward is None
+    assert np.allclose(w.grad, (1.0 - np.tanh(np.tanh(1.0)) ** 2) * (1.0 - np.tanh(1.0) ** 2))
+    with pytest.raises(ValueError, match="not on this tape"):
         tape.backward(loss)
-        once = w.grad.copy()
-        tape.backward(loss)
-    assert np.allclose(w.grad, 2 * once)
 
 
 def test_only_a_trainable_leaf_holds_a_gradient():
     assert constant(np.ones((2, 3))).grad is None
     assert np.array_equal(parameter(np.ones((2, 3))).grad, np.zeros((2, 3)))
-
-
-def test_backward_weight_scales_every_gradient():
-    # a power of two scales every product exactly, so the check is bitwise
-    w0 = np.random.default_rng(5).normal(size=(3, 2))
-    grads = []
-    for weight in (1.0, 0.25):
-        w = parameter(w0)
-        with Tape() as tape:
-            tape.backward(ad.mse_loss(ad.activation(w, "tanh"), np.zeros((3, 2))), weight)
-        grads.append(w.grad)
-    assert np.array_equal(grads[1], 0.25 * grads[0])
 
 
 def test_non_leaf_grad_is_created_by_backward():

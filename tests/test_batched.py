@@ -203,12 +203,8 @@ class Recorder:
             p.grad.fill(0.0)
 
 
-@pytest.mark.parametrize("budget,count", [(model.CHUNK_BUDGET, 1), (F64, len(BATCH))],
-                         ids=["one-chunk", "split"])
-def test_train_step_matches_per_sample_step(budget, count, monkeypatch):
-    monkeypatch.setattr(model, "CHUNK_BUDGET", budget)
+def test_train_step_matches_per_sample_step():
     cfg, params, provider = make_model("relu")
-    assert len(chunks(LENGTHS, cfg, F64)) == count
 
     def step(fn):
         rec = Recorder(params.parameters() + provider.parameters())
@@ -262,7 +258,8 @@ def long_doc_model(dtype):
                          ids=["float32", "float64"])
 def test_the_budget_counts_bytes_at_the_weights_itemsize(dtype, sizes, monkeypatch):
     # the same CHUNK_BUDGET bytes hold four 128-token documents with 20
-    # labels in float32 and two in float64, in training and in inference
+    # labels in float32 and two in float64 in inference, while training
+    # runs the whole batch as one tape at either type
     run_cfg, params, provider, vocab, samples = long_doc_model(dtype)
     cfg = run_cfg.model_config()
     assert [p.stop - p.start for p in chunks([128] * 10, cfg, np.dtype(dtype).itemsize)] == sizes
@@ -283,35 +280,7 @@ def test_the_budget_counts_bytes_at_the_weights_itemsize(dtype, sizes, monkeypat
     assert {len(ids) for ids, _ in batch} == {128}
     train_step(batch, params, cfg, provider, Recorder(params.parameters() + provider.parameters()))
     runmod.predict(samples, params, provider, run_cfg, vocab)
-    assert trained == inferred_sizes == sizes
-
-
-def test_train_step_frees_a_chunk_before_the_next_one_runs(monkeypatch):
-    # each sample of BATCH is a chunk; when each chunk's forward pass starts,
-    # the tape and the loss of every chunk before it are already freed, so a
-    # step holds one chunk's graph at a time. A Node takes no weak reference,
-    # so the loss is watched through its value, which it alone holds
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64)
-    cfg, params, provider = make_model()
-    tapes, losses = [], []
-    real_batch_loss = model.batch_loss
-
-    class RecordingTape(Tape):
-        def __init__(self):
-            super().__init__()
-            tapes.append(weakref.ref(self))
-
-    def recording_batch_loss(*args):
-        assert [ref() for ref in tapes[:-1] + losses] == [None] * (len(tapes) - 1 + len(losses))
-        loss = real_batch_loss(*args)
-        losses.append(weakref.ref(loss.value))
-        return loss
-
-    monkeypatch.setattr(model, "Tape", RecordingTape)
-    monkeypatch.setattr(model, "batch_loss", recording_batch_loss)
-    train_step(BATCH, params, cfg, provider, Recorder(params.parameters() + provider.parameters()))
-    assert len(tapes) == len(BATCH)
-    assert len(losses) == len(BATCH)
+    assert trained == [len(batch)] and inferred_sizes == sizes
 
 
 def inferred(args):

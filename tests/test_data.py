@@ -146,6 +146,7 @@ MALFORMED = "malformed annotation"
 
 @pytest.mark.parametrize("annotations,match", [
     ('[[5, "A", 1.0]]', "out of range"),
+    ('[[2, "A", 1.0]]', "token index 2 out of range"),
     ('[[0, "A", 2.0]]', "intensity"),
     ('[[0, "A", -0.5]]', r"intensity -0\.5 outside"),
     ('[["0", "A", 0.5]]', MALFORMED),
@@ -160,10 +161,10 @@ MALFORMED = "malformed annotation"
     ('[{"0": "A"}]', MALFORMED),
     ('{"0": "A"}', "must be a list"),
     ('[[0, "Z", 0.5]]', "unknown annotation label 'Z'"),
-], ids=["index-out-of-range", "intensity-above-1", "intensity-below-0", "string-index",
-        "string-intensity", "two-elements", "four-elements", "bool-index", "bool-intensity",
-        "true-intensity", "float-index", "int-label", "object-entry", "object-annotations",
-        "unknown-label"])
+], ids=["index-out-of-range", "index-at-length", "intensity-above-1", "intensity-below-0",
+        "string-index", "string-intensity", "two-elements", "four-elements", "bool-index",
+        "bool-intensity", "true-intensity", "float-index", "int-label", "object-entry",
+        "object-annotations", "unknown-label"])
 def test_dataset_annotation_validation(tmp_path, annotations, match):
     path = write(tmp_path, '{"id": "s1", "tokens": ["a", "b"], "labels": ["A"], '
                            f'"annotations": {annotations}}}\n')

@@ -347,8 +347,10 @@ def test_propagate_ragged_batch_matches_dense_per_sample():
         tb = sample_rows(t, lengths, n, b)[0]
         with Tape() as tape:
             dense = dense_propagate(hb, eb)
-            # the batched loss averages over every padded entry
-            tape.backward(ad.mse_loss(dense, tb), tb.size / t.size)
+            tape.backward(ad.mse_loss(dense, tb))
+        # the batched loss averages over every padded entry
+        hb.grad *= tb.size / t.size
+        eb.grad *= tb.size / t.size
         rows, padded = sample_rows(out.value, lengths, n, b)
         assert np.max(np.abs(rows - dense.value)) < 1e-12
         assert not padded.any()
@@ -416,7 +418,8 @@ def test_propagate_without_edges_is_the_zero_block():
         tape.backward(ad.mse_loss(out, target))
     with Tape() as tape:
         alone = propagate(tokens, None, chains, labels)
-        tape.backward(ad.mse_loss(alone, target[:t + n]), (t + n) / len(h0))
+        tape.backward(ad.mse_loss(alone, target[:t + n]))
+    tokens.grad *= (t + n) / len(h0)
     assert np.max(np.abs(alone.value[:t] - out.value[:t])) < 1e-12
     assert np.max(np.abs(tokens.grad - full.grad[:t])) < 1e-12
     assert np.array_equal(alone.value[t:], labels.value)
@@ -437,7 +440,8 @@ def test_reconstruct_ragged_batch_matches_per_sample():
         hb = parameter(hs[b])
         with Tape() as tape:
             single = reconstruct_token_label(hb, one(m, n))
-            tape.backward(ad.mse_loss(single, t[b:b + 1, :m]), single.value.size / t.size)
+            tape.backward(ad.mse_loss(single, t[b:b + 1, :m]))
+        hb.grad *= single.value.size / t.size
         assert np.max(np.abs(out.value[b, :m] - single.value[0])) < 1e-12
         assert not out.value[b, m:].any()
         rows, padded = sample_rows(h.grad, lengths, n, b)

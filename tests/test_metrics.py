@@ -30,6 +30,12 @@ def test_threshold_uniform_eleven_labels():
     assert decode_threshold(probs, 2 / 11) == set()
 
 
+def test_threshold_includes_a_label_at_t():
+    # the values are exact in binary, so the tie is exact
+    assert decode_threshold([0.5, 0.25, 0.125, 0.125], 0.25) == {0, 1}
+    assert decode_threshold(np.full(4, 0.25), 0.25) == {0, 1, 2, 3}
+
+
 def test_threshold_below_min_selects_all():
     probs = [0.5, 0.3, 0.2]
     assert decode_threshold(probs, 0.19) == {0, 1, 2}
@@ -128,6 +134,15 @@ def test_f1_hand_value():
     assert report.per_label[0]["recall"] == 1.0
     assert report.micro_f1 == pytest.approx(2 / 3, abs=1e-12)
     assert report.macro_f1 == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_f1_recall_is_half_when_tp_equals_fn():
+    # one label: TP=1, FP=0, FN=1 -> P=1, R=0.5, F1=2/3
+    report = evaluate([{0}, set()], [{0}, {0}], 1)
+    row = report.per_label[0]
+    assert (row["tp"], row["fp"], row["fn"]) == (1, 0, 1)
+    assert row["precision"] == 1.0 and row["recall"] == 0.5
+    assert report.micro_f1 == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_f1_absent_label_zero_and_averaged():

@@ -348,23 +348,33 @@ def float32_setup(activation="tanh", seed=0):
 
 
 def test_float32_train_step_keeps_the_body_float32_and_the_head_float64(monkeypatch):
-    tapes = []
+    # backward frees each node after its push, so every node's dtypes are
+    # recorded as it pushes, and every recorded node must push
+    recorded, pushed = [0], []
+
+    def recording(node, push):
+        def recorded_push(g):
+            pushed.append((node.op, node.value.dtype, node.grad.dtype))
+            push(g)
+        return recorded_push
 
     class RecordingTape(Tape):
-        def __enter__(self):
-            tapes.append(self)
-            return super().__enter__()
+        def backward(self, loss):
+            recorded[0] += len(self.nodes)
+            for node in self.nodes:
+                node._backward = recording(node, node._backward)
+            super().backward(loss)
 
     monkeypatch.setattr(model, "Tape", RecordingTape)
     cfg, params, provider = float32_setup()
     optimizer = Adam(params.parameters() + provider.parameters(), 0.01)
     train_step(BATCH, params, cfg, provider, optimizer)
     head = {"softmax_row", "mse_loss"}
-    nodes = [node for tape in tapes for node in tape.nodes]
-    assert {node.op for node in nodes} >= head | {"gather_rows", "propagate", "col_sums"}
-    for node in nodes:
-        want = np.float64 if node.op in head else np.float32
-        assert (node.op, node.value.dtype, node.grad.dtype) == (node.op, want, want)
+    assert len(pushed) == recorded[0]
+    assert {op for op, _, _ in pushed} >= head | {"gather_rows", "propagate", "col_sums"}
+    for op, value_dtype, grad_dtype in pushed:
+        want = np.float64 if op in head else np.float32
+        assert (op, value_dtype, grad_dtype) == (op, want, want)
     for array in (optimizer.values, optimizer.grads, optimizer.m, optimizer.v):
         assert array.dtype == np.float32
     assert forward([ids for ids, _ in BATCH], provider, params, cfg).probs.dtype == np.float64
