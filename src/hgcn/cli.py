@@ -97,7 +97,6 @@ def cmd_eval(cfg: RunConfig, samples, params, provider, vocab) -> int:
     report = runmod.evaluate_model(samples, params, provider, cfg, vocab)
     text = report.render(cfg.label_names)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_text(out / "eval.txt", text)
     write_text(out / "eval.json", json.dumps(vars(report), indent=2))
     print(text, end="")
@@ -128,7 +127,6 @@ def cmd_explain(cfg: RunConfig, samples, params, provider, vocab) -> int:
 def cmd_correlate(cfg: RunConfig, samples, params, provider, vocab) -> int:
     pearson, cosine = runmod.correlate(samples, params, provider, cfg, vocab)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     render_heatmap([pearson, cosine], [cfg.label_names] * 2, cfg.label_names,
                    [out / "pearson", out / "label_cosine"])
     print(f"wrote pearson and label_cosine heatmaps to {out}")

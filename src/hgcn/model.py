@@ -25,15 +25,6 @@ are one (rows, hidden) array, so its matmul and activation are single
 passes. One sample is a batch of one. A training step runs its whole
 minibatch as one tape, whose backward frees the graph as it walks it,
 and one optimizer step, so the minibatch size sets its memory.
-Inference records no tape: `chunks` cuts the whole sample list, sorted
-by length, whatever the minibatch size, into runs whose padded node
-features stay under CHUNK_BUDGET bytes at the body's float type. In
-float32, short samples run about forty to a chunk and long documents
-four at a time; in float64, half as many.
-When the chunks' padded token rows are at least `run.PROJECT_RATIO`
-times the provider's table rows, inference also projects the whole
-table through `w_token_in` once and each chunk gathers its first token
-rows from that product.
 """
 
 from __future__ import annotations
@@ -45,18 +36,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape, parameter
 from .graph import Chains, propagate, reconstruct_token_label
-
-# Most bytes of an inference chunk's padded node features, B x (M + n) x
-# hidden values at the body's itemsize: forty 11-token samples with 5
-# labels, or four 128-token documents with 20 labels, at hidden 64 in
-# float32, and half as many in float64. It bounds inference only; a
-# training step's peak follows its minibatch size. It is 20480 float64
-# values, the budget measured with a float64 body: a 4x budget for
-# inference ran eval about 7% faster but raised serve's peak RSS 3.5%
-# (CHANGES.md). Counted in bytes, float32 chunks hold twice the samples
-# (BENCH_byte_budget.json).
-CHUNK_BUDGET = 20480 * 8
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -174,27 +153,6 @@ def batch_loss(batch, provider, params, cfg) -> Node:
     """Mean per-sample MSE over a batch of (ids, target) pairs."""
     trace = forward([ids for ids, _ in batch], provider, params, cfg)
     return ad.mse_loss(trace.probs_node, np.concatenate([target for _, target in batch]))
-
-
-def chunks(lengths, cfg: ModelConfig, itemsize: int) -> list[slice]:
-    """Consecutive runs of samples whose padded node features fit CHUNK_BUDGET bytes.
-
-    Each value takes `itemsize` bytes, the body's. A sample too large
-    for the budget on its own is a chunk of one; no samples make no
-    chunks.
-    """
-    if not len(lengths):
-        return []
-    out = []
-    start, longest = 0, 0
-    for i, m in enumerate(lengths):
-        longest = max(longest, m)
-        if (i > start and (i + 1 - start) * (longest + cfg.num_labels) * cfg.hidden * itemsize
-                > CHUNK_BUDGET):
-            out.append(slice(start, i))
-            start, longest = i, m
-    out.append(slice(start, len(lengths)))
-    return out
 
 
 def train_step(batch, params: ModelParams, cfg: ModelConfig, provider,

@@ -1,4 +1,15 @@
-"""Training and evaluation orchestration shared by the CLI and tests."""
+"""Training and evaluation orchestration shared by the CLI and tests.
+
+Inference records no tape: `chunks` cuts the whole sample list, sorted
+by length, whatever the minibatch size, into runs whose padded node
+features stay under CHUNK_BUDGET bytes at the body's float type. In
+float32, short samples run about forty to a chunk and long documents
+four at a time; in float64, half as many.
+When the chunks' padded token rows are at least PROJECT_RATIO times
+the provider's table rows, inference also projects the whole table
+through `w_token_in` once and each chunk gathers its first token rows
+from that product.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +32,18 @@ from .autodiff import Adam, Node
 from .data import load_checkpoint, load_embeddings
 from .encoder import PrecomputedFile, TrainableLookup, Vocabulary
 from .metrics import EvalReport, decode_threshold, decode_topk, evaluate
-from .model import ModelConfig, ModelParams, build_target, chunks, forward, train_step
+from .model import ModelConfig, ModelParams, build_target, forward, train_step
+
+# Most bytes of an inference chunk's padded node features, B x (M + n) x
+# hidden values at the body's itemsize: forty 11-token samples with 5
+# labels, or four 128-token documents with 20 labels, at hidden 64 in
+# float32, and half as many in float64. It bounds inference only; a
+# training step's peak follows its minibatch size. It is 20480 float64
+# values, the budget measured with a float64 body: a 4x budget for
+# inference ran eval about 7% faster but raised serve's peak RSS 3.5%
+# (CHANGES.md). Counted in bytes, float32 chunks hold twice the samples
+# (BENCH_byte_budget.json).
+CHUNK_BUDGET = 20480 * 8
 
 # `_infer` projects the whole embedding table once only when its chunks
 # would multiply at least this many padded token rows per table row; at
@@ -190,11 +212,27 @@ def decode_probs(probs, run_cfg: RunConfig) -> set[int]:
     return decode_threshold(probs, run_cfg.threshold)
 
 
+def chunks(lengths, cfg: ModelConfig, itemsize: int) -> list[slice]:
+    """Consecutive runs of ascending `lengths` whose padded node features fit CHUNK_BUDGET bytes.
+
+    A run pads to its last sample, its longest, and each value takes
+    `itemsize` bytes, the body's. A sample too large for the budget on
+    its own is a chunk of one; no samples make no chunks.
+    """
+    out, start = [], 0
+    for i, m in enumerate(lengths):
+        if (i > start and (i + 1 - start) * (m + cfg.num_labels) * cfg.hidden * itemsize
+                > CHUNK_BUDGET):
+            out.append(slice(start, i))
+            start = i
+    return [*out, slice(start, len(lengths))] if lengths else []
+
+
 def _infer(samples, params, provider, run_cfg, vocab):
     """Each chunk's (members, lengths, trace), one forward pass at a time.
 
     The samples are sorted by length, stably, and cut into chunks by
-    `model.chunks` at the weights' itemsize, so a chunk pads few rows;
+    `chunks` at the weights' itemsize, so a chunk pads few rows;
     `batch_size` plays no part. `members` are the chunk's indices into
     `samples`, `lengths` their token row counts, ascending, and `trace`
     the chunk's `ForwardTrace`, whose row b is sample `members[b]`.

@@ -15,6 +15,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgcn import metrics, model
 from hgcn import run as runmod
@@ -22,8 +24,8 @@ from hgcn.analysis import build_golden, label_cosine_matrix
 from hgcn.autodiff import Node, Tape
 from hgcn.data import Sample, save_embeddings
 from hgcn.encoder import PAD, PrecomputedFile, TrainableLookup, Vocabulary, tokenize
-from hgcn.model import (ModelConfig, ModelParams, batch_loss, build_target, chunks, forward,
-                        train_step)
+from hgcn.model import ModelConfig, ModelParams, batch_loss, build_target, forward, train_step
+from hgcn.run import chunks
 
 from oracles import ReferenceSGD, forward_one, sample_loss_one, train_step_one
 
@@ -234,12 +236,49 @@ def test_sgd_step_matches_per_sample_step():
 
 def test_chunks_keep_order_and_respect_the_budget(monkeypatch):
     cfg = ModelConfig(num_labels=3, num_layers=1, hidden=4, input_dim=2, activation="tanh")
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 4 * 2 * (5 + 3))
-    # two samples of up to 5 tokens fit, three of 1; a 9-token sample stands alone
-    assert chunks([3, 5, 2, 9, 1, 1, 1], cfg, F64) == [
-        slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 7)]
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 4 * 2 * (5 + 3))
+    # three 1-token samples share a chunk, two of 5 tokens fit exactly, and
+    # each 9-token sample stands alone
+    assert chunks([1, 1, 1, 5, 5, 9, 9], cfg, F64) == [
+        slice(0, 3), slice(3, 5), slice(5, 6), slice(6, 7)]
     assert chunks([1], cfg, F64) == [slice(0, 1)]
     assert chunks([], cfg, F64) == []
+
+
+@pytest.mark.parametrize("itemsize,sizes", [(4, [40, 1]), (8, [20, 20, 1])],
+                         ids=["float32", "float64"])
+def test_the_budget_holds_its_documented_serve_shape(itemsize, sizes):
+    # the serve shape the budget's comment names: 11 token rows, 5 labels, hidden 64
+    cfg = ModelConfig(num_labels=5, num_layers=2, hidden=64, input_dim=64, activation="tanh")
+    assert [p.stop - p.start for p in chunks([11] * 41, cfg, itemsize)] == sizes
+
+
+@given(st.lists(st.integers(min_value=1, max_value=30), max_size=30).map(sorted),
+       st.integers(min_value=0, max_value=150), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.sampled_from([4, 8]))
+@settings(max_examples=200)
+def test_chunks_cut_ascending_lengths_greedily_within_the_budget(lengths, budget_rows, num_labels,
+                                                                 hidden, itemsize):
+    # a budget of whole padded node rows, so that chunks often fill it exactly
+    cfg = ModelConfig(num_labels=num_labels, num_layers=1, hidden=hidden, input_dim=2,
+                      activation="tanh")
+    budget = budget_rows * hidden * itemsize
+
+    def padded_bytes(count, longest):
+        return count * (longest + num_labels) * hidden * itemsize
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runmod, "CHUNK_BUDGET", budget)
+        parts = chunks(lengths, cfg, itemsize)
+    # the chunks partition the samples in order, none of them empty
+    assert [i for p in parts for i in range(p.start, p.stop)] == list(range(len(lengths)))
+    assert all(p.step is None and p.stop > p.start for p in parts)
+    for p in parts:
+        assert p.stop - p.start == 1 or padded_bytes(p.stop - p.start,
+                                                     max(lengths[p])) <= budget
+    # greedy: no chunk could also have taken the next chunk's first sample
+    for p, q in zip(parts, parts[1:]):
+        assert padded_bytes(p.stop - p.start + 1, lengths[q.start]) > budget
 
 
 def long_doc_model(dtype):
@@ -302,7 +341,7 @@ def inferred(args):
 
 @pytest.mark.parametrize("batch_size", [1, 3, 10])
 def test_inference_matches_per_sample(batch_size, monkeypatch):
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (8 + 3) * 2)  # splits the batch of 3
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 6 * (8 + 3) * 2)  # splits the batch of 3
     for num_layers in (2, 1):  # own label rows per sample, and rows the batch shares
         assert_inference_matches_per_sample(batch_size, num_layers)
 
@@ -414,7 +453,7 @@ def test_projection_is_made_only_for_enough_padded_rows(monkeypatch):
     runmod.predict(SAMPLES, params, PrecomputedFile(BLOCKS), run_cfg8, VOCABULARY)
     assert asked[1:] == [32] and calls[1:] == [None]
     # chunks of 5 x 7 and 1 x 16 pad to 51 rows, fewer than 56
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 5 * (7 + 3) * 6)
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 5 * (7 + 3) * 6)
     runmod.predict(mixed, params, lookup, run_cfg, VOCABULARY)
     assert asked[2:] == [51] and calls[2:] == [None, None]
     # an empty test set runs no chunk
@@ -440,13 +479,13 @@ def test_one_layer_trace_holds_the_shared_label_rows_once():
 
 def test_inference_ignores_batch_size(monkeypatch):
     # two samples of up to 6 tokens fit a chunk; the 16-token one does not fit alone
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
     cfg, params, provider = make_model()
     samples = [Sample(id=f"s{i}", tokens=t, labels=["A", "C"][: i % 3],
                       annotations=[(0, "B", 1.0)] if t else [])
                for i, t in enumerate(MIXED)]
     by_length = sorted(len(tokenize(t, VOCABULARY, 16)) for t in MIXED)
-    assert F64 * (max(by_length) + 3) * 6 > model.CHUNK_BUDGET
+    assert F64 * (max(by_length) + 3) * 6 > runmod.CHUNK_BUDGET
     parts = chunks(by_length, cfg, F64)
     assert len(parts) < len(MIXED)
     calls = []
@@ -481,7 +520,7 @@ def test_inference_ignores_batch_size(monkeypatch):
 
 def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(monkeypatch):
     # MIXED, then two samples as long as its first and last ones
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
     cfg, params, provider = make_model()
     samples = [Sample(id=f"s{i}", tokens=t, labels=[])
                for i, t in enumerate(MIXED + [["w5"], ["w6", "w8"]])]
@@ -522,7 +561,7 @@ def test_inference_runs_length_sorted_chunks_and_yields_owned_arrays_in_order(mo
 def test_each_command_frees_a_chunk_before_the_next_one_runs(command, monkeypatch):
     # MIXED runs as several chunks; when each forward pass starts, every trace
     # yielded before it is already freed, so a command holds one chunk at a time
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 6 * (6 + 3) * 2)
     cfg, params, provider = make_model()
     samples = [Sample(id=f"s{i}", tokens=t, labels=["A"],
                       annotations=[(0, "B", 1.0)] if t else [])
@@ -663,7 +702,7 @@ def test_explain_groups_match_the_per_sample_reference_bitwise():
 
 def test_explain_scores_a_group_split_across_chunks_like_the_reference(monkeypatch):
     # two 3-row samples fit a chunk, so the runs of m = 3 and m = 8 each span two chunks
-    monkeypatch.setattr(model, "CHUNK_BUDGET", F64 * 2 * (3 + 3) * 6)
+    monkeypatch.setattr(runmod, "CHUNK_BUDGET", F64 * 2 * (3 + 3) * 6)
     params, provider, run_cfg, edges = explain_args()
     chunked = [lengths for _, lengths, _ in
                runmod._infer(EXPLAINED, params, provider, run_cfg, VOCABULARY)]
