@@ -19,10 +19,10 @@ from .metrics import label_matrix
 
 # Most heatmap cells one group of `render_heatmap` holds at once: about
 # seventy 11 x 5 maps, or one 130 x 20 map on its own. A group's float
-# arrays stay at 32 KB, under glibc's 128 KiB mmap threshold; at 20480
-# cells, the values of a float64 chunk of `run.CHUNK_BUDGET` bytes, a
-# 400-map serve explain held 0.37 MB more at its peak than a writer of
-# one map at a time, and these groups are no slower.
+# arrays stay at 32 KB; at 20480 cells, the values of a float64 chunk of
+# `run.CHUNK_BUDGET` bytes, a 400-map serve explain held 0.37 MB more at
+# its peak than a writer of one map at a time, and these groups are no
+# slower.
 HEATMAP_BUDGET = 4096
 
 

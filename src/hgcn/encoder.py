@@ -31,7 +31,9 @@ class Vocabulary:
     def __init__(self, tokens=()):
         # the content tokens alone, after the reserved ids: `tokenize` maps a reserved
         # spelling to UNKNOWN
-        new = dict.fromkeys(t for t in tokens if t not in RESERVED)
+        new = dict.fromkeys(tokens)
+        for t in RESERVED:
+            new.pop(t, None)
         self._content = dict(zip(new, count(len(RESERVED))))
 
     def __len__(self) -> int:

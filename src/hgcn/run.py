@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -296,7 +297,7 @@ def train(train_samples, run_cfg: RunConfig, dev_samples=None, log=None):
     """
     if not train_samples:
         raise ValueError("empty training set")
-    vocab = Vocabulary(t for s in train_samples for t in s.tokens)
+    vocab = Vocabulary(chain.from_iterable(s.tokens for s in train_samples))
     cfg = run_cfg.model_config()
     rng = np.random.default_rng(run_cfg.seed)
     params = ModelParams.init(cfg, rng, np.float32)

@@ -1,7 +1,6 @@
 import ctypes
 import json
 import os
-import resource
 import shutil
 import subprocess
 import sys
@@ -681,22 +680,55 @@ def _has_mallopt() -> bool:
         return False
 
 
+# perfbench's workload shapes, each as (command, labels, vocabulary, filler range,
+# max_len, training samples, test samples, epochs)
+HEAP_SHAPES = {
+    "train-short-chain": ("train", 5, 60, (3, 6), 32, 300, 1, 3),
+    "train-long-doc": ("train", 20, 400, (100, 140), 128, 80, 1, 3),
+    "correlate-serve": ("correlate", 5, 60, (3, 6), 32, 150, 400, 2),
+}
+
+
+def _minor_faults_of_second_call(argv) -> int:
+    """Minor page faults of the second of two `main(argv)` calls in a fresh `hgcn` process.
+
+    In the test process, arrays that earlier tests freed have raised glibc's
+    mmap threshold before the first `mallopt` freezes it, which hides the faults.
+    """
+    code = ("import resource, sys; from hgcn.__main__ import main; "
+            "assert main(sys.argv[1:]) == 0; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "assert main(sys.argv[1:]) == 0; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    env = dict(os.environ, PYTHONPATH=str(Path(hgcn.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    return int(done.stdout.splitlines()[-1])
+
+
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-def test_training_keeps_the_heap_mapped_between_steps(tmp_path):
-    # A freed tape must not hand the heap top back to the system for the
-    # next step to fault in again: with glibc's default trim threshold a
-    # short-chain step took about 310 minor page faults, with hgcn's about 0.
-    train, label_names, _ = generate_synthetic_corpus(
-        5, 60, 300, seed=0, min_fillers=3, max_fillers=6, id_prefix="tr")
-    save_dataset(train, tmp_path / "train.jsonl")
+@pytest.mark.parametrize("shape", HEAP_SHAPES)
+def test_steady_state_calls_keep_the_heap_mapped(shape, tmp_path):
+    # Memory a training step or an inference call frees must stay mapped for
+    # the next. Trimmed back to the system at glibc's default trim threshold, a
+    # short-chain step took about 310 minor page faults. Under an mmap
+    # threshold that the trim setting froze, each larger temporary was a fresh
+    # mmap: 267 faults per long-doc step and about 250 per serve correlate.
+    # hgcn's two thresholds take each to about 0.
+    command, labels, vocab, (lo, hi), max_len, n_train, n_test, epochs = HEAP_SHAPES[shape]
+    for name, size, seed in (("train", n_train, 0), ("test", n_test, 1)):
+        samples, label_names, _ = generate_synthetic_corpus(
+            labels, vocab, size, seed=seed, min_fillers=lo, max_fillers=hi, id_prefix=name)
+        save_dataset(samples, tmp_path / f"{name}.jsonl")
     config = write_config(tmp_path / "config.json", tmp_path, label_names, tmp_path / "out",
-                          hidden=64, input_dim=64, max_len=32, batch_size=10)
-    assert main(["train", "--config", str(config)]) == 0
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert main(["train", "--config", str(config)]) == 0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    steps = 3 * 300 // 10
-    assert faults / steps < 5, f"{faults} minor page faults over {steps} steps"
+                          hidden=64, input_dim=64, max_len=max_len, batch_size=10,
+                          epochs=epochs)
+    if command != "train":
+        assert main(["train", "--config", str(config)]) == 0
+    # a training unit is one minibatch step, an inference unit the whole call
+    units, bound = (epochs * n_train // 10, 5) if command == "train" else (1, 20)
+    faults = _minor_faults_of_second_call([command, "--config", str(config)])
+    assert faults / units < bound, f"{faults} minor page faults over {units} {command} units"
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

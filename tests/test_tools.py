@@ -209,7 +209,7 @@ def test_fidelity_trains_criterion_4s_corpus_and_config(monkeypatch):
 
 
 def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
-    from hgcn import run
+    from hgcn import cli, run
     isolate_digest(monkeypatch)
     crossover = load_tool("projection_crossover")
     passes = []  # each chunk's forward, so the tool must consume `_infer`'s stream
@@ -227,8 +227,10 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
         made.append(table is not None)
         return table
 
+    kept = []  # the timing runs under the `hgcn` command's heap thresholds
     monkeypatch.setattr(run, "forward", counting_forward)
     monkeypatch.setattr(run, "_projected_table", recording_projected_table)
+    monkeypatch.setattr(cli, "keep_freed_memory", lambda: kept.append(len(passes)))
     ratio = run.PROJECT_RATIO
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
@@ -241,6 +243,7 @@ def test_projection_crossover_times_each_workload_and_restores_run(monkeypatch):
     # per workload, the probe's pass does not project, and one side of each round does
     assert made == [False, False, True, True, False] * len(crossover.WORKLOADS)
     assert dtypes == {np.dtype(np.float32)}
+    assert kept == [0]  # once, before the first pass
     assert set(result) == set(crossover.WORKLOADS)
     for name, entry in result.items():
         assert entry["padded_rows"] > 0, name

@@ -16,16 +16,19 @@ are float32, as `run.train` builds them, so it times the arithmetic that
 one whole `_infer` pass, its chunk stream consumed, with the projection
 forced on and one with it forced off, in alternating order: it sets
 `run.PROJECT_RATIO` to 0 and to infinity, so both sides run the
-`_projected_table` that ships, and restores it afterwards. It prints
-one JSON object: per workload, the padded rows and, per table size, the
-median times, the rounds the projection won and the median of the
-rounds' time ratios (projected over per chunk).
+`_projected_table` that ships, and restores it afterwards. It times
+under the `hgcn` command's glibc heap thresholds (`cli.keep_freed_memory`):
+under glibc's defaults, a training prototype once read a spurious 1.21x
+from heap behaviour alone. It prints one JSON object: per workload, the
+padded rows and, per table size, the median times, the rounds the
+projection won and the median of the rounds' time ratios (projected over
+per chunk).
 
 `--src` is the directory holding the `hgcn` package to import (default:
-`src/` of this checkout); it needs a source at commit 4f329a0 or later,
-whose `_infer` yields its chunks and whose ops follow their inputs'
-float type. The workloads always come from this checkout's `perfbench/`.
-BLAS runs on one thread, as in the benchmark.
+`src/` of this checkout); it needs a source whose `_infer` yields its
+chunks, whose ops follow their inputs' float type (4f329a0 or later) and
+whose `cli` has `keep_freed_memory`. The workloads always come from this
+checkout's `perfbench/`. BLAS runs on one thread, as in the benchmark.
 """
 
 import argparse
@@ -114,6 +117,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = load_benchmark()
     import_hgcn(args.src)
+    from hgcn.cli import keep_freed_memory
+    keep_freed_memory()
     ratios = [float(r) for r in args.ratios.split(",")]
     print(json.dumps({name: crossover(bench, name, ratios, args.rounds) for name in WORKLOADS},
                      indent=1))
